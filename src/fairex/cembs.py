@@ -4,15 +4,20 @@ The sender encrypts a signature s under an ElGamal key (P, G, PK) as
 (W, V) and publishes a commitment C = g^V mod n together with a
 challenge-response pair (r, c):
 
-    a = G^u,  A = (G^PK)^u          for a fresh 400-bit nonce u
+    a = G^u,  A = a^PK              for a fresh 400-bit nonce u
     c = H(tag || g || W || C || a || A)
     r = u - c*w  reduced mod P-1
 
 A verifier holding only (W, C, r, c) recomputes a' = G^r * W^c and
-A' = (G^PK)^r * (W^PK)^c and accepts iff c matches the challenge hash
-over (g, W, C, a', A').  V never enters verification, which is what
-lets the third party check an offer it must not be able to decrypt for
-itself.
+A' = a'^PK and accepts iff c matches the challenge hash over
+(g, W, C, a', A').  V never enters verification, which is what lets the
+third party check an offer it must not be able to decrypt for itself.
+
+The scheme as first written has A = (G^PK)^u and A' = (G^PK)^r * (W^PK)^c;
+both are exactly the forms above mod P, since (G^PK)^u = (G^u)^PK and
+(G^PK)^r * (W^PK)^c = (G^r * W^c)^PK.  So A carries nothing beyond a,
+and the certificate is in effect a Schnorr proof of knowledge of
+w = log_G W with C hashed in (see README, Limitations).
 
 r lives mod P-1: with a 400-bit u and a 256-bit challenge the integer
 u - c*w is negative in general, and every verification exponentiation
@@ -128,7 +133,7 @@ def encrypt_and_certify(
     ct = elg_encrypt(value, ctx.group, nonces.w)
     commitment = blind_commit(ct.V, ctx.commit_base)
     a = mod_exp(G, nonces.u, P)
-    big_a = mod_exp(mod_exp(G, PK, P), nonces.u, P)
+    big_a = mod_exp(a, PK, P)
     c = hash_challenge(ctx.side_tag, [ctx.commit_base.g, ct.W, commitment.C, a, big_a])
     r = (nonces.u - c * nonces.w) % (P - 1)
     return ct, CembsCertificate(r=r, c=c)
@@ -149,9 +154,7 @@ def cembs_verify(W: int, C: BlindCommitment, cert: CembsCertificate, ctx: CembsC
     if not 0 <= cert.r < P - 1 or not 0 <= cert.c < 1 << (8 * CHALLENGE_BYTES):
         return False
     a = mod_exp(G, cert.r, P) * mod_exp(W, cert.c, P) % P
-    g_pk = mod_exp(G, PK, P)
-    big_a = mod_exp(g_pk, cert.r, P) * mod_exp(mod_exp(W, PK, P), cert.c, P) % P
-    return cert.c == hash_challenge(ctx.side_tag, [ctx.commit_base.g, W, C.C, a, big_a])
+    return cert.c == hash_challenge(ctx.side_tag, [ctx.commit_base.g, W, C.C, a, mod_exp(a, PK, P)])
 
 
 def correctness_identity_check(
@@ -160,11 +163,9 @@ def correctness_identity_check(
     """The two algebraic identities behind verification, checked directly.
 
     Requires W = G^w mod P.  With r = (u - c*w) mod (P-1), both
-    G^u = G^r * W^c and (G^PK)^u = (G^PK)^r * (W^PK)^c must hold mod P.
+    a = G^u = G^r * W^c = a' and A = a^PK = a'^PK = A' must hold mod P.
     """
     r = (u - c * w) % (P - 1)
-    u_red = u % (P - 1)
-    if mod_exp(G, u_red, P) != mod_exp(G, r, P) * mod_exp(W, c, P) % P:
-        return False
-    g_pk = mod_exp(G, PK, P)
-    return mod_exp(g_pk, u_red, P) == mod_exp(g_pk, r, P) * mod_exp(mod_exp(W, PK, P), c, P) % P
+    a = mod_exp(G, u % (P - 1), P)
+    a_prime = mod_exp(G, r, P) * mod_exp(W, c, P) % P
+    return a == a_prime and mod_exp(a, PK, P) == mod_exp(a_prime, PK, P)

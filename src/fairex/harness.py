@@ -27,7 +27,7 @@ from pathlib import Path
 from .arith import int_from_bytes, int_to_bytes
 from .cembs import BlindCommitment, CembsCertificate, CembsContext, blind_commit, cembs_verify
 from .elgamal import BlindHalf, ElgCiphertext, elg_decrypt, unblind
-from .errors import AuditError, EmbeddingError, FaultScriptError, ParameterError
+from .errors import AuditError, EmbeddingError, FaultScriptError, ParameterError, WireError
 from .keys import SystemParams
 from .protocol import (
     PartyState,
@@ -83,7 +83,7 @@ class FaultScript:
                 match_tick = None
                 try:
                     match_type = MsgType.from_wire_name(match)
-                except Exception:
+                except WireError:
                     raise FaultScriptError(f"line {lineno}: unknown match {match!r}") from None
             try:
                 directives.append(cls._directive(match_tick, match_type, action, args))

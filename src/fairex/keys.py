@@ -14,6 +14,7 @@ desk-scale tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from math import gcd, isqrt
 from pathlib import Path
 
@@ -305,8 +306,16 @@ def validate_params(sp: SystemParams) -> list[str]:
     """Every violated invariant as a human-readable string; empty iff valid.
 
     Checks that need private material are skipped when it is absent, so
-    public exports validate too.
+    public exports validate too.  No check reads the bit profile, so the
+    result is cached per parameter set with the profile stripped: a set
+    that was generated and then loaded back from a key file runs its
+    primality tests once.
     """
+    return list(_violations(replace(sp, bit_profile=None)))
+
+
+@lru_cache(maxsize=16)
+def _violations(sp: SystemParams) -> tuple[str, ...]:
     out: list[str] = []
     _check_rsa(sp.a_rsa, "client A", out)
     _check_rsa(sp.b_rsa, "client B", out)
@@ -321,7 +330,7 @@ def validate_params(sp: SystemParams) -> list[str]:
         out.append("plaintext embedding (n_A >= P_T)")
     if sp.b_rsa.n >= sp.a_elg.P:
         out.append("plaintext embedding (n_B >= P_A)")
-    return out
+    return tuple(out)
 
 
 # --- key files: one `field=hex` record per line, grouped by role ----------

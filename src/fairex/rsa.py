@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-from .arith import int_from_bytes, mod_exp
+from .arith import int_from_bytes, mod_exp, mod_inv
 from .errors import DomainError, ParameterError
 from .keys import RsaKeyPair
 
@@ -52,12 +52,24 @@ def message_rep(raw: bytes, n: int, mode: str = "hashed") -> Message:
 
 
 def rsa_sign(m: Message, key: RsaKeyPair) -> Signature:
-    """s = rep^d mod n.  Deterministic: the same message always signs the same."""
+    """s = rep^d mod n.  Deterministic: the same message always signs the same.
+
+    With the factors at hand the exponentiation runs mod p and mod q and
+    is recombined by the CRT (Garner's formula): the same s whenever p, q
+    are distinct odd primes with n = p*q and d is invertible mod phi(n).
+    A key loaded with d alone signs mod n directly.
+    """
     if key.d is None:
         raise ParameterError("signing requires the private exponent")
     if m.rep >= key.n:
         raise DomainError(f"representative {m.rep} >= modulus {key.n}")
-    return Signature(s=mod_exp(m.rep, key.d, key.n), signer=key.owner)
+    p, q = key.p, key.q
+    if p is None or q is None:
+        return Signature(s=mod_exp(m.rep, key.d, key.n), signer=key.owner)
+    s_p = mod_exp(m.rep, key.d % (p - 1), p)
+    s_q = mod_exp(m.rep, key.d % (q - 1), q)
+    h = (s_p - s_q) * mod_inv(q, p) % p
+    return Signature(s=s_q + h * q, signer=key.owner)
 
 
 def rsa_verify(s: Signature | int, m: Message, pub: tuple[int, int]) -> bool:

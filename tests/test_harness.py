@@ -1,6 +1,7 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, strategies as st
 
 from fairex.arith import Rng, int_from_bytes
 from fairex.errors import FaultScriptError
@@ -83,6 +84,13 @@ class TestFaultScriptParsing:
     def test_shipped_scripts_parse(self):
         for name in SHIPPED_FAULT_SCRIPTS:
             shipped_script(name)
+
+    @given(st.text())
+    def test_arbitrary_text_raises_only_fault_script_error(self, text):
+        try:
+            FaultScript.parse(text)
+        except FaultScriptError:
+            pass
 
 
 class TestTransport:
@@ -242,6 +250,41 @@ class TestAudit:
         for rec in to_sttp:
             assert rec.message.msg_type is MsgType.RECOVERY_REQUEST
             assert v_a not in [int_from_bytes(f) for f in rec.message.fields]
+
+
+class TestAuditLateDelivery:
+    """The audit credits items that were delivered, not items a party accepted.
+
+    A party that has already given up ignores an item that arrives later,
+    but the audit still counts the item for that party.
+    """
+
+    def live_and_audit(self, params, protocol, script):
+        cfg = SessionConfig(
+            protocol=protocol, params=params, payload=default_payload(protocol), seed=bytes(32)
+        )
+        result = run_session(cfg, FaultScript.parse(script))
+        return live_flags(result), audit(result.transcript, params, protocol, cfg.payload)
+
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError, reason="audit credits B a blind half delivered after B aborted"
+    )
+    def test_blind_half_after_b_aborted(self, params):
+        live, report = self.live_and_audit(
+            params, Protocol.COMMON_MESSAGE, "counter-signature drop\nrecovery-request delay 9\n"
+        )
+        assert report == live
+
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError, reason="audit credits A a counter-signature delivered after A aborted"
+    )
+    def test_counter_signature_after_a_aborted(self, params):
+        live, report = self.live_and_audit(
+            params,
+            Protocol.LINKED_FILES,
+            "counter-signature delay 9\nrecovery-request corrupt_field 2 zero\n",
+        )
+        assert report == live
 
 
 class TestStall:

@@ -1,7 +1,9 @@
 import dataclasses
+from math import gcd
 
 import pytest
 
+from fairex import keys
 from fairex.arith import Rng, is_probable_prime, mod_exp
 from fairex.errors import ParameterError, SetupError
 from fairex.keys import (
@@ -17,6 +19,7 @@ from fairex.keys import (
     save_params,
     validate_params,
 )
+from fairex.protocol import Protocol, SessionConfig, build_parties
 
 
 def rng(tag: bytes = b"") -> Rng:
@@ -127,6 +130,56 @@ class TestValidateParams:
                     assert mod_exp(key.G, (key.P - 1) // f, key.P) != 1
                     while remaining % f == 0:
                         remaining //= f
+
+
+class TestValidateParamsCache:
+    @pytest.fixture
+    def primality_tests(self, monkeypatch):
+        tested = []
+
+        def counting(n, *args, **kwargs):
+            tested.append(n)
+            return is_probable_prime(n, *args, **kwargs)
+
+        monkeypatch.setattr(keys, "is_probable_prime", counting)
+        return tested
+
+    def test_returned_list_does_not_poison_the_cache(self, toy_params):
+        validate_params(toy_params).append("poisoned")
+        assert validate_params(toy_params) == []
+        broken = dataclasses.replace(toy_params, commit_base=CommitBase(g=1, n_ref=toy_params.a_rsa.n))
+        validate_params(broken).clear()
+        assert validate_params(broken) == ["commit base: invalid element"]
+
+    def test_loaded_copy_is_not_validated_again(self, toy_params, tmp_path, primality_tests):
+        validate_params(toy_params)
+        primality_tests.clear()
+        path = tmp_path / "keys.txt"
+        save_params(toy_params, path)
+        loaded = load_params(path)
+        assert loaded.bit_profile is None and toy_params.bit_profile is not None
+        assert validate_params(loaded) == []
+        assert primality_tests == []
+
+    def test_distinct_set_is_validated_again(self, toy_params, primality_tests):
+        validate_params(toy_params)
+        primality_tests.clear()
+        n = toy_params.a_rsa.n
+        g = next(g for g in range(2, n) if g != toy_params.commit_base.g and gcd(g, n) == 1)
+        other = dataclasses.replace(toy_params, commit_base=CommitBase(g=g, n_ref=n))
+        assert validate_params(other) == []
+        a, b = toy_params.a_rsa, toy_params.b_rsa
+        assert sorted(primality_tests) == sorted(
+            [a.p, a.q, b.p, b.q, toy_params.a_elg.P, toy_params.sttp_elg.P]
+        )
+
+    def test_broken_set_rejected_after_a_valid_one(self, toy_params):
+        cfg = SessionConfig(Protocol.COMMON_MESSAGE, toy_params, b"terms", seed=bytes(32))
+        build_parties(cfg)
+        bad_elg = dataclasses.replace(toy_params.a_elg, PK=toy_params.a_elg.PK ^ 1)
+        broken = dataclasses.replace(toy_params, a_elg=bad_elg)
+        with pytest.raises(SetupError):
+            build_parties(dataclasses.replace(cfg, params=broken))
 
 
 class TestKeyFiles:

@@ -2,9 +2,10 @@ import hashlib
 
 import pytest
 
+from fairex.arith import Rng
 from fairex.errors import DomainError, ParameterError
-from fairex.keys import RsaKeyPair
-from fairex.rsa import Message, message_rep, rep_from_hash, rsa_sign, rsa_verify
+from fairex.keys import PROFILES, RsaKeyPair, init_client_b
+from fairex.rsa import Message, Signature, message_rep, rep_from_hash, rsa_sign, rsa_verify
 
 # n = 55 = 5*11, phi = 40, e = 3, d = 27 (3*27 = 81 = 2*40 + 1)
 TOY = RsaKeyPair(n=55, e=3, d=27, p=5, q=11, owner="T")
@@ -34,6 +35,29 @@ class TestSign:
 
     def test_deterministic(self):
         assert rsa_sign(direct(42), TOY) == rsa_sign(direct(42), TOY)
+
+
+class TestCrtSign:
+    def test_toy_key_matches_plain_exponentiation(self):
+        for m in range(55):
+            assert rsa_sign(direct(m), TOY).s == pow(m, TOY.d, TOY.n)
+
+    def test_generated_toy_keys_match_plain_exponentiation(self):
+        for i in range(20):
+            key = init_client_b(PROFILES["toy"], Rng.from_material(b"test_rsa toy %d" % i))
+            for rep in (0, 1, key.p, key.q, key.n - 1, *range(2, key.n, 97)):
+                assert rsa_sign(direct(rep), key).s == pow(rep, key.d, key.n)
+
+    def test_paper_key_matches_plain_exponentiation(self):
+        key = init_client_b(PROFILES["paper"], Rng.from_material(b"test_rsa paper"))
+        draws = Rng.from_material(b"test_rsa paper reps")
+        for rep in (0, 1, key.p, key.q, key.n - 1, *(draws.below(key.n) for _ in range(20))):
+            assert rsa_sign(direct(rep), key).s == pow(rep, key.d, key.n)
+
+    def test_key_without_factors_signs_mod_n(self):
+        key = RsaKeyPair(n=TOY.n, e=TOY.e, d=TOY.d)
+        for m in range(55):
+            assert rsa_sign(direct(m), key) == Signature(s=pow(m, TOY.d, TOY.n))
 
 
 class TestVerify:

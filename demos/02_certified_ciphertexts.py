@@ -15,7 +15,6 @@ from fairex import (
     CembsContext,
     Rng,
     blind_commit,
-    cembs_generate,
     cembs_verify,
     encrypt_and_certify,
     generate_system_params,
@@ -32,7 +31,7 @@ ctx = CembsContext.a_side(params)
 message = message_rep(b"the agreed contract", params.a_rsa.n)
 signature = rsa_sign(message, params.a_rsa)
 nonces = sample_nonces(params.sttp_elg.P, rng)
-ct, cert = cembs_generate(signature, ctx, nonces)
+ct, cert = encrypt_and_certify(signature.s, ctx, nonces)
 commitment = blind_commit(ct.V, params.commit_base)
 
 print(f"ciphertext  W={ct.W:#x}  V={ct.V:#x}")

@@ -20,7 +20,6 @@ from .cembs import (
     CembsContext,
     Nonces,
     blind_commit,
-    cembs_generate,
     cembs_verify,
     correctness_identity_check,
     encrypt_and_certify,
@@ -53,7 +52,6 @@ from .harness import (
     live_flags,
     run_session,
     shipped_script,
-    transport_deliver,
 )
 from .keys import (
     PROFILES,
@@ -131,7 +129,6 @@ __all__ = [
     "audit",
     "blind_commit",
     "blind_half",
-    "cembs_generate",
     "cembs_verify",
     "check_data_matches",
     "cli_main",
@@ -164,7 +161,6 @@ __all__ = [
     "sample_range",
     "save_params",
     "shipped_script",
-    "transport_deliver",
     "unblind",
     "validate_params",
 ]

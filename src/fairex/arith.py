@@ -10,6 +10,7 @@ with zero bytes.
 from __future__ import annotations
 
 import hashlib
+from functools import lru_cache
 from math import gcd
 
 from .errors import NotInvertibleError, ParameterError
@@ -114,6 +115,56 @@ def mod_exp(base: int, exponent: int, modulus: int) -> int:
     if exponent < 0:
         raise ParameterError("exponent must be non-negative")
     return pow(base, exponent, modulus)
+
+
+FIXED_BASE_WINDOW = 5  # digits of fixed-base exponents are base 2^5 = 32
+
+
+@lru_cache(maxsize=32)
+def _fixed_base_powers(base: int, modulus: int) -> tuple[int, ...]:
+    """base^(32^i) mod modulus for every 5-bit digit of a modulus-sized exponent."""
+    power = base % modulus
+    powers = [power]
+    for _ in range((modulus.bit_length() - 1) // FIXED_BASE_WINDOW):
+        power = pow(power, 1 << FIXED_BASE_WINDOW, modulus)
+        powers.append(power)
+    return tuple(powers)
+
+
+def fixed_base_exp(base: int, exponent: int, modulus: int) -> int:
+    """base^exponent mod modulus, for a base that recurs with the same modulus.
+
+    The powers base^(32^i) are computed once per (base, modulus) and kept
+    in a bounded cache (about 34 KB for a 1024-bit modulus).  With the
+    exponent written in base-32 digits d_i, the result is
+    prod_{d=1}^{31} (prod_{i: d_i = d} base^(32^i))^d, which the bucket
+    method of Brickell, Gordon, McCurley and Wilson (EUROCRYPT '92)
+    evaluates in about 240 multiplications at 1024 bits, against about
+    1,230 inside pow.  Exponents longer than the table go to pow.
+    """
+    if modulus < 2:
+        raise ParameterError("modulus must be at least 2")
+    if exponent < 0:
+        raise ParameterError("exponent must be non-negative")
+    powers = _fixed_base_powers(base, modulus)
+    if exponent.bit_length() > FIXED_BASE_WINDOW * len(powers):
+        return pow(base, exponent, modulus)
+    mask = (1 << FIXED_BASE_WINDOW) - 1
+    buckets: list[int | None] = [None] * (mask + 1)
+    for power in powers:
+        digit = exponent & mask
+        if digit:
+            held = buckets[digit]
+            buckets[digit] = power if held is None else held * power % modulus
+        exponent >>= FIXED_BASE_WINDOW
+    # prod_d bucket_d^d as a running product of suffix products, largest digit first.
+    result = suffix = None
+    for held in reversed(buckets[1:]):
+        if held is not None:
+            suffix = held if suffix is None else suffix * held % modulus
+        if suffix is not None:
+            result = suffix if result is None else result * suffix % modulus
+    return 1 if result is None else result
 
 
 def mod_inv(x: int, modulus: int) -> int:

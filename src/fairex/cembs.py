@@ -24,6 +24,10 @@ u - c*w is negative in general, and every verification exponentiation
 happens in a group whose element orders divide P-1, so the reduction
 changes nothing that a verifier can see.
 
+Powers of the fixed bases G, PK (inside elg_encrypt) and g come from
+arith.fixed_base_exp's cached tables; W and a vary per call and go
+through mod_exp.
+
 The challenge hash is SHA-256 over a canonical length-prefixed encoding
 (see hash_challenge); the one-byte tag separates certificates bound to
 the STTP's group from certificates bound to Client A's group.
@@ -34,11 +38,10 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-from .arith import Rng, int_from_bytes, int_to_bytes, mod_exp, sample_range
+from .arith import Rng, fixed_base_exp, int_from_bytes, int_to_bytes, mod_exp, sample_range
 from .errors import ParameterError
 from .keys import CommitBase, SystemParams
 from .elgamal import ElgCiphertext, elg_encrypt
-from .rsa import Signature
 
 CHALLENGE_BYTES = 32
 NONCE_U_BITS = 400
@@ -114,7 +117,7 @@ def hash_challenge(side_tag: int, elems: list[int]) -> int:
 
 def blind_commit(V: int, base: CommitBase) -> BlindCommitment:
     """C = g^V mod n_ref."""
-    return BlindCommitment(C=mod_exp(base.g, V, base.n_ref))
+    return BlindCommitment(C=fixed_base_exp(base.g, V, base.n_ref))
 
 
 def encrypt_and_certify(
@@ -132,18 +135,11 @@ def encrypt_and_certify(
         raise ParameterError(f"nonce u must be exactly {NONCE_U_BITS} bits")
     ct = elg_encrypt(value, ctx.group, nonces.w)
     commitment = blind_commit(ct.V, ctx.commit_base)
-    a = mod_exp(G, nonces.u, P)
+    a = fixed_base_exp(G, nonces.u, P)
     big_a = mod_exp(a, PK, P)
     c = hash_challenge(ctx.side_tag, [ctx.commit_base.g, ct.W, commitment.C, a, big_a])
     r = (nonces.u - c * nonces.w) % (P - 1)
     return ct, CembsCertificate(r=r, c=c)
-
-
-def cembs_generate(
-    s: Signature, ctx: CembsContext, nonces: Nonces
-) -> tuple[ElgCiphertext, CembsCertificate]:
-    """Encrypt a signature under the context's group and certify it."""
-    return encrypt_and_certify(s.s, ctx, nonces)
 
 
 def cembs_verify(W: int, C: BlindCommitment, cert: CembsCertificate, ctx: CembsContext) -> bool:
@@ -153,7 +149,7 @@ def cembs_verify(W: int, C: BlindCommitment, cert: CembsCertificate, ctx: CembsC
         return False
     if not 0 <= cert.r < P - 1 or not 0 <= cert.c < 1 << (8 * CHALLENGE_BYTES):
         return False
-    a = mod_exp(G, cert.r, P) * mod_exp(W, cert.c, P) % P
+    a = fixed_base_exp(G, cert.r, P) * mod_exp(W, cert.c, P) % P
     return cert.c == hash_challenge(ctx.side_tag, [ctx.commit_base.g, W, C.C, a, mod_exp(a, PK, P)])
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import mod_exp, mod_inv
+from .arith import fixed_base_exp, mod_exp, mod_inv
 from .errors import EmbeddingError, NotInvertibleError, ParameterError
 from .keys import ElgKeyPair
 
@@ -35,7 +35,7 @@ def elg_encrypt(m: int, pub: tuple[int, int, int], w: int) -> ElgCiphertext:
         raise EmbeddingError(f"plaintext must be in (0, {P}), got {m}")
     if not 1 <= w <= P - 2:
         raise ParameterError(f"nonce must be in [1, {P - 2}]")
-    return ElgCiphertext(W=mod_exp(G, w, P), V=m * mod_exp(PK, w, P) % P)
+    return ElgCiphertext(W=fixed_base_exp(G, w, P), V=m * fixed_base_exp(PK, w, P) % P)
 
 
 def elg_decrypt(ct: ElgCiphertext, key: ElgKeyPair) -> int:

@@ -234,11 +234,6 @@ class Transport:
         return not self.queue and not self.forced_timeouts
 
 
-def transport_deliver(transport: Transport, tick: int):
-    """Alias for Transport.deliver, for callers that prefer a function."""
-    return transport.deliver(tick)
-
-
 @dataclass
 class SessionResult:
     transcript: Transcript

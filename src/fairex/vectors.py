@@ -14,7 +14,7 @@ import hashlib
 from pathlib import Path
 
 from .arith import Rng, int_to_bytes
-from .cembs import CembsContext, blind_commit, cembs_generate, cembs_verify, sample_nonces
+from .cembs import CembsContext, blind_commit, cembs_verify, encrypt_and_certify, sample_nonces
 from .keys import generate_system_params
 from .rsa import message_rep, rsa_sign
 
@@ -41,7 +41,7 @@ def generate_vectors_text() -> str:
         message = message_rep(raw, params.a_rsa.n, "hashed")
         signature = rsa_sign(message, params.a_rsa)
         nonces = sample_nonces(params.sttp_elg.P, rng.child(b"nonces-%d" % index))
-        ct, cert = cembs_generate(signature, ctx, nonces)
+        ct, cert = encrypt_and_certify(signature.s, ctx, nonces)
         commitment = blind_commit(ct.V, params.commit_base)
         assert cembs_verify(ct.W, commitment, cert, ctx)
         lines += [

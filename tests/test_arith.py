@@ -4,7 +4,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fairex.arith import (
+    FIXED_BASE_WINDOW,
     Rng,
+    _fixed_base_powers,
+    fixed_base_exp,
     gen_prime,
     int_from_bytes,
     int_to_bytes,
@@ -70,6 +73,61 @@ class TestModExp:
     )
     def test_multiplicative(self, a, b, e, m):
         assert mod_exp(a * b % m, e, m) == mod_exp(a, e, m) * mod_exp(b, e, m) % m
+
+
+class TestFixedBaseExp:
+    @given(
+        st.integers(min_value=0, max_value=1 << 200),
+        st.integers(min_value=0, max_value=1 << 220),
+        st.integers(min_value=2, max_value=1 << 200),
+    )
+    def test_matches_pow(self, b, e, m):
+        assert fixed_base_exp(b, e, m) == pow(b, e, m)
+
+    def test_edge_cases(self):
+        for b, e, m in [
+            (7, 0, 13),  # empty exponent
+            (0, 0, 2),  # 0^0 = 1, smallest modulus
+            (0, 5, 97),  # zero base
+            (1, 31, 2),  # m = 2
+            (3, 1, 2),
+            (100, 77, 13),  # base above the modulus
+            (13, 77, 13),  # base equal to the modulus
+            (5, 1 << 200, 1009),  # exponent far longer than the 2-entry table
+        ]:
+            assert fixed_base_exp(b, e, m) == pow(b, e, m), (b, e, m)
+
+    def test_table_boundary(self):
+        m = (1 << 1023) + 1155  # a 1024-bit modulus: 205 powers cover 1025 bits
+        powers = _fixed_base_powers(3, m)
+        assert len(powers) == 205
+        covered = FIXED_BASE_WINDOW * len(powers)
+        for e in (m - 1, (1 << covered) - 1, 1 << covered, (1 << (covered + 40)) + 12345):
+            assert fixed_base_exp(3, e, m) == pow(3, e, m)
+
+    def test_same_errors_as_mod_exp(self):
+        for b, e, m in [(2, 3, 1), (2, 3, 0), (2, 3, -5), (2, -1, 7), (2, -1, 1)]:
+            with pytest.raises(ParameterError) as expected:
+                mod_exp(b, e, m)
+            with pytest.raises(ParameterError) as got:
+                fixed_base_exp(b, e, m)
+            assert str(got.value) == str(expected.value)
+
+    def test_tables_are_never_shared(self):
+        base, m1, m2 = 12345, 1000003, 999983
+        assert _fixed_base_powers(base, m1) is not _fixed_base_powers(base, m2)
+        assert _fixed_base_powers(2, m1) is not _fixed_base_powers(3, m1)
+        for b, m in [(base, m1), (base, m2), (2, m1), (3, m1)]:
+            assert _fixed_base_powers(b, m) == tuple(pow(b, 32**i, m) for i in range(4))
+        for e in (1, 12345, m1 - 1):
+            # interleave, so a table cached for one key never serves another
+            assert fixed_base_exp(base, e, m1) == pow(base, e, m1)
+            assert fixed_base_exp(base, e, m2) == pow(base, e, m2)
+            assert fixed_base_exp(2, e, m1) == pow(2, e, m1)
+            assert fixed_base_exp(3, e, m1) == pow(3, e, m1)
+
+    def test_cache_is_bounded(self):
+        assert _fixed_base_powers.cache_info().maxsize is not None
 
 
 class TestModInv:

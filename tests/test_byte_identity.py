@@ -7,6 +7,12 @@ hashed together.  The certificate test vectors are hashed as well.  The
 expected digests were recorded before the certificate algebra, the
 CRT signing path and the parameter-validation cache went in, so any of
 those that changes an output byte fails here.
+
+Toy keys have 24-bit moduli, so a fixed-base table for them holds only
+five powers.  One paper-profile key set (1024-bit moduli, 205 powers per
+table) is therefore pinned too, on the fault-free and the dispute path of
+each protocol; its digests were recorded before fixed-base
+exponentiation went in.
 """
 
 import hashlib
@@ -49,12 +55,26 @@ EXPECTED = {
     ("data-for-sig", "none"): "a25d8626bce1c7f47a59ed54b0127ad372fd8d3abb3afa00ae31de25a52bbc52",
 }
 
+PAPER_EXPECTED = {
+    ("common", "none"): "ddc44e679edb52f51069cc4835eacd00a9337f42f6b12c8c7f779b0de804b3ac",
+    ("common", "drop-final"): "879d8550856cc79cf4e1feedb53af99ea069a75673a22d87cd662de5590b89a3",
+    ("linked", "none"): "df500c63695a53eaef6f2bdb95d31890ad2d6486beb4f54e90404145b807c7b2",
+    ("linked", "drop-final"): "0d7b159ee1f4e178521668142d7b66b7f3f0b796699ad6bfa5129458582888e4",
+    ("data-for-sig", "none"): "6089302b13e2700f35b3ace6bac76fd8aa7442c8bf354dd90d726ff2de712dcc",
+    ("data-for-sig", "drop-final"): "3af740feccfea1f69e9263152e3e8e602004cba52f51543140f4ad27f64e5a7c",
+}
+
 VECTORS_SHA256 = "6d95c5df3db71bc2019f877dc886f71da3b6b4189d9b50ab450320c0f5a3da4d"
 
 
 @pytest.fixture(scope="module")
 def params():
     return generate_system_params("toy", Rng.from_material(b"test_byte_identity params"))
+
+
+@pytest.fixture(scope="module")
+def paper_params():
+    return generate_system_params("paper", Rng.from_material(b"test_byte_identity paper params"))
 
 
 def session_digest(params, protocol: Protocol, script: str) -> str:
@@ -76,6 +96,12 @@ def session_digest(params, protocol: Protocol, script: str) -> str:
 @pytest.mark.parametrize("protocol", list(Protocol), ids=lambda p: p.value)
 def test_session_bytes_unchanged(params, protocol, script):
     assert session_digest(params, protocol, script) == EXPECTED[protocol.value, script]
+
+
+@pytest.mark.parametrize("script", ["none", "drop-final"])
+@pytest.mark.parametrize("protocol", list(Protocol), ids=lambda p: p.value)
+def test_paper_session_bytes_unchanged(paper_params, protocol, script):
+    assert session_digest(paper_params, protocol, script) == PAPER_EXPECTED[protocol.value, script]
 
 
 def test_vector_bytes_unchanged():

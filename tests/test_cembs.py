@@ -10,7 +10,6 @@ from fairex.cembs import (
     NONCE_U_BITS,
     Nonces,
     blind_commit,
-    cembs_generate,
     cembs_verify,
     correctness_identity_check,
     encrypt_and_certify,
@@ -35,7 +34,7 @@ def make_certified(params, raw: bytes, nonce_rng: Rng):
     ctx = CembsContext.a_side(params)
     sig = rsa_sign(message_rep(raw, params.a_rsa.n, "hashed"), params.a_rsa)
     nonces = sample_nonces(params.sttp_elg.P, nonce_rng)
-    ct, cert = cembs_generate(sig, ctx, nonces)
+    ct, cert = encrypt_and_certify(sig.s, ctx, nonces)
     return ctx, ct, blind_commit(ct.V, params.commit_base), cert
 
 
@@ -112,7 +111,7 @@ class TestGenerateVerify:
         ctx_b = CembsContext.b_side(toy_params)
         sig = rsa_sign(message_rep(b"x", toy_params.b_rsa.n, "hashed"), toy_params.b_rsa)
         nonces = sample_nonces(ctx_b.group[0], rng(b"n7"))
-        ct, cert = cembs_generate(sig, ctx_b, nonces)
+        ct, cert = encrypt_and_certify(sig.s, ctx_b, nonces)
         commitment = blind_commit(ct.V, toy_params.commit_base)
         assert cembs_verify(ct.W, commitment, cert, ctx_b)
         assert not cembs_verify(ct.W, commitment, cert, ctx_a)

@@ -18,7 +18,6 @@ from .keys import ElgKeyPair
 class ElgCiphertext:
     W: int
     V: int
-    under: str = ""  # owner of the key this was encrypted to
 
 
 @dataclass(frozen=True)
@@ -42,8 +41,6 @@ def elg_decrypt(ct: ElgCiphertext, key: ElgKeyPair) -> int:
     """m = V * (W^SK)^-1 mod P."""
     if key.SK is None:
         raise ParameterError("decryption requires the private exponent")
-    if ct.under and key.owner and ct.under != key.owner:
-        raise ParameterError(f"ciphertext for {ct.under!r}, key owned by {key.owner!r}")
     half = mod_exp(ct.W, key.SK, key.P)
     try:
         return ct.V * mod_inv(half, key.P) % key.P

@@ -13,6 +13,8 @@ desk-scale tests.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import gcd, isqrt
@@ -30,6 +32,11 @@ from .errors import ParameterError, SetupError
 
 # Candidates tried before a generation step is declared failed.
 _MAX_RETRIES = 100_000
+
+# Validation forks only when its largest number has at least this many
+# bits: 40 Miller-Rabin rounds on a 128-bit prime take about 2.4 ms, more
+# than a fork, a one-byte pipe read and a waitpid (about 1.6 ms) cost.
+_FORK_MIN_BITS = 128
 
 
 @dataclass(frozen=True)
@@ -271,11 +278,11 @@ def generate_system_params(profile: BitProfile | str, rng: Rng) -> SystemParams:
     return params
 
 
-def _check_rsa(key: RsaKeyPair, who: str, out: list[str]) -> None:
+def _check_rsa(key: RsaKeyPair, who: str, prime: dict[int, bool], out: list[str]) -> None:
     if key.p is not None and key.q is not None:
         if key.p == key.q:
             out.append(f"{who}: rsa primes equal")
-        if not is_probable_prime(key.p) or not is_probable_prime(key.q):
+        if not prime[key.p] or not prime[key.q]:
             out.append(f"{who}: rsa factor not prime")
         if key.n != key.p * key.q:
             out.append(f"{who}: rsa modulus mismatch")
@@ -288,8 +295,8 @@ def _check_rsa(key: RsaKeyPair, who: str, out: list[str]) -> None:
         out.append(f"{who}: rsa public key out of range")
 
 
-def _check_elg(key: ElgKeyPair, who: str, out: list[str]) -> None:
-    if not is_probable_prime(key.P):
+def _check_elg(key: ElgKeyPair, who: str, prime: dict[int, bool], out: list[str]) -> None:
+    if not prime[key.P]:
         out.append(f"{who}: modulus not prime")
     if not 1 < key.G < key.P:
         out.append(f"{who}: base out of range")
@@ -309,18 +316,90 @@ def validate_params(sp: SystemParams) -> list[str]:
     public exports validate too.  No check reads the bit profile, so the
     result is cached per parameter set with the profile stripped: a set
     that was generated and then loaded back from a key file runs its
-    primality tests once.
+    primality tests once.  Those tests (40 Miller-Rabin rounds on each of
+    up to six numbers) run as one batch spread across the usable CPUs;
+    each verdict is a pure function of its number, so the result is the
+    same on any number of CPUs.
     """
     return list(_violations(replace(sp, bit_profile=None)))
+
+
+def _usable_cpus() -> int:
+    # A child forked while another thread holds a lock (in hashlib, say)
+    # could wait on it forever, so a threaded process tests in-process.
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _spawn(group: list[int]) -> tuple[int, int] | None:
+    """Fork a child that writes one verdict byte per number of `group` to a pipe."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return None
+    if pid == 0:
+        try:
+            os.close(r)
+            os.write(w, bytes(is_probable_prime(n) for n in group))
+        finally:
+            os._exit(0)
+    os.close(w)
+    return pid, r
+
+
+def _reap(child: tuple[int, int] | None) -> bytes:
+    if child is None:
+        return b""
+    pid, r = child
+    with open(r, "rb") as pipe:
+        reply = pipe.read()
+    os.waitpid(pid, 0)
+    return reply
+
+
+def _primality(numbers: set[int]) -> dict[int, bool]:
+    """is_probable_prime of each number, the work dealt out to forked children.
+
+    Largest first, the numbers go round-robin into one group per usable
+    CPU; the caller tests group 0 while a child tests each other group.
+    A child that dies before sending every verdict has its group tested
+    again here, so a crash can never change the answer.
+    """
+    ordered = sorted(numbers, reverse=True)
+    k = 1
+    if ordered[0].bit_length() >= _FORK_MIN_BITS:
+        k = min(_usable_cpus(), len(ordered))
+    groups = [ordered[i::k] for i in range(k)]
+    children = [_spawn(group) for group in groups[1:]]
+    try:
+        prime = {n: is_probable_prime(n) for n in groups[0]}
+    finally:
+        replies = [_reap(child) for child in children]
+    for group, reply in zip(groups[1:], replies):
+        if len(reply) != len(group):
+            reply = bytes(is_probable_prime(n) for n in group)
+        prime.update(zip(group, map(bool, reply)))
+    return prime
 
 
 @lru_cache(maxsize=16)
 def _violations(sp: SystemParams) -> tuple[str, ...]:
     out: list[str] = []
-    _check_rsa(sp.a_rsa, "client A", out)
-    _check_rsa(sp.b_rsa, "client B", out)
-    _check_elg(sp.a_elg, "client A", out)
-    _check_elg(sp.sttp_elg, "STTP", out)
+    numbers = {sp.a_elg.P, sp.sttp_elg.P}
+    for key in (sp.a_rsa, sp.b_rsa):
+        if key.p is not None and key.q is not None:
+            numbers |= {key.p, key.q}
+    prime = _primality(numbers)
+    _check_rsa(sp.a_rsa, "client A", prime, out)
+    _check_rsa(sp.b_rsa, "client B", prime, out)
+    _check_elg(sp.a_elg, "client A", prime, out)
+    _check_elg(sp.sttp_elg, "STTP", prime, out)
     base = sp.commit_base
     if base.n_ref != sp.a_rsa.n:
         out.append("commit base: wrong modulus")
@@ -378,7 +457,11 @@ def load_params(path: str | Path) -> SystemParams:
     """Parse a key file written by save_params.  Missing private fields load as None."""
     records: dict[str, dict[str, int]] = {}
     current: dict[str, int] | None = None
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"{path}: not a text file ({exc.reason} at byte {exc.start})") from None
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

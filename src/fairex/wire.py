@@ -162,4 +162,8 @@ class Transcript:
 
     @classmethod
     def load(cls, path: str | Path) -> "Transcript":
-        return cls.from_text(Path(path).read_text())
+        try:
+            text = Path(path).read_text()
+        except UnicodeDecodeError as exc:
+            raise TranscriptError(f"{path}: not a text file ({exc.reason} at byte {exc.start})") from None
+        return cls.from_text(text)

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -6,6 +9,7 @@ from fairex.cli import cli_main
 from fairex.vectors import FILE_NAME, generate_vectors_text
 
 GOLDEN = Path(__file__).parent / "golden" / "cembs_vectors.txt"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +96,38 @@ class TestRun:
     def test_missing_required_flag_is_usage_error(self, keyfile):
         assert cli_main(["run", "--keys", str(keyfile)]) == 2
 
+    def test_non_utf8_keys_file_is_usage_error(self, tmp_path, capsys):
+        keys = tmp_path / "keys.txt"
+        keys.write_bytes(b"role=A\n\xff\xfe\n")
+        rc = cli_main(["run", "--protocol", "common", "--keys", str(keys), "--seed", "01"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
+    def test_one_cpu_child_matches_unpinned_child(self, paper_key_file, tmp_path):
+        """Spreading validation over CPUs changes no output of `fairex run`."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+
+        def run(transcript: Path, preexec_fn=None):
+            proc = subprocess.run(
+                [
+                    sys.executable, "-c", "from fairex.cli import main; main()",
+                    "run", "--protocol", "common", "--keys", str(paper_key_file), "--seed", "05",
+                    "--fault", "drop-final", "--transcript", str(transcript),
+                ],
+                env=env, capture_output=True, text=True, timeout=120, preexec_fn=preexec_fn,
+            )
+            return proc.returncode, proc.stdout, proc.stderr, transcript.read_bytes()
+
+        pinned = run(
+            tmp_path / "pinned.txt",
+            lambda: os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}),
+        )
+        unpinned = run(tmp_path / "unpinned.txt")
+        assert pinned == unpinned
+        assert unpinned[0] == 0 and "arbiter involved:    yes" in unpinned[1]
+
 
 class TestAudit:
     def test_round_trip_with_run(self, keyfile, tmp_path):
@@ -112,6 +148,13 @@ class TestAudit:
         transcript.write_bytes(transcript.read_bytes()[:-5])
         rc = cli_main(["audit", "--transcript", str(transcript), "--keys", str(keyfile)])
         assert rc == 2
+
+    def test_non_utf8_transcript_is_usage_error(self, keyfile, tmp_path, capsys):
+        transcript = tmp_path / "t.txt"
+        transcript.write_bytes(b"1\tA\tB\t\xff\xfe\n")
+        rc = cli_main(["audit", "--transcript", str(transcript), "--keys", str(keyfile)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_custom_message_flows_through(self, keyfile, tmp_path, capsys):
         transcript = tmp_path / "t.txt"

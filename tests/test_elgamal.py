@@ -37,10 +37,6 @@ class TestDecrypt:
     def test_inverse_of_unit_nonce(self):
         assert elg_decrypt(ElgCiphertext(W=KEY.G, V=KEY.PK), KEY) == 1
 
-    def test_owner_mismatch(self):
-        with pytest.raises(ParameterError):
-            elg_decrypt(ElgCiphertext(W=10, V=14, under="someone-else"), KEY)
-
     def test_needs_private_exponent(self):
         with pytest.raises(ParameterError):
             elg_decrypt(ElgCiphertext(W=10, V=14), KEY.public())

@@ -1,7 +1,10 @@
 import dataclasses
+import os
+import threading
 from math import gcd
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fairex import keys
 from fairex.arith import Rng, is_probable_prime, mod_exp
@@ -180,6 +183,113 @@ class TestValidateParamsCache:
         broken = dataclasses.replace(toy_params, a_elg=bad_elg)
         with pytest.raises(SetupError):
             build_parties(dataclasses.replace(cfg, params=broken))
+
+
+class TestBatchedPrimality:
+    """`_primality` gives `is_probable_prime`'s verdicts, whoever computes them."""
+
+    @pytest.fixture
+    def many_cpus(self, monkeypatch):
+        # Fork even on a 1-CPU host, so the children's path always runs.
+        monkeypatch.setattr(keys, "_usable_cpus", lambda: 3)
+
+    @pytest.fixture(scope="class")
+    def paper_numbers(self, paper_key_set):
+        sp = paper_key_set
+        source = rng(b"256-bit primes")
+        r, s = keys._gen_prime_exact(256, source), keys._gen_prime_exact(256, source)
+        # n_A and r*s are composites with no factor below 10^5, so
+        # Miller-Rabin has to reject them; 3*P_A is caught by trial division.
+        return {
+            sp.a_rsa.p, sp.a_rsa.q, sp.b_rsa.p, sp.b_rsa.q, sp.a_elg.P, sp.sttp_elg.P,
+            sp.a_rsa.n, r * s, r, 3 * sp.a_elg.P, 1, 0,
+        }
+
+    def test_paper_verdicts_match_a_plain_loop(self, paper_numbers, many_cpus):
+        expected = {n: is_probable_prime(n) for n in paper_numbers}
+        assert keys._primality(paper_numbers) == expected
+        assert list(expected.values()).count(False) == 5
+
+    def test_silent_child_falls_back_to_the_caller(self, paper_numbers, many_cpus, monkeypatch):
+        parent, tested, forks = os.getpid(), [], []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+
+        def parent_only(n, *args, **kwargs):
+            if os.getpid() != parent:
+                raise RuntimeError("child dies before writing a verdict")
+            tested.append(n)
+            return is_probable_prime(n, *args, **kwargs)
+
+        monkeypatch.setattr(keys, "is_probable_prime", parent_only)
+        assert keys._primality(paper_numbers) == {n: is_probable_prime(n) for n in paper_numbers}
+        assert len(forks) == 2 and sorted(tested) == sorted(paper_numbers)
+
+    def test_composite_modulus_reported_in_place(self, paper_key_set, many_cpus):
+        sp = paper_key_set
+        broken = dataclasses.replace(
+            sp,
+            b_rsa=dataclasses.replace(sp.b_rsa, d=sp.b_rsa.d + 1),
+            sttp_elg=dataclasses.replace(sp.sttp_elg, P=sp.a_rsa.n * sp.b_rsa.n),
+        )
+        assert validate_params(broken) == [
+            "client B: rsa exponents not inverse",
+            "STTP: modulus not prime",
+            "STTP: key consistency (PK != G^SK mod P)",
+        ]
+
+    def test_toy_sets_never_fork(self, many_cpus, monkeypatch):
+        def no_fork():
+            raise AssertionError("forked for a toy set")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        params = generate_system_params("toy", rng(b"never forks"))
+        assert validate_params(params) == []
+
+    def test_threaded_process_does_not_fork(self):
+        release = threading.Event()
+        worker = threading.Thread(target=release.wait)
+        worker.start()
+        try:
+            assert keys._usable_cpus() == 1
+        finally:
+            release.set()
+            worker.join(timeout=10)
+        assert not worker.is_alive()
+
+
+class TestKeyFileFuzz:
+    FIELDS = sorted({name for fields in keys._ROLE_FIELDS.values() for name in fields} | {"role", "x"})
+    LINE = st.one_of(
+        st.text(max_size=20),
+        st.builds(
+            "{}={}".format,
+            st.sampled_from(FIELDS),
+            st.one_of(st.sampled_from(["A", "B", "STTP", "C"]), st.text(max_size=8),
+                      st.integers(min_value=0).map("{:x}".format)),
+        ),
+    )
+    FILE = st.one_of(
+        st.binary(max_size=200),
+        st.lists(LINE, max_size=20).map(lambda lines: "\n".join(lines).encode()),
+    )
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=FILE)
+    def test_load_params_raises_only_parameter_error(self, tmp_path, data):
+        path = tmp_path / "keys.txt"
+        path.write_bytes(data)
+        try:
+            loaded = load_params(path)
+        except ParameterError:
+            return
+        assert isinstance(loaded, keys.SystemParams)
+
+    def test_non_utf8_key_file(self, tmp_path):
+        path = tmp_path / "keys.txt"
+        path.write_bytes(b"role=A\n\xff\xfe\n")
+        with pytest.raises(ParameterError, match="not a text file"):
+            load_params(path)
 
 
 class TestKeyFiles:

@@ -1,7 +1,8 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from fairex.errors import TranscriptError, WireError
-from fairex.wire import ARITY, MsgType, Transcript, WireMessage
+from fairex.wire import ARITY, ROLES, MsgType, Transcript, WireMessage
 
 SID = bytes(range(16))
 
@@ -87,3 +88,52 @@ class TestTranscript:
         path = tmp_path / "transcript.txt"
         t.save(path)
         assert Transcript.load(path).notes == []
+
+
+class TestParserFuzz:
+    MESSAGE = st.one_of(
+        st.binary(max_size=80),
+        st.sampled_from(list(ARITY)).flatmap(
+            lambda msg_type: st.lists(
+                st.binary(max_size=4), min_size=ARITY[msg_type], max_size=ARITY[msg_type]
+            ).map(lambda fields: WireMessage(msg_type, SID, tuple(fields)).encode())
+        ),
+    )
+
+    @given(MESSAGE, st.data())
+    def test_decode_raises_only_wire_error(self, encoded, data):
+        cut = data.draw(st.integers(min_value=0, max_value=len(encoded)))
+        flipped = bytearray(encoded)
+        if flipped:
+            flipped[cut % len(flipped)] ^= data.draw(st.integers(min_value=1, max_value=255))
+        for candidate in (encoded, encoded[:cut], encoded + b"\x00", bytes(flipped)):
+            try:
+                decoded = WireMessage.decode(candidate)
+            except WireError:
+                continue
+            assert decoded.encode() == candidate
+
+    LINE = st.one_of(
+        st.text(max_size=30),
+        st.builds(
+            "{}\t{}\t{}\t{}".format,
+            st.one_of(st.integers(), st.text(max_size=4)),
+            st.sampled_from(ROLES + ("EVE",)),
+            st.sampled_from(ROLES + ("",)),
+            MESSAGE.map(bytes.hex),
+        ),
+    )
+
+    @given(st.lists(LINE, max_size=6).map("\n".join))
+    def test_from_text_raises_only_transcript_error(self, text):
+        try:
+            transcript = Transcript.from_text(text)
+        except TranscriptError:
+            return
+        assert Transcript.from_text(transcript.to_text()).records == transcript.records
+
+    def test_non_utf8_transcript_file(self, tmp_path):
+        path = tmp_path / "transcript.txt"
+        path.write_bytes(b"1\tA\tB\t\xff\xfe\n")
+        with pytest.raises(TranscriptError, match="not a text file"):
+            Transcript.load(path)

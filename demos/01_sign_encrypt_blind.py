@@ -27,12 +27,12 @@ params = generate_system_params("toy", rng)
 # ---------------------------------------------------------------------------
 # RSA: sign a byte string by hashing it below the modulus, then verify.
 # ---------------------------------------------------------------------------
-message = message_rep(b"pay the bearer 10 coins", params.a_rsa.n)
-signature = rsa_sign(message, params.a_rsa)
+rep = message_rep(b"pay the bearer 10 coins", params.a_rsa.n)
+signature = rsa_sign(rep, params.a_rsa)
 print(f"modulus n_A      = {params.a_rsa.n:#x}")
-print(f"representative   = {message.rep:#x}")
-print(f"signature        = {signature.s:#x}")
-print(f"verifies         = {rsa_verify(signature, message, params.a_rsa.pub)}")
+print(f"representative   = {rep:#x}")
+print(f"signature        = {signature:#x}")
+print(f"verifies         = {rsa_verify(signature, rep, params.a_rsa.pub)}")
 
 flipped = message_rep(b"pay the bearer 99 coins", params.a_rsa.n)
 print(f"other message    = {rsa_verify(signature, flipped, params.a_rsa.pub)}")
@@ -42,9 +42,9 @@ print(f"other message    = {rsa_verify(signature, flipped, params.a_rsa.pub)}")
 # ---------------------------------------------------------------------------
 group = params.sttp_elg.pub  # (P, G, PK)
 nonce = sample_range(1, group[0] - 1, rng)
-ct = elg_encrypt(signature.s, group, nonce)
+ct = elg_encrypt(signature, group, nonce)
 print(f"\nciphertext       = (W={ct.W:#x}, V={ct.V:#x})")
-print(f"decrypts back    = {elg_decrypt(ct, params.sttp_elg) == signature.s}")
+print(f"decrypts back    = {elg_decrypt(ct, params.sttp_elg) == signature}")
 
 # ---------------------------------------------------------------------------
 # Blind split: hand the key holder only W.  It returns W^SK; whoever holds
@@ -52,6 +52,6 @@ print(f"decrypts back    = {elg_decrypt(ct, params.sttp_elg) == signature.s}")
 # ---------------------------------------------------------------------------
 half = blind_half(ct.W, params.sttp_elg)
 recovered = unblind(ct.V, half, group[0])
-print(f"\nblind half       = {half.value:#x}   (computed from W alone)")
+print(f"\nblind half       = {half:#x}   (computed from W alone)")
 print(f"unblinded value  = {recovered:#x}")
-print(f"matches original = {recovered == signature.s}")
+print(f"matches original = {recovered == signature}")

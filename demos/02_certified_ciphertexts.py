@@ -28,14 +28,14 @@ rng = Rng.from_material(b"demo 02")
 params = generate_system_params("toy", rng)
 ctx = CembsContext.a_side(params)
 
-message = message_rep(b"the agreed contract", params.a_rsa.n)
-signature = rsa_sign(message, params.a_rsa)
+rep = message_rep(b"the agreed contract", params.a_rsa.n)
+signature = rsa_sign(rep, params.a_rsa)
 nonces = sample_nonces(params.sttp_elg.P, rng)
-ct, cert = encrypt_and_certify(signature.s, ctx, nonces)
+ct, cert = encrypt_and_certify(signature, ctx, nonces)
 commitment = blind_commit(ct.V, params.commit_base)
 
 print(f"ciphertext  W={ct.W:#x}  V={ct.V:#x}")
-print(f"commitment  C={commitment.C:#x}")
+print(f"commitment  C={commitment:#x}")
 print(f"certificate c={cert.c:#x}")
 print(f"            r={cert.r:#x}")
 
@@ -54,7 +54,7 @@ print(f"commitment to wrong V  = {cembs_verify(ct.W, wrong_c, cert, ctx)}")
 # the claim "the plaintext is a signature on m".  Encrypting garbage
 # still certifies.
 garbage = 31337 % params.sttp_elg.P
-assert not rsa_verify(garbage, message, params.a_rsa.pub)
+assert not rsa_verify(garbage, rep, params.a_rsa.pub)
 g_ct, g_cert = encrypt_and_certify(garbage, ctx, sample_nonces(params.sttp_elg.P, rng))
 g_commit = blind_commit(g_ct.V, params.commit_base)
 print(f"garbage plaintext      = {cembs_verify(g_ct.W, g_commit, g_cert, ctx)}  (known limitation)")

@@ -231,12 +231,3 @@ def is_probable_prime(n: int, rng: Rng | None = None, rounds: int = MR_ROUNDS) -
             return False
     return True
 
-
-def gen_prime(bits: int, rng: Rng) -> int:
-    """Probable prime of exactly `bits` bits (top bit set)."""
-    if bits < 8:
-        raise ParameterError("prime size must be at least 8 bits")
-    while True:
-        candidate = (1 << (bits - 1)) | rng.rand_bits(bits - 1) | 1
-        if is_probable_prime(candidate, rng):
-            return candidate

@@ -59,13 +59,6 @@ class CembsCertificate:
 
 
 @dataclass(frozen=True)
-class BlindCommitment:
-    """C = g^V mod n_ref: stands in for V inside the challenge hash."""
-
-    C: int
-
-
-@dataclass(frozen=True)
 class CembsContext:
     """Everything public a certificate is checked against.
 
@@ -115,9 +108,9 @@ def hash_challenge(side_tag: int, elems: list[int]) -> int:
     return int_from_bytes(h.digest())
 
 
-def blind_commit(V: int, base: CommitBase) -> BlindCommitment:
-    """C = g^V mod n_ref."""
-    return BlindCommitment(C=fixed_base_exp(base.g, V, base.n_ref))
+def blind_commit(V: int, base: CommitBase) -> int:
+    """C = g^V mod n_ref: stands in for V inside the challenge hash."""
+    return fixed_base_exp(base.g, V, base.n_ref)
 
 
 def encrypt_and_certify(
@@ -137,20 +130,20 @@ def encrypt_and_certify(
     commitment = blind_commit(ct.V, ctx.commit_base)
     a = fixed_base_exp(G, nonces.u, P)
     big_a = mod_exp(a, PK, P)
-    c = hash_challenge(ctx.side_tag, [ctx.commit_base.g, ct.W, commitment.C, a, big_a])
+    c = hash_challenge(ctx.side_tag, [ctx.commit_base.g, ct.W, commitment, a, big_a])
     r = (nonces.u - c * nonces.w) % (P - 1)
     return ct, CembsCertificate(r=r, c=c)
 
 
-def cembs_verify(W: int, C: BlindCommitment, cert: CembsCertificate, ctx: CembsContext) -> bool:
+def cembs_verify(W: int, C: int, cert: CembsCertificate, ctx: CembsContext) -> bool:
     """Check a certificate against (W, C) alone.  Malformed inputs fail, never raise."""
     P, G, PK = ctx.group
-    if not 0 < W < P or not 0 < C.C < ctx.commit_base.n_ref:
+    if not 0 < W < P or not 0 < C < ctx.commit_base.n_ref:
         return False
     if not 0 <= cert.r < P - 1 or not 0 <= cert.c < 1 << (8 * CHALLENGE_BYTES):
         return False
     a = fixed_base_exp(G, cert.r, P) * mod_exp(W, cert.c, P) % P
-    return cert.c == hash_challenge(ctx.side_tag, [ctx.commit_base.g, W, C.C, a, mod_exp(a, PK, P)])
+    return cert.c == hash_challenge(ctx.side_tag, [ctx.commit_base.g, W, C, a, mod_exp(a, PK, P)])
 
 
 def correctness_identity_check(

@@ -1,10 +1,18 @@
 """Command-line interface.
 
     fairex keygen  --profile {paper,toy} --seed HEX --out FILE
-    fairex run     --protocol {common,linked,data-for-sig} --keys FILE
-                   --seed HEX [--fault NAME_OR_FILE] [--transcript OUT]
-    fairex audit   --transcript FILE --keys FILE
+    fairex run     [--protocol {common,linked,data-for-sig}] [PAYLOAD] --keys FILE
+                   --seed HEX [--fault NAME_OR_FILE] [--transcript OUT] [--timeout TICKS]
+    fairex audit   [--protocol {common,linked,data-for-sig}] [PAYLOAD] --keys FILE
+                   --transcript FILE
     fairex vectors --out DIR
+
+PAYLOAD is --message TEXT (common), --file-a FILE --file-b FILE (linked)
+or --data TEXT (data-for-sig); without it the protocol's built-in payload
+is used.  A payload flag of another protocol is a usage error.  `audit`
+judges the items against the protocol and payload it is given, so it
+needs the same --protocol and payload flags as the `run` that wrote the
+transcript; --protocol defaults to common for both.
 
 Exit codes: 0 success / fair outcome, 1 unfair outcome detected,
 2 usage error or unreadable input.
@@ -33,6 +41,12 @@ from .vectors import generate_vectors
 from .wire import Transcript
 
 _PROTOCOLS = {p.value: p for p in Protocol}
+_PAYLOAD_FLAGS = {
+    "message": Protocol.COMMON_MESSAGE,
+    "file_a": Protocol.LINKED_FILES,
+    "file_b": Protocol.LINKED_FILES,
+    "data": Protocol.DATA_FOR_SIGNATURE,
+}
 
 
 def _parse_seed(text: str) -> bytes:
@@ -55,17 +69,23 @@ def _load_fault(spec: str) -> FaultScript:
     return FaultScript.load(path)
 
 
-def _payload_from_args(args) -> bytes | tuple[bytes, bytes] | None:
+def _payload_from_args(args) -> bytes | tuple[bytes, bytes]:
+    """The payload the flags give, else the protocol's default."""
     protocol = _PROTOCOLS[args.protocol]
-    if protocol is Protocol.COMMON_MESSAGE and args.message is not None:
+    for flag, owner in _PAYLOAD_FLAGS.items():
+        if getattr(args, flag) is not None and owner is not protocol:
+            raise FairexError(
+                f"--{flag.replace('_', '-')} belongs to --protocol {owner.value}, not {protocol.value}"
+            )
+    if args.message is not None:
         return args.message.encode()
-    if protocol is Protocol.LINKED_FILES and (args.file_a or args.file_b):
+    if args.data is not None:
+        return args.data.encode()
+    if args.file_a or args.file_b:
         if not (args.file_a and args.file_b):
             raise FairexError("linked protocol needs both --file-a and --file-b")
         return (Path(args.file_a).read_bytes(), Path(args.file_b).read_bytes())
-    if protocol is Protocol.DATA_FOR_SIGNATURE and args.data is not None:
-        return args.data.encode()
-    return None
+    return default_payload(protocol)
 
 
 def _cmd_keygen(args) -> int:
@@ -91,13 +111,13 @@ def _report_lines(report) -> list[str]:
 
 
 def _cmd_run(args) -> int:
-    params = load_params(args.keys)
     protocol = _PROTOCOLS[args.protocol]
     payload = _payload_from_args(args)
+    params = load_params(args.keys)
     cfg = SessionConfig(
         protocol=protocol,
         params=params,
-        payload=payload if payload is not None else default_payload(protocol),
+        payload=payload,
         seed=_parse_seed(args.seed),
         timeout=args.timeout,
     )
@@ -105,7 +125,7 @@ def _cmd_run(args) -> int:
     result = run_session(cfg, fault)
     if args.transcript:
         result.transcript.save(args.transcript)
-    report = audit(result.transcript, params, protocol, cfg.payload)
+    report = audit(result.transcript, params, protocol, payload)
     verdicts = ", ".join(f"{r}={result.states[r].verdict}" for r in ("A", "B"))
     print(f"run finished ({verdicts}){' [stalled]' if result.stalled else ''}")
     for line in _report_lines(report):
@@ -114,16 +134,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_audit(args) -> int:
+    payload = _payload_from_args(args)
     params = load_params(args.keys)
     transcript = Transcript.load(args.transcript)
-    protocol = _PROTOCOLS[args.protocol]
-    payload = _payload_from_args(args)
-    report = audit(
-        transcript,
-        params,
-        protocol,
-        payload if payload is not None else default_payload(protocol),
-    )
+    report = audit(transcript, params, _PROTOCOLS[args.protocol], payload)
     for line in _report_lines(report):
         print(line)
     return 0 if report.fair else 1

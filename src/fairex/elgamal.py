@@ -20,13 +20,6 @@ class ElgCiphertext:
     V: int
 
 
-@dataclass(frozen=True)
-class BlindHalf:
-    """W^SK mod P, computed by the key holder from W alone."""
-
-    value: int
-
-
 def elg_encrypt(m: int, pub: tuple[int, int, int], w: int) -> ElgCiphertext:
     """(W, V) = (G^w mod P, m * PK^w mod P) for plaintext m in (0, P)."""
     P, G, PK = pub
@@ -48,18 +41,18 @@ def elg_decrypt(ct: ElgCiphertext, key: ElgKeyPair) -> int:
         raise EmbeddingError("malformed ciphertext: W^SK not invertible") from exc
 
 
-def blind_half(W: int, key: ElgKeyPair) -> BlindHalf:
-    """The key holder's share of a decryption.  Takes only W, never V."""
+def blind_half(W: int, key: ElgKeyPair) -> int:
+    """The key holder's share of a decryption, W^SK mod P.  Takes only W, never V."""
     if key.SK is None:
         raise ParameterError("blind decryption requires the private exponent")
     if not 0 < W < key.P:
         raise ParameterError(f"W must be in (0, {key.P})")
-    return BlindHalf(value=mod_exp(W, key.SK, key.P))
+    return mod_exp(W, key.SK, key.P)
 
 
-def unblind(V: int, half: BlindHalf, P: int) -> int:
+def unblind(V: int, half: int, P: int) -> int:
     """Finish a blind decryption: V * half^-1 mod P."""
     try:
-        return V * mod_inv(half.value, P) % P
+        return V * mod_inv(half, P) % P
     except NotInvertibleError as exc:
         raise EmbeddingError("malformed blind half: not invertible") from exc

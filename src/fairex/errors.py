@@ -35,7 +35,3 @@ class TranscriptError(FairexError):
 
 class FaultScriptError(FairexError):
     """A fault script cannot be parsed or references unknown targets."""
-
-
-class AuditError(FairexError):
-    """A transcript cannot be audited."""

@@ -20,26 +20,15 @@ Blank lines and lines starting with '#' are ignored.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .arith import int_from_bytes, int_to_bytes
-from .cembs import BlindCommitment, CembsCertificate, CembsContext, blind_commit, cembs_verify
-from .elgamal import BlindHalf, ElgCiphertext, elg_decrypt, unblind
-from .errors import AuditError, EmbeddingError, FaultScriptError, ParameterError, WireError
+from .arith import int_from_bytes
+from .cembs import CembsCertificate, CembsContext, blind_commit, cembs_verify
+from .elgamal import ElgCiphertext, elg_decrypt, unblind
+from .errors import EmbeddingError, FaultScriptError, ParameterError, WireError
 from .keys import SystemParams
-from .protocol import (
-    PartyState,
-    Protocol,
-    SessionConfig,
-    Timeout,
-    a_signature_rep,
-    b_signature_rep,
-    build_parties,
-    check_data_matches,
-)
-from .rsa import Message, rsa_verify
+from .protocol import PartyState, Protocol, SessionConfig, Terms, Timeout, build_parties
 from .wire import ROLES, MsgType, Transcript, WireMessage
 
 CORRUPT_MODES = ("bitflip", "zero")
@@ -337,52 +326,37 @@ def audit(
     and checked exactly, otherwise it is accepted when it matches a
     recovery request whose certificate verifies.
     """
-    cfg = SessionConfig(
-        protocol=protocol,
-        params=params,
-        payload=payload if payload is not None else default_payload(protocol),
-        seed=bytes(32),
-        rep_mode=rep_mode,
-    )
-    a_rep = a_signature_rep(cfg)
-    a_pub = params.a_rsa.pub
-    expected_hash = (
-        int_from_bytes(hashlib.sha256(cfg.payload).digest())
-        if protocol is Protocol.DATA_FOR_SIGNATURE
-        else None
-    )
+    if payload is None:
+        payload = default_payload(protocol)
+    terms = Terms(protocol, payload, rep_mode, params)
 
     # B's side: a plaintext closing signature, or an unblinded recovery.
     b_ok = any(
-        rsa_verify(int_from_bytes(m.fields[0]), Message(raw=b"", rep=a_rep), a_pub)
+        terms.valid_for_B(int_from_bytes(m.fields[0]))
         for m in _delivered(transcript, "B", MsgType.FINAL_SIGNATURE)
     )
     offers = list(_delivered(transcript, "B", MsgType.CEMBS_OFFER))
     for m in _delivered(transcript, "B", MsgType.BLIND_HALF_REPLY):
-        half = BlindHalf(value=int_from_bytes(m.fields[0]))
+        half = int_from_bytes(m.fields[0])
         for offer in offers:
             try:
                 s_a = unblind(int_from_bytes(offer.fields[1]), half, params.sttp_elg.P)
             except EmbeddingError:
                 continue
-            b_ok = b_ok or rsa_verify(s_a, Message(raw=b"", rep=a_rep), a_pub)
+            b_ok = b_ok or terms.valid_for_B(s_a)
 
-    # A's side: a valid step-2 reply, or the ciphertext forwarded by the arbiter.
-    if protocol is Protocol.DATA_FOR_SIGNATURE:
-        a_ok = any(
-            check_data_matches(m.fields[0], expected_hash)
-            for m in _delivered(transcript, "A", MsgType.DATA_PAYLOAD)
-        )
-    else:
-        b_rep = b_signature_rep(cfg)
-        b_pub = params.b_rsa.pub
-        a_ok = any(
-            rsa_verify(int_from_bytes(m.fields[0]), Message(raw=b"", rep=b_rep), b_pub)
-            for m in _delivered(transcript, "A", MsgType.COUNTER_SIGNATURE)
-        )
+    # A's side: a valid step-2 reply (the data as sent, or a counter-signature),
+    # or the ciphertext forwarded by the arbiter.
+    a_ok = any(
+        terms.valid_for_A(m.fields[0])
+        for m in _delivered(transcript, "A", MsgType.DATA_PAYLOAD)
+    ) or any(
+        terms.valid_for_A(int_from_bytes(m.fields[0]))
+        for m in _delivered(transcript, "A", MsgType.COUNTER_SIGNATURE)
+    )
     for m in _delivered(transcript, "A", MsgType.FORWARD_CIPHERTEXT):
         w_b, v_b = (int_from_bytes(f) for f in m.fields)
-        a_ok = a_ok or _forwarded_ok(w_b, v_b, cfg, expected_hash, transcript)
+        a_ok = a_ok or _forwarded_ok(w_b, v_b, terms, transcript)
 
     return AuditReport(
         fair=a_ok == b_ok,
@@ -393,18 +367,14 @@ def audit(
     )
 
 
-def _forwarded_ok(
-    w_b: int, v_b: int, cfg: SessionConfig, expected_hash: int | None, transcript: Transcript
-) -> bool:
-    params = cfg.params
+def _forwarded_ok(w_b: int, v_b: int, terms: Terms, transcript: Transcript) -> bool:
+    params = terms.params
     if params.a_elg.SK is not None:
         try:
             value = elg_decrypt(ElgCiphertext(W=w_b, V=v_b), params.a_elg)
         except (EmbeddingError, ParameterError):
             return False
-        if cfg.protocol is Protocol.DATA_FOR_SIGNATURE:
-            return check_data_matches(int_to_bytes(value), expected_hash)
-        return rsa_verify(value, Message(raw=b"", rep=b_signature_rep(cfg)), params.b_rsa.pub)
+        return terms.valid_for_A(terms.a_item(value))
     # Public-keys-only fallback: accept the forward when it reproduces a
     # certified recovery request verbatim.
     b_ctx = CembsContext.b_side(params)

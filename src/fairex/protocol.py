@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 
 from .arith import Rng, int_from_bytes, int_to_bytes
 from .cembs import (
-    BlindCommitment,
     CembsCertificate,
     CembsContext,
     blind_commit,
@@ -38,10 +37,10 @@ from .cembs import (
     encrypt_and_certify,
     sample_nonces,
 )
-from .elgamal import BlindHalf, ElgCiphertext, blind_half, elg_decrypt, unblind
+from .elgamal import ElgCiphertext, blind_half, elg_decrypt, unblind
 from .errors import EmbeddingError, ParameterError, SetupError
 from .keys import SystemParams, validate_params
-from .rsa import Message, rep_from_hash, message_rep, rsa_sign, rsa_verify
+from .rsa import message_rep, rep_from_hash, rsa_sign, rsa_verify
 from .wire import MsgType, WireMessage
 
 
@@ -67,13 +66,10 @@ class SessionConfig:
     timeout: int = 8
     tick_budget: int = 200
     rep_mode: str = "hashed"  # common-message protocol only
+    terms: Terms = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.protocol is Protocol.LINKED_FILES:
-            if not (isinstance(self.payload, tuple) and len(self.payload) == 2):
-                raise ParameterError("linked-files protocol needs a (file_a, file_b) payload")
-        elif not isinstance(self.payload, bytes):
-            raise ParameterError(f"{self.protocol.value} protocol needs a bytes payload")
+        self.terms = Terms(self.protocol, self.payload, self.rep_mode, self.params)
         if len(self.seed) != 32:
             raise ParameterError("session seed must be 32 bytes")
         if self.timeout < 1:
@@ -110,28 +106,68 @@ def data_as_int(data: bytes) -> int:
     return value
 
 
-def a_signature_rep(cfg: SessionConfig) -> int:
-    """The representative A's signature is issued on."""
-    n = cfg.params.a_rsa.n
-    if cfg.protocol is Protocol.COMMON_MESSAGE:
-        return message_rep(cfg.payload, n, cfg.rep_mode).rep
-    if cfg.protocol is Protocol.LINKED_FILES:
-        return message_rep(link_messages(*cfg.payload)[0], n, "hashed").rep
-    return message_rep(cfg.payload, n, "hashed").rep  # signature on H(M)
+@dataclass(frozen=True)
+class Terms:
+    """What each client is owed: the one definition the parties and the audit share.
 
+    B is owed A's signature on a_rep.  A is owed B's signature on b_rep,
+    or in the data protocol the data whose SHA-256, read big-endian, is
+    expected_hash (A signs H(M) and knows only that hash).  A signature
+    is an int and data is bytes, so an item of the wrong kind is invalid.
+    """
 
-def b_signature_rep(cfg: SessionConfig) -> int:
-    """The representative B's counter-signature is issued on (no data protocol)."""
-    if cfg.protocol is Protocol.DATA_FOR_SIGNATURE:
-        raise ParameterError("the data-for-signature protocol has no counter-signature")
-    n = cfg.params.b_rsa.n
-    if cfg.protocol is Protocol.COMMON_MESSAGE:
-        return message_rep(cfg.payload, n, cfg.rep_mode).rep
-    return message_rep(link_messages(*cfg.payload)[1], n, "hashed").rep
+    protocol: Protocol
+    payload: bytes | tuple[bytes, bytes]
+    rep_mode: str  # common-message protocol only
+    params: SystemParams = field(repr=False)
+    a_rep: int = field(init=False)
+    b_rep: int | None = field(init=False)  # None in the data protocol
+    expected_hash: int | None = field(init=False)  # data protocol only
+
+    def __post_init__(self):
+        a_n, b_n = self.params.a_rsa.n, self.params.b_rsa.n
+        b_rep = expected_hash = None
+        if self.protocol is Protocol.LINKED_FILES:
+            if not (isinstance(self.payload, tuple) and len(self.payload) == 2):
+                raise ParameterError("linked-files protocol needs a (file_a, file_b) payload")
+            m_a, m_b = link_messages(*self.payload)
+            a_rep, b_rep = message_rep(m_a, a_n), message_rep(m_b, b_n)
+        elif not isinstance(self.payload, bytes):
+            raise ParameterError(f"{self.protocol.value} protocol needs a bytes payload")
+        elif self.protocol is Protocol.COMMON_MESSAGE:
+            a_rep = message_rep(self.payload, a_n, self.rep_mode)
+            b_rep = message_rep(self.payload, b_n, self.rep_mode)
+        else:
+            digest = hashlib.sha256(self.payload).digest()
+            a_rep, expected_hash = rep_from_hash(digest, a_n), int_from_bytes(digest)
+        object.__setattr__(self, "a_rep", a_rep)
+        object.__setattr__(self, "b_rep", b_rep)
+        object.__setattr__(self, "expected_hash", expected_hash)
+
+    def valid_for_A(self, item: int | bytes | None) -> bool:
+        """Is item B's signature on b_rep, or the data that hashes to expected_hash?"""
+        if self.protocol is Protocol.DATA_FOR_SIGNATURE:
+            return isinstance(item, bytes) and check_data_matches(item, self.expected_hash)
+        return isinstance(item, int) and rsa_verify(item, self.b_rep, self.params.b_rsa.pub)
+
+    def valid_for_B(self, item: int | bytes | None) -> bool:
+        """Is item A's signature on a_rep?"""
+        return isinstance(item, int) and rsa_verify(item, self.a_rep, self.params.a_rsa.pub)
+
+    def a_item(self, value: int) -> int | bytes:
+        """A's item from the plaintext of B's recovery ciphertext (data travels as data_as_int)."""
+        return int_to_bytes(value) if self.protocol is Protocol.DATA_FOR_SIGNATURE else value
 
 
 def _int_fields(msg: WireMessage) -> list[int]:
     return [int_from_bytes(f) for f in msg.fields]
+
+
+def _reply_type(cfg: SessionConfig) -> MsgType:
+    """What B answers a valid offer with: the data itself, or a counter-signature."""
+    if cfg.protocol is Protocol.DATA_FOR_SIGNATURE:
+        return MsgType.DATA_PAYLOAD
+    return MsgType.COUNTER_SIGNATURE
 
 
 class _Party:
@@ -170,28 +206,16 @@ class ClientA(_Party):
     def __init__(self, cfg: SessionConfig, session_id: bytes, rng: Rng):
         super().__init__(cfg, session_id)
         self.rng = rng
-        self.rsa = cfg.params.a_rsa
         self.elg = cfg.params.a_elg
-        self.base = cfg.params.commit_base
-        self.b_pub = cfg.params.b_rsa.pub
         self.a_ctx = CembsContext.a_side(cfg.params)
-        if cfg.protocol is Protocol.DATA_FOR_SIGNATURE:
-            # A knows only the hash of the data she is buying.
-            digest = hashlib.sha256(cfg.payload).digest()
-            self.expected_hash = int_from_bytes(digest)
-            self.own_rep = rep_from_hash(digest, self.rsa.n)
-        else:
-            self.expected_hash = None
-            self.own_rep = a_signature_rep(cfg)
-            self.b_rep = b_signature_rep(cfg)
-        self.signature = rsa_sign(Message(raw=b"", rep=self.own_rep), self.rsa)
+        self.signature = rsa_sign(cfg.terms.a_rep, cfg.params.a_rsa)
 
     def step(self, incoming: WireMessage | Timeout | None, now: int = 0) -> list[tuple[str, WireMessage]]:
         if incoming is None:
             if self.state.phase != "start":
                 return self._violation(incoming, "spurious kickoff")
             nonces = sample_nonces(self.a_ctx.group[0], self.rng)
-            ct, cert = encrypt_and_certify(self.signature.s, self.a_ctx, nonces)
+            ct, cert = encrypt_and_certify(self.signature, self.a_ctx, nonces)
             self.state.phase = "wait_step2"
             self.deadline = now + self.cfg.timeout
             return [("B", self._msg(MsgType.CEMBS_OFFER, [ct.W, ct.V, cert.c, cert.r]))]
@@ -204,33 +228,20 @@ class ClientA(_Party):
 
         if incoming.msg_type is MsgType.FORWARD_CIPHERTEXT:
             return self._on_forward(incoming)
-        if incoming.msg_type is MsgType.COUNTER_SIGNATURE and self.state.phase == "wait_step2":
-            return self._on_counter_signature(incoming)
-        if incoming.msg_type is MsgType.DATA_PAYLOAD and self.state.phase == "wait_step2":
-            return self._on_data(incoming)
+        if incoming.msg_type is _reply_type(self.cfg) and self.state.phase == "wait_step2":
+            return self._on_reply(incoming)
         return self._violation(incoming)
 
-    def _on_counter_signature(self, incoming: WireMessage) -> list:
-        if self.cfg.protocol is Protocol.DATA_FOR_SIGNATURE:
-            return self._violation(incoming)
-        (s_b,) = _int_fields(incoming)
-        if rsa_verify(s_b, Message(raw=b"", rep=self.b_rep), self.b_pub):
-            self.state.acquired = s_b
-            self._finish("success")
-            return [("B", self._msg(MsgType.FINAL_SIGNATURE, [self.signature.s]))]
-        self._finish("aborted")  # refuse to release s_A
-        return []
-
-    def _on_data(self, incoming: WireMessage) -> list:
-        if self.cfg.protocol is not Protocol.DATA_FOR_SIGNATURE:
-            return self._violation(incoming)
-        data = incoming.fields[0]
-        if check_data_matches(data, self.expected_hash):
-            self.state.acquired = data
-            self._finish("success")
-            return [("B", self._msg(MsgType.FINAL_SIGNATURE, [self.signature.s]))]
-        self._finish("aborted")  # mismatching data: send nothing
-        return []
+    def _on_reply(self, incoming: WireMessage) -> list:
+        """B's step-2 item: the data as sent, or a counter-signature."""
+        raw = incoming.fields[0]
+        item = raw if incoming.msg_type is MsgType.DATA_PAYLOAD else int_from_bytes(raw)
+        if not self.cfg.terms.valid_for_A(item):
+            self._finish("aborted")  # refuse to release s_A
+            return []
+        self.state.acquired = item
+        self._finish("success")
+        return [("B", self._msg(MsgType.FINAL_SIGNATURE, [self.signature]))]
 
     def _on_forward(self, incoming: WireMessage) -> list:
         w_b, v_b = _int_fields(incoming)
@@ -238,15 +249,12 @@ class ClientA(_Party):
             value = elg_decrypt(ElgCiphertext(W=w_b, V=v_b), self.elg)
         except (EmbeddingError, ParameterError):
             return self._violation(incoming, "undecryptable forwarded ciphertext")
-        if self.cfg.protocol is Protocol.DATA_FOR_SIGNATURE:
-            data = int_to_bytes(value)
-            if not check_data_matches(data, self.expected_hash):
+        item = self.cfg.terms.a_item(value)
+        if not self.cfg.terms.valid_for_A(item):
+            if isinstance(item, bytes):
                 return self._violation(incoming, "forwarded data does not match the agreed hash")
-            self.state.acquired = data
-        else:
-            if not rsa_verify(value, Message(raw=b"", rep=self.b_rep), self.b_pub):
-                return self._violation(incoming, "forwarded ciphertext holds no valid signature")
-            self.state.acquired = value
+            return self._violation(incoming, "forwarded ciphertext holds no valid signature")
+        self.state.acquired = item
         if self.state.verdict != "success":
             self._finish("recovered")
         return []
@@ -261,8 +269,6 @@ class ClientB(_Party):
     def __init__(self, cfg: SessionConfig, session_id: bytes, rng: Rng):
         super().__init__(cfg, session_id)
         self.rng = rng
-        self.rsa = cfg.params.b_rsa
-        self.a_pub = cfg.params.a_rsa.pub
         self.base = cfg.params.commit_base
         self.sttp_p = cfg.params.sttp_elg.P
         self.a_ctx = CembsContext.a_side(cfg.params)
@@ -270,13 +276,9 @@ class ClientB(_Party):
         self.state.phase = "wait_offer"
         self.deadline = cfg.timeout  # give up if the opening offer never comes
         if cfg.protocol is Protocol.DATA_FOR_SIGNATURE:
-            self.data = cfg.payload
-            self.a_rep = rep_from_hash(hashlib.sha256(self.data).digest(), cfg.params.a_rsa.n)
-            self.signature = None
+            self.item = cfg.payload
         else:
-            self.data = None
-            self.a_rep = a_signature_rep(cfg)
-            self.signature = rsa_sign(Message(raw=b"", rep=b_signature_rep(cfg)), self.rsa)
+            self.item = rsa_sign(cfg.terms.b_rep, cfg.params.b_rsa)
         self.offer: tuple[int, int, int, int] | None = None  # (W_A, V_A, c_A, r_A)
 
     def step(self, incoming: WireMessage | Timeout | None, now: int = 0) -> list[tuple[str, WireMessage]]:
@@ -302,13 +304,11 @@ class ClientB(_Party):
         self.offer = (w_a, v_a, c_a, r_a)
         self.state.phase = "wait_final"
         self.deadline = now + self.cfg.timeout
-        if self.cfg.protocol is Protocol.DATA_FOR_SIGNATURE:
-            return [("A", self._msg(MsgType.DATA_PAYLOAD, [self.data]))]
-        return [("A", self._msg(MsgType.COUNTER_SIGNATURE, [self.signature.s]))]
+        return [("A", self._msg(_reply_type(self.cfg), [self.item]))]
 
     def _on_final(self, incoming: WireMessage, now: int) -> list:
         (s_a,) = _int_fields(incoming)
-        if rsa_verify(s_a, Message(raw=b"", rep=self.a_rep), self.a_pub):
+        if self.cfg.terms.valid_for_B(s_a):
             self.state.acquired = s_a
             self._finish("success")
             return []
@@ -327,25 +327,25 @@ class ClientB(_Party):
     def _recover(self, now: int) -> list:
         """Escalate: certify own ciphertext under A's key and ask the STTP."""
         w_a, v_a, c_a, r_a = self.offer
-        value = data_as_int(self.data) if self.data is not None else self.signature.s
+        value = data_as_int(self.item) if isinstance(self.item, bytes) else self.item
         nonces = sample_nonces(self.b_ctx.group[0], self.rng)
         ct, cert = encrypt_and_certify(value, self.b_ctx, nonces)
         commitment = blind_commit(v_a, self.base)
         self.state.phase = "wait_sttp"
         self.deadline = now + self.cfg.timeout
-        fields = [w_a, commitment.C, c_a, r_a, ct.W, ct.V, cert.c, cert.r]
+        fields = [w_a, commitment, c_a, r_a, ct.W, ct.V, cert.c, cert.r]
         return [("STTP", self._msg(MsgType.RECOVERY_REQUEST, fields))]
 
     def _on_blind_half(self, incoming: WireMessage) -> list:
         (half,) = _int_fields(incoming)
         _, v_a, _, _ = self.offer
         try:
-            s_a = unblind(v_a, BlindHalf(value=half), self.sttp_p)
+            s_a = unblind(v_a, half, self.sttp_p)
         except EmbeddingError:
             self.state.violations.append("unusable blind half from the arbiter")
             self._finish("aborted")
             return []
-        if rsa_verify(s_a, Message(raw=b"", rep=self.a_rep), self.a_pub):
+        if self.cfg.terms.valid_for_B(s_a):
             self.state.acquired = s_a
             self._finish("recovered")
         else:
@@ -374,9 +374,7 @@ class Sttp(_Party):
         if incoming.msg_type is not MsgType.RECOVERY_REQUEST:
             return self._violation(incoming)
         w_a, c_blind, c_a, r_a, w_b, v_b, c_b, r_b = _int_fields(incoming)
-        offer_ok = cembs_verify(
-            w_a, BlindCommitment(C=c_blind), CembsCertificate(r=r_a, c=c_a), self.a_ctx
-        )
+        offer_ok = cembs_verify(w_a, c_blind, CembsCertificate(r=r_a, c=c_a), self.a_ctx)
         reply_ok = cembs_verify(
             w_b, blind_commit(v_b, self.base), CembsCertificate(r=r_b, c=c_b), self.b_ctx
         )
@@ -386,9 +384,8 @@ class Sttp(_Party):
                 f"reply cert {'ok' if reply_ok else 'bad'})"
             )
             return []
-        half = blind_half(w_a, self.key)
         return [
-            ("B", self._msg(MsgType.BLIND_HALF_REPLY, [half.value])),
+            ("B", self._msg(MsgType.BLIND_HALF_REPLY, [blind_half(w_a, self.key)])),
             ("A", self._msg(MsgType.FORWARD_CIPHERTEXT, [w_b, v_b])),
         ]
 

@@ -9,25 +9,10 @@ direct mode.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 
 from .arith import int_from_bytes, mod_exp, mod_inv
 from .errors import DomainError, ParameterError
 from .keys import RsaKeyPair
-
-
-@dataclass(frozen=True)
-class Message:
-    """A raw byte string plus its integer representative below some modulus."""
-
-    raw: bytes
-    rep: int
-
-
-@dataclass(frozen=True)
-class Signature:
-    s: int
-    signer: str = ""
 
 
 def rep_from_hash(digest: bytes, n: int) -> int:
@@ -35,24 +20,24 @@ def rep_from_hash(digest: bytes, n: int) -> int:
     return int_from_bytes(digest) % n
 
 
-def message_rep(raw: bytes, n: int, mode: str = "hashed") -> Message:
-    """Bind a byte string to a representative in [0, n).
+def message_rep(raw: bytes, n: int, mode: str = "hashed") -> int:
+    """The representative in [0, n) that a byte string is signed as.
 
     hashed: rep = SHA-256(raw) as a big-endian integer mod n.
     direct: rep = big-endian integer value of raw; must already be < n.
     """
     if mode == "hashed":
-        return Message(raw=raw, rep=rep_from_hash(hashlib.sha256(raw).digest(), n))
+        return rep_from_hash(hashlib.sha256(raw).digest(), n)
     if mode == "direct":
         rep = int_from_bytes(raw)
         if rep >= n:
             raise DomainError(f"direct representative {rep} >= modulus {n}")
-        return Message(raw=raw, rep=rep)
+        return rep
     raise ParameterError(f"unknown representative mode {mode!r}")
 
 
-def rsa_sign(m: Message, key: RsaKeyPair) -> Signature:
-    """s = rep^d mod n.  Deterministic: the same message always signs the same.
+def rsa_sign(rep: int, key: RsaKeyPair) -> int:
+    """s = rep^d mod n.  Deterministic: the same representative always signs the same.
 
     With the factors at hand the exponentiation runs mod p and mod q and
     is recombined by the CRT (Garner's formula): the same s whenever p, q
@@ -61,21 +46,20 @@ def rsa_sign(m: Message, key: RsaKeyPair) -> Signature:
     """
     if key.d is None:
         raise ParameterError("signing requires the private exponent")
-    if m.rep >= key.n:
-        raise DomainError(f"representative {m.rep} >= modulus {key.n}")
+    if rep >= key.n:
+        raise DomainError(f"representative {rep} >= modulus {key.n}")
     p, q = key.p, key.q
     if p is None or q is None:
-        return Signature(s=mod_exp(m.rep, key.d, key.n), signer=key.owner)
-    s_p = mod_exp(m.rep, key.d % (p - 1), p)
-    s_q = mod_exp(m.rep, key.d % (q - 1), q)
+        return mod_exp(rep, key.d, key.n)
+    s_p = mod_exp(rep, key.d % (p - 1), p)
+    s_q = mod_exp(rep, key.d % (q - 1), q)
     h = (s_p - s_q) * mod_inv(q, p) % p
-    return Signature(s=s_q + h * q, signer=key.owner)
+    return s_q + h * q
 
 
-def rsa_verify(s: Signature | int, m: Message, pub: tuple[int, int]) -> bool:
+def rsa_verify(s: int, rep: int, pub: tuple[int, int]) -> bool:
     """Check s^e mod n == rep.  Malformed inputs verify as False, never raise."""
     n, e = pub
-    value = s.s if isinstance(s, Signature) else s
-    if n < 2 or value < 0 or value >= n or m.rep < 0 or m.rep >= n:
+    if n < 2 or s < 0 or s >= n or rep < 0 or rep >= n:
         return False
-    return mod_exp(value, e, n) == m.rep
+    return mod_exp(s, e, n) == rep

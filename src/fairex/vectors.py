@@ -38,10 +38,10 @@ def generate_vectors_text() -> str:
         params = generate_system_params("toy", rng.child(b"keys-%d" % index))
         ctx = CembsContext.a_side(params)
         raw = b"vector message %d" % index
-        message = message_rep(raw, params.a_rsa.n, "hashed")
-        signature = rsa_sign(message, params.a_rsa)
+        rep = message_rep(raw, params.a_rsa.n, "hashed")
+        signature = rsa_sign(rep, params.a_rsa)
         nonces = sample_nonces(params.sttp_elg.P, rng.child(b"nonces-%d" % index))
-        ct, cert = encrypt_and_certify(signature.s, ctx, nonces)
+        ct, cert = encrypt_and_certify(signature, ctx, nonces)
         commitment = blind_commit(ct.V, params.commit_base)
         assert cembs_verify(ct.W, commitment, cert, ctx)
         lines += [
@@ -55,13 +55,13 @@ def generate_vectors_text() -> str:
             f"G_T={_hex(params.sttp_elg.G)}",
             f"SK_T={_hex(params.sttp_elg.SK)}",
             f"PK_T={_hex(params.sttp_elg.PK)}",
-            f"rep={_hex(message.rep)}",
-            f"s={_hex(signature.s)}",
+            f"rep={_hex(rep)}",
+            f"s={_hex(signature)}",
             f"w={_hex(nonces.w)}",
             f"u={_hex(nonces.u)}",
             f"W={_hex(ct.W)}",
             f"V={_hex(ct.V)}",
-            f"C={_hex(commitment.C)}",
+            f"C={_hex(commitment)}",
             f"c={_hex(cert.c)}",
             f"r={_hex(cert.r)}",
             "",

@@ -15,7 +15,6 @@ from fairex.cembs import (
     CembsCertificate,
     CembsContext,
     blind_commit,
-    BlindCommitment,
     cembs_verify,
     correctness_identity_check,
     encrypt_and_certify,
@@ -25,14 +24,8 @@ from fairex.cli import cli_main
 from fairex.elgamal import blind_half, elg_decrypt, elg_encrypt, unblind
 from fairex.harness import audit, default_payload, live_flags, run_session, shipped_script
 from fairex.keys import ElgKeyPair, RsaKeyPair, generate_system_params
-from fairex.protocol import (
-    Protocol,
-    SessionConfig,
-    a_signature_rep,
-    b_signature_rep,
-    link_messages,
-)
-from fairex.rsa import Message, message_rep, rsa_sign, rsa_verify
+from fairex.protocol import Protocol, SessionConfig, link_messages
+from fairex.rsa import message_rep, rsa_sign, rsa_verify
 from fairex.vectors import generate_vectors_text
 from fairex.wire import MsgType
 
@@ -86,11 +79,10 @@ def test_01_rsa_round_trip_exhaustive():
     with criterion(1, 1.0, "RSA round-trip, exhaustive over n=55 with brute-force oracle"):
         key = RsaKeyPair(n=55, e=3, d=27, p=5, q=11)
         for m in range(55):
-            message = Message(raw=b"", rep=m)
-            signature = rsa_sign(message, key)
-            assert rsa_verify(signature, message, key.pub)
+            signature = rsa_sign(m, key)
+            assert rsa_verify(signature, m, key.pub)
             valid = [s for s in range(55) if pow(s, key.e, key.n) == m]
-            assert valid == [signature.s]
+            assert valid == [signature]
 
 
 def test_02_elgamal_round_trip_and_blind_equivalence():
@@ -116,7 +108,7 @@ def test_03_certificate_completeness():
             message = message_rep(b"case %d" % i, params.a_rsa.n, "hashed")
             signature = rsa_sign(message, params.a_rsa)
             nonces = sample_nonces(params.sttp_elg.P, source.child(b"nonce%d" % i))
-            ct, cert = encrypt_and_certify(signature.s, ctx, nonces)
+            ct, cert = encrypt_and_certify(signature, ctx, nonces)
             assert cembs_verify(ct.W, blind_commit(ct.V, params.commit_base), cert, ctx)
         P, G, PK = 23, 5, 8
         for w in range(22):
@@ -136,9 +128,9 @@ def test_04_certificate_tamper_sensitivity(toy_params):
             message = message_rep(b"tamper %d" % i, params.a_rsa.n, "hashed")
             signature = rsa_sign(message, params.a_rsa)
             nonces = sample_nonces(params.sttp_elg.P, source.child(b"n%d" % i))
-            ct, cert = encrypt_and_certify(signature.s, ctx, nonces)
+            ct, cert = encrypt_and_certify(signature, ctx, nonces)
             commitment = blind_commit(ct.V, params.commit_base)
-            values = [ct.W, commitment.C, cert.r, cert.c]
+            values = [ct.W, commitment, cert.r, cert.c]
             encodings = [bytearray(int_to_bytes(v)) or bytearray(b"\x00") for v in values]
             lengths = [len(e) for e in encodings]
             position = source.below(sum(lengths))
@@ -149,7 +141,7 @@ def test_04_certificate_tamper_sensitivity(toy_params):
             old = encodings[index][position]
             encodings[index][position] = (old + 1 + source.below(255)) % 256
             w2, c2, r2, ch2 = (int_from_bytes(bytes(e)) for e in encodings)
-            if cembs_verify(w2, BlindCommitment(C=c2), CembsCertificate(r=r2, c=ch2), ctx):
+            if cembs_verify(w2, c2, CembsCertificate(r=r2, c=ch2), ctx):
                 false_accepts += 1
         assert false_accepts == 0
 

@@ -8,7 +8,6 @@ from fairex.arith import (
     Rng,
     _fixed_base_powers,
     fixed_base_exp,
-    gen_prime,
     int_from_bytes,
     int_to_bytes,
     int_to_fixed_bytes,
@@ -17,7 +16,8 @@ from fairex.arith import (
     mod_inv,
     sample_range,
 )
-from fairex.errors import NotInvertibleError, ParameterError
+from fairex.errors import NotInvertibleError, ParameterError, SetupError
+from fairex.keys import _gen_prime_exact
 
 
 def brute_force_is_prime(n: int) -> bool:
@@ -154,21 +154,21 @@ class TestGenPrime:
     def test_eight_bit_range_and_primality(self):
         rng = fresh_rng(b"p8")
         for _ in range(20):
-            p = gen_prime(8, rng)
+            p = _gen_prime_exact(8, rng)
             assert 128 <= p <= 255
             assert brute_force_is_prime(p)
 
     def test_512_bit(self):
-        p = gen_prime(512, fresh_rng(b"p512"))
+        p = _gen_prime_exact(512, fresh_rng(b"p512"))
         assert p.bit_length() == 512
         assert is_probable_prime(p)
 
     def test_deterministic(self):
-        assert gen_prime(32, fresh_rng(b"same")) == gen_prime(32, fresh_rng(b"same"))
+        assert _gen_prime_exact(32, fresh_rng(b"same")) == _gen_prime_exact(32, fresh_rng(b"same"))
 
     def test_too_small(self):
-        with pytest.raises(ParameterError):
-            gen_prime(7, fresh_rng())
+        with pytest.raises(SetupError):  # no 8-bit integer lies above 255
+            _gen_prime_exact(8, fresh_rng(), floor=255)
 
     def test_probable_prime_agrees_with_brute_force(self):
         rng = fresh_rng(b"agree")

@@ -129,6 +129,43 @@ class TestRun:
         assert unpinned[0] == 0 and "arbiter involved:    yes" in unpinned[1]
 
 
+class TestPayloadFlags:
+    @pytest.mark.parametrize(
+        "protocol, flags",
+        [
+            ("linked", ["--message", "hi"]),
+            ("common", ["--data", "ok"]),
+            ("data-for-sig", ["--file-a", "a.txt"]),
+            ("common", ["--file-b", "b.txt"]),
+        ],
+    )
+    def test_flag_of_another_protocol_is_usage_error(self, keyfile, tmp_path, capsys, protocol, flags):
+        transcript = tmp_path / "t.txt"
+        assert cli_main([
+            "run", "--protocol", protocol, "--keys", str(keyfile), "--seed", "01",
+            "--transcript", str(transcript),
+        ]) == 0
+        capsys.readouterr()
+        for command in (
+            ["run", "--keys", str(keyfile), "--seed", "01"],
+            ["audit", "--keys", str(keyfile), "--transcript", str(transcript)],
+        ):
+            assert cli_main(command + ["--protocol", protocol] + flags) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith(f"error: {flags[0]} belongs to --protocol ")
+
+
+def test_import_fairex_leaves_the_cli_unloaded():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, fairex; print('fairex.cli' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 class TestAudit:
     def test_round_trip_with_run(self, keyfile, tmp_path):
         transcript = tmp_path / "t.txt"

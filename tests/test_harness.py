@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 from hypothesis import given, strategies as st
 
-from fairex.arith import Rng, int_from_bytes
+from fairex.arith import Rng, int_from_bytes, int_to_bytes
 from fairex.errors import FaultScriptError
 from fairex.harness import (
     SHIPPED_FAULT_SCRIPTS,
@@ -16,8 +16,8 @@ from fairex.harness import (
     shipped_script,
 )
 from fairex.keys import generate_system_params
-from fairex.protocol import Protocol, SessionConfig
-from fairex.rsa import Message, rsa_verify
+from fairex.protocol import Protocol, SessionConfig, Terms
+from fairex.rsa import rsa_sign, rsa_verify
 from fairex.wire import MsgType, Transcript, WireMessage
 
 SID = bytes(16)
@@ -181,10 +181,7 @@ class TestFaultMatrix:
         result = run_session(cfg, shipped_script("a-silent-step3"))
         assert result.states["A"].verdict == "success"
         assert result.states["B"].verdict == "recovered"
-        from fairex.protocol import a_signature_rep
-        assert rsa_verify(
-            result.states["B"].acquired, Message(b"", a_signature_rep(cfg)), params.a_rsa.pub
-        )
+        assert rsa_verify(result.states["B"].acquired, cfg.terms.a_rep, params.a_rsa.pub)
 
     def test_bad_countersig_leaves_a_aborted_with_no_final_signature(self, params):
         cfg = make_cfg(params)
@@ -202,6 +199,29 @@ class TestFaultMatrix:
         assert MsgType.RECOVERY_REQUEST in types
         assert result.states["A"].verdict == "recovered"
         assert result.states["B"].verdict == "recovered"
+
+
+class TestTerms:
+    @pytest.mark.parametrize("script", sorted(SHIPPED_FAULT_SCRIPTS))
+    @pytest.mark.parametrize("protocol", list(Protocol), ids=lambda p: p.value)
+    def test_valid_item_exactly_when_verdict_says_so(self, params, protocol, script):
+        cfg = make_cfg(params, protocol=protocol)
+        result = run_session(cfg, shipped_script(script))
+        terms = Terms(protocol, cfg.payload, cfg.rep_mode, params)
+        holds = {role: result.states[role].verdict in ("success", "recovered") for role in ("A", "B")}
+        assert terms.valid_for_A(result.states["A"].acquired) == holds["A"]
+        assert terms.valid_for_B(result.states["B"].acquired) == holds["B"]
+
+    def test_only_the_owed_item_is_valid(self, params):
+        data = Terms(Protocol.DATA_FOR_SIGNATURE, b"ok", "hashed", params)
+        common = Terms(Protocol.COMMON_MESSAGE, b"ok", "hashed", params)
+        assert data.valid_for_A(b"ok") and not data.valid_for_A(b"no")
+        assert not data.valid_for_A(int.from_bytes(b"ok", "big"))  # data must arrive as bytes
+        s_a, s_b = rsa_sign(common.a_rep, params.a_rsa), rsa_sign(common.b_rep, params.b_rsa)
+        assert common.valid_for_B(s_a) and not common.valid_for_B(s_a ^ 1)
+        assert common.valid_for_A(s_b) and not common.valid_for_A(s_b ^ 1)
+        assert not common.valid_for_A(int_to_bytes(s_b)) and not common.valid_for_A(None)
+        assert data.b_rep is None and common.expected_hash is None
 
 
 class TestDeterminism:

@@ -76,8 +76,8 @@ class TestInitClients:
         b = generate_system_params("toy", rng(b"det"))
         assert a == b
 
-    def test_paper_profile_sizes(self):
-        params = generate_system_params("paper", rng(b"paper"))
+    def test_paper_profile_sizes(self, paper_key_set):
+        params = paper_key_set
         assert params.a_rsa.n.bit_length() == 1024
         assert params.a_elg.P.bit_length() == 1024
         assert params.sttp_elg.P.bit_length() == 1024

@@ -13,14 +13,12 @@ from fairex.protocol import (
     SessionConfig,
     Sttp,
     Timeout,
-    a_signature_rep,
-    b_signature_rep,
     build_parties,
     check_data_matches,
     data_as_int,
     link_messages,
 )
-from fairex.rsa import Message, rsa_sign, rsa_verify
+from fairex.rsa import rsa_sign, rsa_verify
 from fairex.wire import MsgType, WireMessage
 
 
@@ -89,18 +87,18 @@ class TestClientASteps:
         cfg = make_cfg(params)
         a, b, _ = fresh_parties(cfg)
         a.step(None, now=0)
-        s_b = rsa_sign(Message(b"", b_signature_rep(cfg)), params.b_rsa)
-        out = a.step(WireMessage(MsgType.COUNTER_SIGNATURE, a.session_id, (int_to_bytes(s_b.s),)), now=1)
-        assert a.state.verdict == "success" and a.state.acquired == s_b.s
+        s_b = rsa_sign(cfg.terms.b_rep, params.b_rsa)
+        out = a.step(WireMessage(MsgType.COUNTER_SIGNATURE, a.session_id, (int_to_bytes(s_b),)), now=1)
+        assert a.state.verdict == "success" and a.state.acquired == s_b
         assert [m.msg_type for _, m in out] == [MsgType.FINAL_SIGNATURE]
-        assert int_from_bytes(out[0][1].fields[0]) == a.signature.s
+        assert int_from_bytes(out[0][1].fields[0]) == a.signature
 
     def test_invalid_countersig_aborts_without_output(self, params):
         cfg = make_cfg(params)
         a, _, _ = fresh_parties(cfg)
         a.step(None, now=0)
-        s_b = rsa_sign(Message(b"", b_signature_rep(cfg)), params.b_rsa)
-        bad = (s_b.s + 1) % params.b_rsa.n
+        s_b = rsa_sign(cfg.terms.b_rep, params.b_rsa)
+        bad = (s_b + 1) % params.b_rsa.n
         out = a.step(WireMessage(MsgType.COUNTER_SIGNATURE, a.session_id, (int_to_bytes(bad),)), now=1)
         assert out == []
         assert a.state.verdict == "aborted"
@@ -167,9 +165,9 @@ class TestClientBSteps:
         cfg = make_cfg(params)
         a, b, _ = fresh_parties(cfg)
         run_offer_through_b(cfg, a, b)
-        good = WireMessage(MsgType.FINAL_SIGNATURE, b.session_id, (int_to_bytes(a.signature.s),))
+        good = WireMessage(MsgType.FINAL_SIGNATURE, b.session_id, (int_to_bytes(a.signature),))
         assert b.step(good, now=2) == []
-        assert b.state.verdict == "success" and b.state.acquired == a.signature.s
+        assert b.state.verdict == "success" and b.state.acquired == a.signature
 
     def test_timeout_with_no_offer_aborts(self, params):
         _, b, _ = fresh_parties(make_cfg(params))
@@ -200,8 +198,8 @@ class TestSttpSteps:
         half = next(m for r, m in out if m.msg_type is MsgType.BLIND_HALF_REPLY)
         b.step(half, now=11)
         assert b.state.verdict == "recovered"
-        expected = rsa_sign(Message(b"", a_signature_rep(cfg)), params.a_rsa)
-        assert b.state.acquired == expected.s  # bit-for-bit, RSA is deterministic
+        expected = rsa_sign(cfg.terms.a_rep, params.a_rsa)
+        assert b.state.acquired == expected  # bit-for-bit, RSA is deterministic
 
     def test_forward_gives_a_the_countersignature(self, params):
         cfg = make_cfg(params)
@@ -210,7 +208,7 @@ class TestSttpSteps:
         forward = next(m for r, m in out if m.msg_type is MsgType.FORWARD_CIPHERTEXT)
         a.step(forward, now=11)
         assert a.state.verdict == "recovered"
-        assert rsa_verify(a.state.acquired, Message(b"", b_signature_rep(cfg)), params.b_rsa.pub)
+        assert rsa_verify(a.state.acquired, cfg.terms.b_rep, params.b_rsa.pub)
 
     def test_tampered_offer_certificate_is_rejected(self, params):
         cfg = make_cfg(params)
@@ -281,7 +279,7 @@ class TestSessionConfigShape:
 
     def test_direct_mode_small_integer_vector(self, params):
         cfg = make_cfg(params, payload=b"\x02", rep_mode="direct")
-        assert a_signature_rep(cfg) == 2
+        assert cfg.terms.a_rep == 2
 
     def test_private_keys_required(self, params):
         cfg = make_cfg(dataclasses.replace(params, a_rsa=params.a_rsa.public()))

@@ -2,9 +2,9 @@
 
 Scalars are plain Python ints, always non-negative.  The byte encoding
 used everywhere in this package is the minimal big-endian magnitude:
-no leading zero bytes, and the empty string encodes zero.  When a fixed
-width is needed (hash inputs, wire fields) the magnitude is left-padded
-with zero bytes.
+no leading zero bytes, and the empty string encodes zero.  Hash inputs
+and wire fields carry it behind a length prefix, so no fixed width or
+padding is needed.
 """
 
 from __future__ import annotations
@@ -27,16 +27,6 @@ def int_to_bytes(x: int) -> bytes:
 
 def int_from_bytes(data: bytes) -> int:
     return int.from_bytes(data, "big")
-
-
-def int_to_fixed_bytes(x: int, width: int) -> bytes:
-    """Big-endian encoding left-padded with zeros to exactly `width` bytes."""
-    if x < 0:
-        raise ParameterError("negative integers cannot be encoded")
-    try:
-        return x.to_bytes(width, "big")
-    except OverflowError as exc:
-        raise ParameterError(f"{x.bit_length()}-bit value does not fit in {width} bytes") from exc
 
 
 class Rng:

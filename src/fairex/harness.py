@@ -25,10 +25,9 @@ from pathlib import Path
 
 from .arith import int_from_bytes
 from .cembs import CembsCertificate, CembsContext, blind_commit, cembs_verify
-from .elgamal import ElgCiphertext, elg_decrypt, unblind
-from .errors import EmbeddingError, FaultScriptError, ParameterError, WireError
+from .errors import FaultScriptError, WireError
 from .keys import SystemParams
-from .protocol import PartyState, Protocol, SessionConfig, Terms, Timeout, build_parties
+from .protocol import PartyState, Protocol, SessionConfig, Terms, Timeout, build_parties, carried_item
 from .wire import ROLES, MsgType, Transcript, WireMessage
 
 CORRUPT_MODES = ("bitflip", "zero")
@@ -277,7 +276,7 @@ def run_session(cfg: SessionConfig, fault: FaultScript | None = None) -> Session
 class AuditReport:
     """What a transcript proves about a finished session.
 
-    fair: both parties obtained a verified item, or neither did.
+    fair: both parties hold a verified item, or neither does.
     sttp_involved: any message to or from the arbiter.
     sttp_saw_va: some field delivered to the arbiter equals the offer's V_A
     (it never should: the arbiter sees only W_A and the commitment).
@@ -312,52 +311,7 @@ def _sttp_saw_va(transcript: Transcript) -> bool:
     )
 
 
-def audit(
-    transcript: Transcript,
-    params: SystemParams,
-    protocol: Protocol = Protocol.COMMON_MESSAGE,
-    payload: bytes | tuple[bytes, bytes] | None = None,
-    rep_mode: str = "hashed",
-) -> AuditReport:
-    """Recompute the fairness and semi-trust flags from a transcript.
-
-    Needs the public parameters and the exchanged payload; with A's
-    ElGamal private key available the forwarded ciphertext is decrypted
-    and checked exactly, otherwise it is accepted when it matches a
-    recovery request whose certificate verifies.
-    """
-    if payload is None:
-        payload = default_payload(protocol)
-    terms = Terms(protocol, payload, rep_mode, params)
-
-    # B's side: a plaintext closing signature, or an unblinded recovery.
-    b_ok = any(
-        terms.valid_for_B(int_from_bytes(m.fields[0]))
-        for m in _delivered(transcript, "B", MsgType.FINAL_SIGNATURE)
-    )
-    offers = list(_delivered(transcript, "B", MsgType.CEMBS_OFFER))
-    for m in _delivered(transcript, "B", MsgType.BLIND_HALF_REPLY):
-        half = int_from_bytes(m.fields[0])
-        for offer in offers:
-            try:
-                s_a = unblind(int_from_bytes(offer.fields[1]), half, params.sttp_elg.P)
-            except EmbeddingError:
-                continue
-            b_ok = b_ok or terms.valid_for_B(s_a)
-
-    # A's side: a valid step-2 reply (the data as sent, or a counter-signature),
-    # or the ciphertext forwarded by the arbiter.
-    a_ok = any(
-        terms.valid_for_A(m.fields[0])
-        for m in _delivered(transcript, "A", MsgType.DATA_PAYLOAD)
-    ) or any(
-        terms.valid_for_A(int_from_bytes(m.fields[0]))
-        for m in _delivered(transcript, "A", MsgType.COUNTER_SIGNATURE)
-    )
-    for m in _delivered(transcript, "A", MsgType.FORWARD_CIPHERTEXT):
-        w_b, v_b = (int_from_bytes(f) for f in m.fields)
-        a_ok = a_ok or _forwarded_ok(w_b, v_b, terms, transcript)
-
+def _report(transcript: Transcript, a_ok: bool, b_ok: bool) -> AuditReport:
     return AuditReport(
         fair=a_ok == b_ok,
         sttp_involved=_sttp_involved(transcript),
@@ -367,38 +321,64 @@ def audit(
     )
 
 
-def _forwarded_ok(w_b: int, v_b: int, terms: Terms, transcript: Transcript) -> bool:
-    params = terms.params
-    if params.a_elg.SK is not None:
-        try:
-            value = elg_decrypt(ElgCiphertext(W=w_b, V=v_b), params.a_elg)
-        except (EmbeddingError, ParameterError):
-            return False
-        return terms.valid_for_A(terms.a_item(value))
-    # Public-keys-only fallback: accept the forward when it reproduces a
-    # certified recovery request verbatim.
+def audit(
+    transcript: Transcript,
+    params: SystemParams,
+    protocol: Protocol = Protocol.COMMON_MESSAGE,
+    payload: bytes | tuple[bytes, bytes] | None = None,
+) -> AuditReport:
+    """Recompute the fairness and semi-trust flags from a transcript.
+
+    A party holds a valid item when any message delivered to it carries
+    one (`carried_item`, judged by the session's `Terms`), whatever it
+    did with the message: the same possession the parties record.  A
+    blind half is unblinded with the first offer's V_A.  Without A's
+    ElGamal private key the forwarded ciphertext cannot be decrypted; it
+    is then accepted when it reproduces a recovery request whose
+    certificate verifies.
+    """
+    if payload is None:
+        payload = default_payload(protocol)
+    terms = Terms(protocol, payload, params)
+    offer = next(_delivered(transcript, "B", MsgType.CEMBS_OFFER), None)
+    v_a = int_from_bytes(offer.fields[1]) if offer is not None else None
+
+    def holds(role: str, valid) -> bool:
+        return any(
+            valid(carried_item(rec.message, terms, v_a))
+            for rec in transcript.records
+            if rec.receiver == role
+        )
+
+    a_ok = holds("A", terms.valid_for_A)
+    if not a_ok and params.a_elg.SK is None:
+        a_ok = _forward_certified(transcript, params)
+    return _report(transcript, a_ok, holds("B", terms.valid_for_B))
+
+
+def _forward_certified(transcript: Transcript, params: SystemParams) -> bool:
+    """Did A get a forward that reproduces a certified recovery request verbatim?"""
+    forwards = {
+        tuple(int_from_bytes(f) for f in m.fields)
+        for m in _delivered(transcript, "A", MsgType.FORWARD_CIPHERTEXT)
+    }
     b_ctx = CembsContext.b_side(params)
     for m in _delivered(transcript, "STTP", MsgType.RECOVERY_REQUEST):
-        req_w_b, req_v_b, c_b, r_b = (int_from_bytes(f) for f in m.fields[4:8])
-        if (req_w_b, req_v_b) != (w_b, v_b):
-            continue
-        if cembs_verify(w_b, blind_commit(v_b, params.commit_base),
-                        CembsCertificate(r=r_b, c=c_b), b_ctx):
+        w_b, v_b, c_b, r_b = (int_from_bytes(f) for f in m.fields[4:8])
+        if (w_b, v_b) in forwards and cembs_verify(
+            w_b, blind_commit(v_b, params.commit_base), CembsCertificate(r=r_b, c=c_b), b_ctx
+        ):
             return True
     return False
 
 
 def live_flags(result: SessionResult) -> AuditReport:
-    """The audit flags as the run itself saw them, for soundness checks."""
-    a_ok = result.states["A"].verdict in ("success", "recovered")
-    b_ok = result.states["B"].verdict in ("success", "recovered")
-    return AuditReport(
-        fair=a_ok == b_ok,
-        sttp_involved=_sttp_involved(result.transcript),
-        sttp_saw_va=_sttp_saw_va(result.transcript),
-        a_acquired_valid=a_ok,
-        b_acquired_valid=b_ok,
-    )
+    """The audit flags as the parties themselves hold them, for soundness checks.
+
+    Reads what each client holds (`PartyState.acquired`), not its verdict.
+    """
+    states = result.states
+    return _report(result.transcript, states["A"].acquired is not None, states["B"].acquired is not None)
 
 
 DEFAULT_MESSAGE = b"the undersigned agree to the attached terms"

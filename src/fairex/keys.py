@@ -48,7 +48,6 @@ class RsaKeyPair:
     d: int | None = None
     p: int | None = None
     q: int | None = None
-    owner: str = ""
 
     def public(self) -> "RsaKeyPair":
         return replace(self, d=None, p=None, q=None)
@@ -66,7 +65,6 @@ class ElgKeyPair:
     G: int
     PK: int
     SK: int | None = None
-    owner: str = ""
 
     def public(self) -> "ElgKeyPair":
         return replace(self, SK=None)
@@ -174,7 +172,7 @@ def _base_has_large_order(G: int, P: int, small_factors: list[int]) -> bool:
     return all(mod_exp(G, (P - 1) // f, P) != 1 for f in small_factors)
 
 
-def _gen_elg(profile: BitProfile, rng: Rng, owner: str, floor: int = 0) -> ElgKeyPair:
+def _gen_elg(profile: BitProfile, rng: Rng, floor: int = 0) -> ElgKeyPair:
     if profile.safe_prime:
         P = _gen_safe_prime(profile.elg_bits, rng, floor=floor)
     else:
@@ -187,10 +185,10 @@ def _gen_elg(profile: BitProfile, rng: Rng, owner: str, floor: int = 0) -> ElgKe
     else:
         raise SetupError("no base of large order found after bounded retries")
     SK = sample_range(1, P - 1, rng)  # [1, P-2]
-    return ElgKeyPair(P=P, G=G, PK=mod_exp(G, SK, P), SK=SK, owner=owner)
+    return ElgKeyPair(P=P, G=G, PK=mod_exp(G, SK, P), SK=SK)
 
 
-def _gen_rsa(profile: BitProfile, rng: Rng, owner: str) -> RsaKeyPair:
+def _gen_rsa(profile: BitProfile, rng: Rng) -> RsaKeyPair:
     bits = profile.rsa_prime_bits
     # Keep both primes above sqrt(2^(2*bits - 1)) so n = p*q has exactly
     # twice as many bits as each prime.
@@ -213,7 +211,7 @@ def _gen_rsa(profile: BitProfile, rng: Rng, owner: str) -> RsaKeyPair:
     else:
         raise SetupError("no public exponent coprime to phi(n) found")
     d = pow(e, -1, phi)
-    return RsaKeyPair(n=n, e=e, d=d, p=p, q=q, owner=owner)
+    return RsaKeyPair(n=n, e=e, d=d, p=p, q=q)
 
 
 def _gen_commit_base(n: int, rng: Rng) -> CommitBase:
@@ -232,20 +230,20 @@ def init_client_a(
     P_A is generated strictly above max(n_A, p_floor); pass B's modulus
     as p_floor so B's signatures embed under A's ElGamal key.
     """
-    rsa = _gen_rsa(profile, rng, owner="A")
-    elg = _gen_elg(profile, rng, owner="A", floor=max(rsa.n, p_floor))
+    rsa = _gen_rsa(profile, rng)
+    elg = _gen_elg(profile, rng, floor=max(rsa.n, p_floor))
     base = _gen_commit_base(rsa.n, rng)
     return rsa, elg, base
 
 
 def init_client_b(profile: BitProfile, rng: Rng) -> RsaKeyPair:
     """Client B's RSA signing pair."""
-    return _gen_rsa(profile, rng, owner="B")
+    return _gen_rsa(profile, rng)
 
 
 def init_sttp(profile: BitProfile, rng: Rng, p_floor: int = 0) -> ElgKeyPair:
     """The STTP's ElGamal pair; P_T strictly above p_floor (A's modulus)."""
-    return _gen_elg(profile, rng, owner="STTP", floor=p_floor)
+    return _gen_elg(profile, rng, floor=p_floor)
 
 
 def generate_system_params(profile: BitProfile | str, rng: Rng) -> SystemParams:
@@ -485,10 +483,10 @@ def load_params(path: str | Path) -> SystemParams:
     a, b, t = records["A"], records["B"], records["STTP"]
     try:
         return SystemParams(
-            a_rsa=RsaKeyPair(n=a["n"], e=a["e"], d=a.get("d"), p=a.get("p"), q=a.get("q"), owner="A"),
-            b_rsa=RsaKeyPair(n=b["n"], e=b["e"], d=b.get("d"), p=b.get("p"), q=b.get("q"), owner="B"),
-            a_elg=ElgKeyPair(P=a["P"], G=a["G"], PK=a["PK"], SK=a.get("SK"), owner="A"),
-            sttp_elg=ElgKeyPair(P=t["P"], G=t["G"], PK=t["PK"], SK=t.get("SK"), owner="STTP"),
+            a_rsa=RsaKeyPair(n=a["n"], e=a["e"], d=a.get("d"), p=a.get("p"), q=a.get("q")),
+            b_rsa=RsaKeyPair(n=b["n"], e=b["e"], d=b.get("d"), p=b.get("p"), q=b.get("q")),
+            a_elg=ElgKeyPair(P=a["P"], G=a["G"], PK=a["PK"], SK=a.get("SK")),
+            sttp_elg=ElgKeyPair(P=t["P"], G=t["G"], PK=t["PK"], SK=t.get("SK")),
             commit_base=CommitBase(g=a["g"], n_ref=a["n"]),
         )
     except KeyError as exc:

@@ -53,9 +53,6 @@ class Protocol(enum.Enum):
 class Timeout:
     """Marker delivered to a party whose wait deadline has passed."""
 
-    def __repr__(self):  # pragma: no cover
-        return "Timeout()"
-
 
 @dataclass
 class SessionConfig:
@@ -65,11 +62,10 @@ class SessionConfig:
     seed: bytes
     timeout: int = 8
     tick_budget: int = 200
-    rep_mode: str = "hashed"  # common-message protocol only
     terms: Terms = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.terms = Terms(self.protocol, self.payload, self.rep_mode, self.params)
+        self.terms = Terms(self.protocol, self.payload, self.params)
         if len(self.seed) != 32:
             raise ParameterError("session seed must be 32 bytes")
         if self.timeout < 1:
@@ -78,10 +74,9 @@ class SessionConfig:
 
 @dataclass
 class PartyState:
-    role: str
     phase: str
-    acquired: int | bytes | None = None
-    verdict: str = "pending"  # pending | success | aborted | recovered
+    acquired: int | bytes | None = None  # the valid item held, kept in any phase
+    verdict: str = "pending"  # pending | success | recovered | aborted | late (aborted, yet holds an item)
     violations: list[str] = field(default_factory=list)
 
 
@@ -118,7 +113,6 @@ class Terms:
 
     protocol: Protocol
     payload: bytes | tuple[bytes, bytes]
-    rep_mode: str  # common-message protocol only
     params: SystemParams = field(repr=False)
     a_rep: int = field(init=False)
     b_rep: int | None = field(init=False)  # None in the data protocol
@@ -135,8 +129,7 @@ class Terms:
         elif not isinstance(self.payload, bytes):
             raise ParameterError(f"{self.protocol.value} protocol needs a bytes payload")
         elif self.protocol is Protocol.COMMON_MESSAGE:
-            a_rep = message_rep(self.payload, a_n, self.rep_mode)
-            b_rep = message_rep(self.payload, b_n, self.rep_mode)
+            a_rep, b_rep = message_rep(self.payload, a_n), message_rep(self.payload, b_n)
         else:
             digest = hashlib.sha256(self.payload).digest()
             a_rep, expected_hash = rep_from_hash(digest, a_n), int_from_bytes(digest)
@@ -163,6 +156,30 @@ def _int_fields(msg: WireMessage) -> list[int]:
     return [int_from_bytes(f) for f in msg.fields]
 
 
+def carried_item(msg: WireMessage, terms: Terms, v_a: int | None = None) -> int | bytes | None:
+    """The item a delivered message hands its receiver; None if it hands none.
+
+    The data as sent; a counter- or closing signature as an int; a blind
+    half unblinded with the offer's V_A; the forwarded ciphertext
+    decrypted with A's key (None when terms.params lack it).  Whether the
+    item is the one owed is for terms.valid_for_A and valid_for_B.
+    """
+    kind = msg.msg_type
+    if kind is MsgType.DATA_PAYLOAD:
+        return msg.fields[0]
+    if kind in (MsgType.COUNTER_SIGNATURE, MsgType.FINAL_SIGNATURE):
+        return int_from_bytes(msg.fields[0])
+    try:
+        if kind is MsgType.BLIND_HALF_REPLY and v_a is not None:
+            return unblind(v_a, int_from_bytes(msg.fields[0]), terms.params.sttp_elg.P)
+        if kind is MsgType.FORWARD_CIPHERTEXT:
+            w_b, v_b = _int_fields(msg)
+            return terms.a_item(elg_decrypt(ElgCiphertext(W=w_b, V=v_b), terms.params.a_elg))
+    except (EmbeddingError, ParameterError):
+        pass
+    return None
+
+
 def _reply_type(cfg: SessionConfig) -> MsgType:
     """What B answers a valid offer with: the data itself, or a counter-signature."""
     if cfg.protocol is Protocol.DATA_FOR_SIGNATURE:
@@ -171,14 +188,17 @@ def _reply_type(cfg: SessionConfig) -> MsgType:
 
 
 class _Party:
-    """Shared plumbing: state, deadline bookkeeping, message construction."""
+    """Shared plumbing: state, deadline bookkeeping, message construction.
 
-    role = ""
+    A client keeps every valid item delivered to it, in any phase; its
+    phase only decides what it sends, so an item that arrives late is
+    kept but answered by nothing.
+    """
 
     def __init__(self, cfg: SessionConfig, session_id: bytes):
         self.cfg = cfg
         self.session_id = session_id
-        self.state = PartyState(role=self.role, phase="start")
+        self.state = PartyState(phase="start")
         self.deadline: int | None = None
 
     def _msg(self, msg_type: MsgType, values: list[int | bytes]) -> WireMessage:
@@ -190,7 +210,14 @@ class _Party:
         self.state.violations.append(f"{note}: {kind} in phase {self.state.phase}")
         return []
 
+    def _hold(self, item: int | bytes) -> None:
+        self.state.acquired = item
+        if self.state.verdict == "aborted":
+            self.state.verdict = "late"
+
     def _finish(self, verdict: str) -> None:
+        if verdict == "aborted" and self.state.acquired is not None:
+            verdict = "late"
         self.state.verdict = verdict
         self.state.phase = "done"
         self.deadline = None
@@ -201,12 +228,9 @@ class ClientA(_Party):
     after checking B's step-2 reply, passively receives B's ciphertext if
     the STTP had to step in."""
 
-    role = "A"
-
     def __init__(self, cfg: SessionConfig, session_id: bytes, rng: Rng):
         super().__init__(cfg, session_id)
         self.rng = rng
-        self.elg = cfg.params.a_elg
         self.a_ctx = CembsContext.a_side(cfg.params)
         self.signature = rsa_sign(cfg.terms.a_rep, cfg.params.a_rsa)
 
@@ -226,45 +250,35 @@ class ClientA(_Party):
                 self._finish("aborted")
             return []
 
+        item = carried_item(incoming, self.cfg.terms)
+        valid = self.cfg.terms.valid_for_A(item)
+        if valid:
+            self._hold(item)
         if incoming.msg_type is MsgType.FORWARD_CIPHERTEXT:
-            return self._on_forward(incoming)
+            return self._on_forward(incoming, item, valid)
         if incoming.msg_type is _reply_type(self.cfg) and self.state.phase == "wait_step2":
-            return self._on_reply(incoming)
+            if not valid:
+                self._finish("aborted")  # refuse to release s_A
+                return []
+            self._finish("success")
+            return [("B", self._msg(MsgType.FINAL_SIGNATURE, [self.signature]))]
         return self._violation(incoming)
 
-    def _on_reply(self, incoming: WireMessage) -> list:
-        """B's step-2 item: the data as sent, or a counter-signature."""
-        raw = incoming.fields[0]
-        item = raw if incoming.msg_type is MsgType.DATA_PAYLOAD else int_from_bytes(raw)
-        if not self.cfg.terms.valid_for_A(item):
-            self._finish("aborted")  # refuse to release s_A
+    def _on_forward(self, incoming: WireMessage, item: int | bytes | None, valid: bool) -> list:
+        if valid:
+            if self.state.verdict != "success":
+                self._finish("recovered")
             return []
-        self.state.acquired = item
-        self._finish("success")
-        return [("B", self._msg(MsgType.FINAL_SIGNATURE, [self.signature]))]
-
-    def _on_forward(self, incoming: WireMessage) -> list:
-        w_b, v_b = _int_fields(incoming)
-        try:
-            value = elg_decrypt(ElgCiphertext(W=w_b, V=v_b), self.elg)
-        except (EmbeddingError, ParameterError):
+        if item is None:
             return self._violation(incoming, "undecryptable forwarded ciphertext")
-        item = self.cfg.terms.a_item(value)
-        if not self.cfg.terms.valid_for_A(item):
-            if isinstance(item, bytes):
-                return self._violation(incoming, "forwarded data does not match the agreed hash")
-            return self._violation(incoming, "forwarded ciphertext holds no valid signature")
-        self.state.acquired = item
-        if self.state.verdict != "success":
-            self._finish("recovered")
-        return []
+        if isinstance(item, bytes):
+            return self._violation(incoming, "forwarded data does not match the agreed hash")
+        return self._violation(incoming, "forwarded ciphertext holds no valid signature")
 
 
 class ClientB(_Party):
     """Responder: checks the certificate before answering, and escalates to
     the STTP when the closing signature never arrives or fails to verify."""
-
-    role = "B"
 
     def __init__(self, cfg: SessionConfig, session_id: bytes, rng: Rng):
         super().__init__(cfg, session_id)
@@ -286,12 +300,28 @@ class ClientB(_Party):
             return []
         if isinstance(incoming, Timeout):
             return self._on_timeout(now)
-        if incoming.msg_type is MsgType.CEMBS_OFFER and self.state.phase == "wait_offer":
+        item = carried_item(incoming, self.cfg.terms, self.offer[1] if self.offer else None)
+        valid = self.cfg.terms.valid_for_B(item)
+        if valid:
+            self._hold(item)
+        phase = self.state.phase
+        if incoming.msg_type is MsgType.CEMBS_OFFER and phase == "wait_offer":
             return self._on_offer(incoming, now)
-        if incoming.msg_type is MsgType.FINAL_SIGNATURE and self.state.phase == "wait_final":
-            return self._on_final(incoming, now)
-        if incoming.msg_type is MsgType.BLIND_HALF_REPLY and self.state.phase == "wait_sttp":
-            return self._on_blind_half(incoming)
+        if incoming.msg_type is MsgType.FINAL_SIGNATURE and phase == "wait_final":
+            if valid:
+                self._finish("success")
+                return []
+            return self._recover(now)  # invalid closing signature: dispute
+        if incoming.msg_type is MsgType.BLIND_HALF_REPLY and phase == "wait_sttp":
+            if valid:
+                self._finish("recovered")
+                return []
+            self.state.violations.append(
+                "unusable blind half from the arbiter" if item is None
+                else "recovered value is not a valid signature"
+            )
+            self._finish("aborted")
+            return []
         return self._violation(incoming)
 
     def _on_offer(self, incoming: WireMessage, now: int) -> list:
@@ -305,14 +335,6 @@ class ClientB(_Party):
         self.state.phase = "wait_final"
         self.deadline = now + self.cfg.timeout
         return [("A", self._msg(_reply_type(self.cfg), [self.item]))]
-
-    def _on_final(self, incoming: WireMessage, now: int) -> list:
-        (s_a,) = _int_fields(incoming)
-        if self.cfg.terms.valid_for_B(s_a):
-            self.state.acquired = s_a
-            self._finish("success")
-            return []
-        return self._recover(now)  # invalid closing signature: dispute
 
     def _on_timeout(self, now: int) -> list:
         if self.state.phase == "wait_final":
@@ -336,29 +358,10 @@ class ClientB(_Party):
         fields = [w_a, commitment, c_a, r_a, ct.W, ct.V, cert.c, cert.r]
         return [("STTP", self._msg(MsgType.RECOVERY_REQUEST, fields))]
 
-    def _on_blind_half(self, incoming: WireMessage) -> list:
-        (half,) = _int_fields(incoming)
-        _, v_a, _, _ = self.offer
-        try:
-            s_a = unblind(v_a, half, self.sttp_p)
-        except EmbeddingError:
-            self.state.violations.append("unusable blind half from the arbiter")
-            self._finish("aborted")
-            return []
-        if self.cfg.terms.valid_for_B(s_a):
-            self.state.acquired = s_a
-            self._finish("recovered")
-        else:
-            self.state.violations.append("recovered value is not a valid signature")
-            self._finish("aborted")
-        return []
-
 
 class Sttp(_Party):
     """Stateless arbiter: answers any recovery request whose two
     certificates verify, and answers identical requests identically."""
-
-    role = "STTP"
 
     def __init__(self, cfg: SessionConfig, session_id: bytes):
         super().__init__(cfg, session_id)

@@ -2,8 +2,7 @@
 
 No padding scheme: s = m^d mod n, check m == s^e mod n.  Arbitrary byte
 strings are mapped below the modulus by hashing (SHA-256, big-endian,
-reduced mod n); small-integer test vectors can bypass the hash with
-direct mode.
+reduced mod n).
 """
 
 from __future__ import annotations
@@ -20,20 +19,9 @@ def rep_from_hash(digest: bytes, n: int) -> int:
     return int_from_bytes(digest) % n
 
 
-def message_rep(raw: bytes, n: int, mode: str = "hashed") -> int:
-    """The representative in [0, n) that a byte string is signed as.
-
-    hashed: rep = SHA-256(raw) as a big-endian integer mod n.
-    direct: rep = big-endian integer value of raw; must already be < n.
-    """
-    if mode == "hashed":
-        return rep_from_hash(hashlib.sha256(raw).digest(), n)
-    if mode == "direct":
-        rep = int_from_bytes(raw)
-        if rep >= n:
-            raise DomainError(f"direct representative {rep} >= modulus {n}")
-        return rep
-    raise ParameterError(f"unknown representative mode {mode!r}")
+def message_rep(raw: bytes, n: int) -> int:
+    """The representative in [0, n) that a byte string is signed as: SHA-256(raw) mod n."""
+    return rep_from_hash(hashlib.sha256(raw).digest(), n)
 
 
 def rsa_sign(rep: int, key: RsaKeyPair) -> int:

@@ -13,18 +13,14 @@ from __future__ import annotations
 import hashlib
 from pathlib import Path
 
-from .arith import Rng, int_to_bytes
+from .arith import Rng
 from .cembs import CembsContext, blind_commit, cembs_verify, encrypt_and_certify, sample_nonces
-from .keys import generate_system_params
+from .keys import _hex, generate_system_params
 from .rsa import message_rep, rsa_sign
 
 VECTORS_SEED = hashlib.sha256(b"fairex cembs vectors v1").digest()
 VECTOR_COUNT = 4
 FILE_NAME = "cembs_vectors.txt"
-
-
-def _hex(x: int) -> str:
-    return int_to_bytes(x).hex() or "00"
 
 
 def generate_vectors_text() -> str:
@@ -38,7 +34,7 @@ def generate_vectors_text() -> str:
         params = generate_system_params("toy", rng.child(b"keys-%d" % index))
         ctx = CembsContext.a_side(params)
         raw = b"vector message %d" % index
-        rep = message_rep(raw, params.a_rsa.n, "hashed")
+        rep = message_rep(raw, params.a_rsa.n)
         signature = rsa_sign(rep, params.a_rsa)
         nonces = sample_nonces(params.sttp_elg.P, rng.child(b"nonces-%d" % index))
         ct, cert = encrypt_and_certify(signature, ctx, nonces)

@@ -105,7 +105,7 @@ def test_03_certificate_completeness():
         for i in range(1000):
             params = generate_system_params("toy", source.child(b"keys%d" % i))
             ctx = CembsContext.a_side(params)
-            message = message_rep(b"case %d" % i, params.a_rsa.n, "hashed")
+            message = message_rep(b"case %d" % i, params.a_rsa.n)
             signature = rsa_sign(message, params.a_rsa)
             nonces = sample_nonces(params.sttp_elg.P, source.child(b"nonce%d" % i))
             ct, cert = encrypt_and_certify(signature, ctx, nonces)
@@ -125,7 +125,7 @@ def test_04_certificate_tamper_sensitivity(toy_params):
         source = rng(b"tamper")
         false_accepts = 0
         for i in range(1000):
-            message = message_rep(b"tamper %d" % i, params.a_rsa.n, "hashed")
+            message = message_rep(b"tamper %d" % i, params.a_rsa.n)
             signature = rsa_sign(message, params.a_rsa)
             nonces = sample_nonces(params.sttp_elg.P, source.child(b"n%d" % i))
             ct, cert = encrypt_and_certify(signature, ctx, nonces)
@@ -177,10 +177,10 @@ def test_06_linked_files_linkage(toy_params):
         ]
         s_a = int_from_bytes(finals[0].fields[0])
         n_a = toy_params.a_rsa.n
-        good_rep = message_rep(link_messages(file_a, file_b)[0], n_a, "hashed")
+        good_rep = message_rep(link_messages(file_a, file_b)[0], n_a)
         assert rsa_verify(s_a, good_rep, toy_params.a_rsa.pub)
         flipped = file_b[:-1] + bytes([file_b[-1] ^ 0x01])
-        bad_rep = message_rep(link_messages(file_a, flipped)[0], n_a, "hashed")
+        bad_rep = message_rep(link_messages(file_a, flipped)[0], n_a)
         assert not rsa_verify(s_a, bad_rep, toy_params.a_rsa.pub)
 
 
@@ -192,7 +192,7 @@ def test_07_data_for_signature(toy_params):
         assert result.states["A"].acquired == data
         assert rsa_verify(
             result.states["B"].acquired,
-            message_rep(data, toy_params.a_rsa.n, "hashed"),
+            message_rep(data, toy_params.a_rsa.n),
             toy_params.a_rsa.pub,
         )
         garbage = run_session(cfg, shipped_script("a-garbage-data"))
@@ -247,7 +247,7 @@ def test_10_certificate_binding_gap(toy_params):
         params = toy_params
         ctx = CembsContext.a_side(params)
         not_a_signature = 31337 % params.sttp_elg.P
-        message = message_rep(default_payload(Protocol.COMMON_MESSAGE), params.a_rsa.n, "hashed")
+        message = message_rep(default_payload(Protocol.COMMON_MESSAGE), params.a_rsa.n)
         assert not rsa_verify(not_a_signature, message, params.a_rsa.pub)
         nonces = sample_nonces(params.sttp_elg.P, rng(b"gap"))
         ct, cert = encrypt_and_certify(not_a_signature, ctx, nonces)

@@ -10,7 +10,6 @@ from fairex.arith import (
     fixed_base_exp,
     int_from_bytes,
     int_to_bytes,
-    int_to_fixed_bytes,
     is_probable_prime,
     mod_exp,
     mod_inv,
@@ -39,11 +38,6 @@ class TestEncoding:
         assert int_to_bytes(1) == b"\x01"
         assert int_to_bytes(256) == b"\x01\x00"
         assert int_to_bytes(0xDEADBEEF) == b"\xde\xad\xbe\xef"
-
-    def test_fixed_width_pads_left(self):
-        assert int_to_fixed_bytes(1, 4) == b"\x00\x00\x00\x01"
-        with pytest.raises(ParameterError):
-            int_to_fixed_bytes(1 << 32, 4)
 
     @given(st.integers(min_value=0, max_value=1 << 512))
     def test_round_trip(self, x):

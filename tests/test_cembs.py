@@ -31,7 +31,7 @@ def toy_params():
 
 def make_certified(params, raw: bytes, nonce_rng: Rng):
     ctx = CembsContext.a_side(params)
-    sig = rsa_sign(message_rep(raw, params.a_rsa.n, "hashed"), params.a_rsa)
+    sig = rsa_sign(message_rep(raw, params.a_rsa.n), params.a_rsa)
     nonces = sample_nonces(params.sttp_elg.P, nonce_rng)
     ct, cert = encrypt_and_certify(sig, ctx, nonces)
     return ctx, ct, blind_commit(ct.V, params.commit_base), cert
@@ -108,7 +108,7 @@ class TestGenerateVerify:
     def test_a_and_b_side_contexts_are_disjoint(self, toy_params):
         ctx_a = CembsContext.a_side(toy_params)
         ctx_b = CembsContext.b_side(toy_params)
-        sig = rsa_sign(message_rep(b"x", toy_params.b_rsa.n, "hashed"), toy_params.b_rsa)
+        sig = rsa_sign(message_rep(b"x", toy_params.b_rsa.n), toy_params.b_rsa)
         nonces = sample_nonces(ctx_b.group[0], rng(b"n7"))
         ct, cert = encrypt_and_certify(sig, ctx_b, nonces)
         commitment = blind_commit(ct.V, toy_params.commit_base)

@@ -7,7 +7,7 @@ from fairex.errors import EmbeddingError, ParameterError
 from fairex.keys import ElgKeyPair
 
 # P = 23, G = 5, SK = 6, PK = 5^6 mod 23 = 8
-KEY = ElgKeyPair(P=23, G=5, PK=8, SK=6, owner="T")
+KEY = ElgKeyPair(P=23, G=5, PK=8, SK=6)
 
 
 class TestEncrypt:

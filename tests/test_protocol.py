@@ -14,12 +14,16 @@ from fairex.protocol import (
     Sttp,
     Timeout,
     build_parties,
+    carried_item,
     check_data_matches,
     data_as_int,
     link_messages,
 )
 from fairex.rsa import rsa_sign, rsa_verify
 from fairex.wire import MsgType, WireMessage
+
+
+SID = bytes(16)
 
 
 def rng(tag: bytes = b"") -> Rng:
@@ -109,6 +113,17 @@ class TestClientASteps:
         assert a.step(Timeout(), now=9) == []
         assert a.state.verdict == "aborted"
 
+    def test_countersig_after_abort_is_kept_and_answered_by_nothing(self, params):
+        cfg = make_cfg(params)
+        a, _, _ = fresh_parties(cfg)
+        a.step(None, now=0)
+        a.step(Timeout(), now=9)
+        s_b = rsa_sign(cfg.terms.b_rep, params.b_rsa)
+        out = a.step(WireMessage(MsgType.COUNTER_SIGNATURE, a.session_id, (int_to_bytes(s_b),)), now=10)
+        assert out == []
+        assert a.state.verdict == "late" and a.state.acquired == s_b
+        assert a.state.violations == ["out-of-phase message: COUNTER_SIGNATURE in phase done"]
+
     def test_out_of_phase_message_is_logged_and_ignored(self, params):
         a, _, _ = fresh_parties(make_cfg(params))
         a.step(None, now=0)
@@ -168,6 +183,17 @@ class TestClientBSteps:
         good = WireMessage(MsgType.FINAL_SIGNATURE, b.session_id, (int_to_bytes(a.signature),))
         assert b.step(good, now=2) == []
         assert b.state.verdict == "success" and b.state.acquired == a.signature
+
+    def test_final_signature_after_escalation_is_kept(self, params):
+        cfg = make_cfg(params)
+        a, b, _ = fresh_parties(cfg)
+        run_offer_through_b(cfg, a, b)
+        b.step(Timeout(), now=9)  # escalates to the arbiter
+        good = WireMessage(MsgType.FINAL_SIGNATURE, b.session_id, (int_to_bytes(a.signature),))
+        assert b.step(good, now=10) == []
+        assert b.state.phase == "wait_sttp" and b.state.acquired == a.signature
+        b.step(Timeout(), now=18)  # the arbiter never answers
+        assert b.state.verdict == "late"
 
     def test_timeout_with_no_offer_aborts(self, params):
         _, b, _ = fresh_parties(make_cfg(params))
@@ -236,6 +262,30 @@ class TestSttpSteps:
         assert first == second
 
 
+class TestCarriedItem:
+    def test_items_by_message_type(self, params):
+        cfg = make_cfg(params)
+        a, b, sttp = fresh_parties(cfg)
+        (_, offer), = a.step(None, now=0)
+        assert carried_item(offer, cfg.terms) is None
+        sig = WireMessage(MsgType.FINAL_SIGNATURE, SID, (b"\x01\x02",))
+        assert carried_item(sig, cfg.terms) == 0x0102
+        data = WireMessage(MsgType.DATA_PAYLOAD, SID, (b"\x00ok",))
+        assert carried_item(data, cfg.terms) == b"\x00ok"  # as sent, leading zero and all
+
+    def test_malformed_or_unreadable_input_gives_none(self, params):
+        cfg = make_cfg(params)
+        half = WireMessage(MsgType.BLIND_HALF_REPLY, SID, (b"",))  # zero is not invertible
+        assert carried_item(half, cfg.terms, v_a=5) is None
+        assert carried_item(dataclasses.replace(half, fields=(b"\x01",)), cfg.terms) is None  # no V_A
+        forward = WireMessage(MsgType.FORWARD_CIPHERTEXT, SID, (b"\x02", b"\x03"))
+        assert carried_item(forward, cfg.terms) is not None
+        public = make_cfg(params.public())
+        assert carried_item(forward, public.terms) is None  # A's key is missing
+        multiple = WireMessage(MsgType.FORWARD_CIPHERTEXT, SID, (int_to_bytes(params.a_elg.P), b"\x03"))
+        assert carried_item(multiple, cfg.terms) is None  # W^SK = 0 mod P
+
+
 class TestDataProtocolSteps:
     def test_b_answers_offer_with_the_data(self, params):
         cfg = make_cfg(params, protocol=Protocol.DATA_FOR_SIGNATURE, payload=b"ok")
@@ -276,10 +326,6 @@ class TestSessionConfigShape:
             SessionConfig(Protocol.LINKED_FILES, params, b"single", bytes(32))
         with pytest.raises(ParameterError):
             SessionConfig(Protocol.COMMON_MESSAGE, params, (b"a", b"b"), bytes(32))
-
-    def test_direct_mode_small_integer_vector(self, params):
-        cfg = make_cfg(params, payload=b"\x02", rep_mode="direct")
-        assert cfg.terms.a_rep == 2
 
     def test_private_keys_required(self, params):
         cfg = make_cfg(dataclasses.replace(params, a_rsa=params.a_rsa.public()))

@@ -8,7 +8,7 @@ from fairex.keys import PROFILES, RsaKeyPair, init_client_b
 from fairex.rsa import message_rep, rep_from_hash, rsa_sign, rsa_verify
 
 # n = 55 = 5*11, phi = 40, e = 3, d = 27 (3*27 = 81 = 2*40 + 1)
-TOY = RsaKeyPair(n=55, e=3, d=27, p=5, q=11, owner="T")
+TOY = RsaKeyPair(n=55, e=3, d=27, p=5, q=11)
 
 
 class TestSign:
@@ -77,26 +77,15 @@ class TestVerify:
 
 
 class TestMessageRep:
-    def test_direct(self):
-        assert message_rep(b"\x02", 55, "direct") == 2
-
-    def test_direct_overflow(self):
-        with pytest.raises(DomainError):
-            message_rep(b"\x01\x00", 55, "direct")
-
     def test_hashed_below_modulus_and_deterministic(self):
         for raw in (b"", b"a", b"hello world", bytes(1000)):
-            m1 = message_rep(raw, 55, "hashed")
-            m2 = message_rep(raw, 55, "hashed")
+            m1 = message_rep(raw, 55)
+            m2 = message_rep(raw, 55)
             assert 0 <= m1 < 55
             assert m1 == m2
 
     def test_hashed_matches_digest_reduction(self):
         raw = b"check"
         expected = int.from_bytes(hashlib.sha256(raw).digest(), "big") % 997
-        assert message_rep(raw, 997, "hashed") == expected
+        assert message_rep(raw, 997) == expected
         assert rep_from_hash(hashlib.sha256(raw).digest(), 997) == expected
-
-    def test_unknown_mode(self):
-        with pytest.raises(ParameterError):
-            message_rep(b"x", 55, "padded")

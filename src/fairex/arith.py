@@ -10,7 +10,7 @@ padding is needed.
 from __future__ import annotations
 
 import hashlib
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import gcd
 
 from .errors import NotInvertibleError, ParameterError
@@ -176,19 +176,15 @@ def _sieve(limit: int) -> list[int]:
 
 _TRIAL_PRIMES = _sieve(2000)
 
-_ORDER_CHECK_PRIMES: list[int] | None = None
 
-
+@cache
 def small_primes_to_100k() -> list[int]:
     """Primes up to 10^5, sieved once and cached (order checks, factor scans)."""
-    global _ORDER_CHECK_PRIMES
-    if _ORDER_CHECK_PRIMES is None:
-        _ORDER_CHECK_PRIMES = _sieve(100_000)
-    return _ORDER_CHECK_PRIMES
+    return _sieve(100_000)
 
 
-def is_probable_prime(n: int, rng: Rng | None = None, rounds: int = MR_ROUNDS) -> bool:
-    """Miller-Rabin with `rounds` random bases.
+def is_probable_prime(n: int, rng: Rng | None = None) -> bool:
+    """Miller-Rabin with MR_ROUNDS random bases.
 
     When no rng is given, bases are drawn from a stream derived from n
     itself, so the answer is a pure function of n (needed by parameter
@@ -208,7 +204,7 @@ def is_probable_prime(n: int, rng: Rng | None = None, rounds: int = MR_ROUNDS) -
     while d % 2 == 0:
         d //= 2
         r += 1
-    for _ in range(rounds):
+    for _ in range(MR_ROUNDS):
         a = sample_range(2, n - 1, rng)
         x = pow(a, d, n)
         if x == 1 or x == n - 1:

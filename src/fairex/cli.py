@@ -1,6 +1,6 @@
 """Command-line interface.
 
-    fairex keygen  --profile {paper,toy} --seed HEX --out FILE
+    fairex keygen  --profile {paper,toy} --seed HEX --out FILE [--public-out FILE]
     fairex run     [--protocol {common,linked,data-for-sig}] [PAYLOAD] --keys FILE
                    --seed HEX [--fault NAME_OR_FILE] [--transcript OUT] [--timeout TICKS]
     fairex audit   [--protocol {common,linked,data-for-sig}] [PAYLOAD] --keys FILE
@@ -34,7 +34,7 @@ from .harness import (
     run_session,
     shipped_script,
 )
-from .keys import PROFILES, BitProfile, generate_system_params, load_params, save_params
+from .keys import PROFILES, generate_system_params, load_params, save_params
 from .arith import Rng
 from .protocol import Protocol, SessionConfig
 from .vectors import generate_vectors
@@ -89,14 +89,11 @@ def _payload_from_args(args) -> bytes | tuple[bytes, bytes]:
 
 
 def _cmd_keygen(args) -> int:
-    profile: BitProfile = PROFILES[args.profile]
-    if args.safe_prime:
-        profile = BitProfile(profile.name, profile.rsa_prime_bits, profile.elg_bits, safe_prime=True)
-    params = generate_system_params(profile, Rng(_parse_seed(args.seed)))
+    params = generate_system_params(args.profile, Rng(_parse_seed(args.seed)))
     save_params(params, args.out)
     if args.public_out:
-        save_params(params, args.public_out, public_only=True)
-    print(f"wrote {args.out} (profile {profile.name})")
+        save_params(params.public(), args.public_out)
+    print(f"wrote {args.out} (profile {args.profile})")
     return 0
 
 
@@ -166,7 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
     keygen.add_argument("--seed", required=True, help="hex seed")
     keygen.add_argument("--out", required=True)
     keygen.add_argument("--public-out", help="also write a private-free export")
-    keygen.add_argument("--safe-prime", action="store_true", help="use safe ElGamal moduli")
     keygen.set_defaults(func=_cmd_keygen)
 
     run = commands.add_parser("run", help="simulate one exchange session")

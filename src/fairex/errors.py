@@ -1,5 +1,7 @@
 """Exception hierarchy shared by all fairex modules."""
 
+from pathlib import Path
+
 
 class FairexError(Exception):
     """Base class for every error raised by this package."""
@@ -35,3 +37,11 @@ class TranscriptError(FairexError):
 
 class FaultScriptError(FairexError):
     """A fault script cannot be parsed or references unknown targets."""
+
+
+def read_text(path: str | Path, error: type[FairexError]) -> str:
+    """The text of a file; one that is not UTF-8 raises `error`, not UnicodeDecodeError."""
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not a text file ({exc.reason} at byte {exc.start})") from None

@@ -25,7 +25,7 @@ from pathlib import Path
 
 from .arith import int_from_bytes
 from .cembs import CembsCertificate, CembsContext, blind_commit, cembs_verify
-from .errors import FaultScriptError, WireError
+from .errors import FaultScriptError, WireError, read_text
 from .keys import SystemParams
 from .protocol import PartyState, Protocol, SessionConfig, Terms, Timeout, build_parties, carried_item
 from .wire import ROLES, MsgType, Transcript, WireMessage
@@ -111,7 +111,7 @@ class FaultScript:
 
     @classmethod
     def load(cls, path: str | Path) -> "FaultScript":
-        return cls.parse(Path(path).read_text())
+        return cls.parse(read_text(path, FaultScriptError))
 
 
 # The misbehavior matrix: the two ways B can cheat (bad counter-signature,
@@ -173,9 +173,9 @@ class Transport:
     function of (config, seed, fault script).
     """
 
-    def __init__(self, fault: FaultScript | None = None, transcript: Transcript | None = None):
+    def __init__(self, fault: FaultScript | None = None):
         self.fault = fault or FaultScript()
-        self.transcript = transcript if transcript is not None else Transcript()
+        self.transcript = Transcript()
         self.queue: list[_QueuedMessage] = []
         self.silenced: set[str] = set()
         self.forced_timeouts: list[str] = []
@@ -227,13 +227,12 @@ class SessionResult:
     transcript: Transcript
     states: dict[str, PartyState]
     stalled: bool
-    session_id: bytes
 
 
 def run_session(cfg: SessionConfig, fault: FaultScript | None = None) -> SessionResult:
     """Drive all three machines to quiescence under a fault script."""
-    parties, session_id = build_parties(cfg)
-    transport = Transport(fault=fault, transcript=Transcript())
+    parties = build_parties(cfg)
+    transport = Transport(fault=fault)
     kicked = False
     stalled = True
     for tick in range(cfg.tick_budget):
@@ -265,7 +264,6 @@ def run_session(cfg: SessionConfig, fault: FaultScript | None = None) -> Session
         transcript=transcript,
         states={role: parties[role].state for role in ROLES},
         stalled=stalled,
-        session_id=session_id,
     )
 
 

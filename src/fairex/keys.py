@@ -14,6 +14,7 @@ desk-scale tests.
 from __future__ import annotations
 
 import os
+import re
 import threading
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -28,7 +29,7 @@ from .arith import (
     sample_range,
     small_primes_to_100k,
 )
-from .errors import ParameterError, SetupError
+from .errors import ParameterError, SetupError, read_text
 
 # Candidates tried before a generation step is declared failed.
 _MAX_RETRIES = 100_000
@@ -92,7 +93,6 @@ class BitProfile:
     name: str
     rsa_prime_bits: int
     elg_bits: int
-    safe_prime: bool = False
 
     def __post_init__(self):
         if self.rsa_prime_bits < 8:
@@ -117,13 +117,12 @@ class SystemParams:
     bit_profile: BitProfile | None = None
 
     def public(self) -> "SystemParams":
-        return SystemParams(
+        return replace(
+            self,
             a_rsa=self.a_rsa.public(),
             b_rsa=self.b_rsa.public(),
             a_elg=self.a_elg.public(),
             sttp_elg=self.sttp_elg.public(),
-            commit_base=self.commit_base,
-            bit_profile=self.bit_profile,
         )
 
 
@@ -142,18 +141,6 @@ def _gen_prime_exact(bits: int, rng: Rng, floor: int = 0) -> int:
     raise SetupError(f"no {bits}-bit prime above {floor} found after bounded retries")
 
 
-def _gen_safe_prime(bits: int, rng: Rng, floor: int = 0) -> int:
-    """P = 2q + 1 with both P and q probable primes, P of exactly `bits` bits."""
-    for _ in range(_MAX_RETRIES):
-        q = _gen_prime_exact(bits - 1, rng)
-        P = 2 * q + 1
-        if P.bit_length() != bits or P <= floor:
-            continue
-        if is_probable_prime(P, rng):
-            return P
-    raise SetupError(f"no {bits}-bit safe prime above {floor} found after bounded retries")
-
-
 def _small_prime_factors(n: int) -> list[int]:
     """Distinct prime factors of n found by trial division up to 10^5."""
     found = []
@@ -167,20 +154,13 @@ def _small_prime_factors(n: int) -> list[int]:
     return found
 
 
-def _base_has_large_order(G: int, P: int, small_factors: list[int]) -> bool:
-    """G^((P-1)/f) != 1 for every small prime factor f of P-1."""
-    return all(mod_exp(G, (P - 1) // f, P) != 1 for f in small_factors)
-
-
 def _gen_elg(profile: BitProfile, rng: Rng, floor: int = 0) -> ElgKeyPair:
-    if profile.safe_prime:
-        P = _gen_safe_prime(profile.elg_bits, rng, floor=floor)
-    else:
-        P = _gen_prime_exact(profile.elg_bits, rng, floor=floor)
+    P = _gen_prime_exact(profile.elg_bits, rng, floor=floor)
     small_factors = _small_prime_factors(P - 1)
     for _ in range(_MAX_RETRIES):
         G = sample_range(2, P - 1, rng)  # excludes 1 and P-1
-        if _base_has_large_order(G, P, small_factors):
+        # G^((P-1)/f) != 1 for every small prime factor f of P-1.
+        if all(mod_exp(G, (P - 1) // f, P) != 1 for f in small_factors):
             break
     else:
         raise SetupError("no base of large order found after bounded retries")
@@ -191,13 +171,11 @@ def _gen_elg(profile: BitProfile, rng: Rng, floor: int = 0) -> ElgKeyPair:
 def _gen_rsa(profile: BitProfile, rng: Rng) -> RsaKeyPair:
     bits = profile.rsa_prime_bits
     # Keep both primes above sqrt(2^(2*bits - 1)) so n = p*q has exactly
-    # twice as many bits as each prime.
+    # twice as many bits as each prime; 2^(2*bits - 1) is never a square.
     floor = isqrt(1 << (2 * bits - 1))
-    if floor * floor < 1 << (2 * bits - 1):
-        floor += 1
-    p = _gen_prime_exact(bits, rng, floor=floor - 1)
+    p = _gen_prime_exact(bits, rng, floor=floor)
     for _ in range(_MAX_RETRIES):
-        q = _gen_prime_exact(bits, rng, floor=floor - 1)
+        q = _gen_prime_exact(bits, rng, floor=floor)
         if q != p:
             break
     else:
@@ -222,36 +200,13 @@ def _gen_commit_base(n: int, rng: Rng) -> CommitBase:
     raise SetupError("no commitment base found after bounded retries")
 
 
-def init_client_a(
-    profile: BitProfile, rng: Rng, p_floor: int = 0
-) -> tuple[RsaKeyPair, ElgKeyPair, CommitBase]:
-    """Client A's full material: RSA pair, ElGamal pair, commitment base.
-
-    P_A is generated strictly above max(n_A, p_floor); pass B's modulus
-    as p_floor so B's signatures embed under A's ElGamal key.
-    """
-    rsa = _gen_rsa(profile, rng)
-    elg = _gen_elg(profile, rng, floor=max(rsa.n, p_floor))
-    base = _gen_commit_base(rsa.n, rng)
-    return rsa, elg, base
-
-
-def init_client_b(profile: BitProfile, rng: Rng) -> RsaKeyPair:
-    """Client B's RSA signing pair."""
-    return _gen_rsa(profile, rng)
-
-
-def init_sttp(profile: BitProfile, rng: Rng, p_floor: int = 0) -> ElgKeyPair:
-    """The STTP's ElGamal pair; P_T strictly above p_floor (A's modulus)."""
-    return _gen_elg(profile, rng, floor=p_floor)
-
-
 def generate_system_params(profile: BitProfile | str, rng: Rng) -> SystemParams:
-    """Run all three initializations with the cross-party size constraints.
+    """Every party's keys, with the cross-party size constraints.
 
-    Per-party child streams keep each party's keys independent of how
-    many samples the others consumed, so identical seeds give identical
-    parameter sets run after run.
+    P_A lies above both n_A and n_B, so B's signatures embed under A's
+    ElGamal key, and P_T above n_A.  Per-party child streams keep each
+    party's keys independent of how many samples the others consumed, so
+    identical seeds give identical parameter sets run after run.
     """
     if isinstance(profile, str):
         try:
@@ -259,9 +214,11 @@ def generate_system_params(profile: BitProfile | str, rng: Rng) -> SystemParams:
         except KeyError:
             raise ParameterError(f"unknown profile {profile!r}") from None
     rng_a, rng_b, rng_t = rng.child(b"client-a"), rng.child(b"client-b"), rng.child(b"sttp")
-    b_rsa = init_client_b(profile, rng_b)
-    a_rsa, a_elg, base = init_client_a(profile, rng_a, p_floor=b_rsa.n)
-    sttp_elg = init_sttp(profile, rng_t, p_floor=a_rsa.n)
+    b_rsa = _gen_rsa(profile, rng_b)
+    a_rsa = _gen_rsa(profile, rng_a)
+    a_elg = _gen_elg(profile, rng_a, floor=max(a_rsa.n, b_rsa.n))
+    base = _gen_commit_base(a_rsa.n, rng_a)
+    sttp_elg = _gen_elg(profile, rng_t, floor=a_rsa.n)
     params = SystemParams(
         a_rsa=a_rsa,
         b_rsa=b_rsa,
@@ -301,7 +258,7 @@ def _check_elg(key: ElgKeyPair, who: str, prime: dict[int, bool], out: list[str]
     if key.SK is not None:
         if not 1 <= key.SK <= key.P - 2:
             out.append(f"{who}: secret exponent out of range")
-        if mod_exp(key.G, key.SK, key.P) != key.PK:
+        elif mod_exp(key.G, key.SK, key.P) != key.PK:
             out.append(f"{who}: key consistency (PK != G^SK mod P)")
     if not 0 < key.PK < key.P:
         out.append(f"{who}: public element out of range")
@@ -417,35 +374,30 @@ _ROLE_FIELDS = {
     "B": ("n", "e", "d", "p", "q"),
     "STTP": ("P", "G", "SK", "PK"),
 }
-_PRIVATE_FIELDS = {"d", "p", "q", "SK"}
+_HEX_VALUE = re.compile("[0-9a-fA-F]+")
 
 
 def _hex(x: int) -> str:
     return int_to_bytes(x).hex() or "00"
 
 
-def save_params(sp: SystemParams, path: str | Path, public_only: bool = False) -> None:
+def save_params(sp: SystemParams, path: str | Path) -> None:
     """Write a key file: `role=A|B|STTP` opens a record, `field=hex` lines follow.
 
-    public_only omits d, p, q, SK.
+    Fields that are None are omitted, so `sp.public()` writes a private-free export.
     """
+    # Key-file field names are the key pairs' field names.
     values = {
-        "A": {
-            "n": sp.a_rsa.n, "e": sp.a_rsa.e, "d": sp.a_rsa.d, "p": sp.a_rsa.p, "q": sp.a_rsa.q,
-            "P": sp.a_elg.P, "G": sp.a_elg.G, "SK": sp.a_elg.SK, "PK": sp.a_elg.PK,
-            "g": sp.commit_base.g,
-        },
-        "B": {"n": sp.b_rsa.n, "e": sp.b_rsa.e, "d": sp.b_rsa.d, "p": sp.b_rsa.p, "q": sp.b_rsa.q},
-        "STTP": {
-            "P": sp.sttp_elg.P, "G": sp.sttp_elg.G, "SK": sp.sttp_elg.SK, "PK": sp.sttp_elg.PK,
-        },
+        "A": {**vars(sp.a_rsa), **vars(sp.a_elg), "g": sp.commit_base.g},
+        "B": vars(sp.b_rsa),
+        "STTP": vars(sp.sttp_elg),
     }
     lines = []
     for role, fields in _ROLE_FIELDS.items():
         lines.append(f"role={role}")
         for name in fields:
             value = values[role][name]
-            if value is None or (public_only and name in _PRIVATE_FIELDS):
+            if value is None:
                 continue
             lines.append(f"{name}={_hex(value)}")
     Path(path).write_text("\n".join(lines) + "\n")
@@ -455,10 +407,7 @@ def load_params(path: str | Path) -> SystemParams:
     """Parse a key file written by save_params.  Missing private fields load as None."""
     records: dict[str, dict[str, int]] = {}
     current: dict[str, int] | None = None
-    try:
-        text = Path(path).read_text()
-    except UnicodeDecodeError as exc:
-        raise ParameterError(f"{path}: not a text file ({exc.reason} at byte {exc.start})") from None
+    text = read_text(path, ParameterError)
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -473,10 +422,10 @@ def load_params(path: str | Path) -> SystemParams:
             continue
         if current is None:
             raise ParameterError(f"{path}:{lineno}: field before any role line")
-        try:
-            current[name] = int(value, 16)
-        except ValueError:
-            raise ParameterError(f"{path}:{lineno}: bad hex value") from None
+        # int(value, 16) alone would also take a sign, "0x", "_" and spaces.
+        if not _HEX_VALUE.fullmatch(value):
+            raise ParameterError(f"{path}:{lineno}: bad hex value")
+        current[name] = int(value, 16)
     missing = set(_ROLE_FIELDS) - set(records)
     if missing:
         raise ParameterError(f"{path}: missing roles {sorted(missing)}")

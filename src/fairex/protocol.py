@@ -40,7 +40,7 @@ from .cembs import (
 from .elgamal import ElgCiphertext, blind_half, elg_decrypt, unblind
 from .errors import EmbeddingError, ParameterError, SetupError
 from .keys import SystemParams, validate_params
-from .rsa import message_rep, rep_from_hash, rsa_sign, rsa_verify
+from .rsa import message_rep, rsa_sign, rsa_verify
 from .wire import MsgType, WireMessage
 
 
@@ -131,8 +131,8 @@ class Terms:
         elif self.protocol is Protocol.COMMON_MESSAGE:
             a_rep, b_rep = message_rep(self.payload, a_n), message_rep(self.payload, b_n)
         else:
-            digest = hashlib.sha256(self.payload).digest()
-            a_rep, expected_hash = rep_from_hash(digest, a_n), int_from_bytes(digest)
+            a_rep = message_rep(self.payload, a_n)
+            expected_hash = int_from_bytes(hashlib.sha256(self.payload).digest())
         object.__setattr__(self, "a_rep", a_rep)
         object.__setattr__(self, "b_rep", b_rep)
         object.__setattr__(self, "expected_hash", expected_hash)
@@ -283,8 +283,6 @@ class ClientB(_Party):
     def __init__(self, cfg: SessionConfig, session_id: bytes, rng: Rng):
         super().__init__(cfg, session_id)
         self.rng = rng
-        self.base = cfg.params.commit_base
-        self.sttp_p = cfg.params.sttp_elg.P
         self.a_ctx = CembsContext.a_side(cfg.params)
         self.b_ctx = CembsContext.b_side(cfg.params)
         self.state.phase = "wait_offer"
@@ -293,14 +291,15 @@ class ClientB(_Party):
             self.item = cfg.payload
         else:
             self.item = rsa_sign(cfg.terms.b_rep, cfg.params.b_rsa)
-        self.offer: tuple[int, int, int, int] | None = None  # (W_A, V_A, c_A, r_A)
+        self.v_a: int | None = None  # V_A of the accepted offer, to unblind the arbiter's half
+        self.offer: tuple[int, int, int, int] | None = None  # (W_A, g^V_A, c_A, r_A) for the STTP
 
     def step(self, incoming: WireMessage | Timeout | None, now: int = 0) -> list[tuple[str, WireMessage]]:
         if incoming is None:
             return []
         if isinstance(incoming, Timeout):
             return self._on_timeout(now)
-        item = carried_item(incoming, self.cfg.terms, self.offer[1] if self.offer else None)
+        item = carried_item(incoming, self.cfg.terms, self.v_a)
         valid = self.cfg.terms.valid_for_B(item)
         if valid:
             self._hold(item)
@@ -326,12 +325,14 @@ class ClientB(_Party):
 
     def _on_offer(self, incoming: WireMessage, now: int) -> list:
         w_a, v_a, c_a, r_a = _int_fields(incoming)
-        commitment = blind_commit(v_a, self.base)
-        cert = CembsCertificate(r=r_a, c=c_a)
-        if not 0 < v_a < self.sttp_p or not cembs_verify(w_a, commitment, cert, self.a_ctx):
+        if not 0 < v_a < self.cfg.params.sttp_elg.P:
             self._finish("aborted")  # stop the protocol
             return []
-        self.offer = (w_a, v_a, c_a, r_a)
+        commitment = blind_commit(v_a, self.cfg.params.commit_base)
+        if not cembs_verify(w_a, commitment, CembsCertificate(r=r_a, c=c_a), self.a_ctx):
+            self._finish("aborted")
+            return []
+        self.v_a, self.offer = v_a, (w_a, commitment, c_a, r_a)
         self.state.phase = "wait_final"
         self.deadline = now + self.cfg.timeout
         return [("A", self._msg(_reply_type(self.cfg), [self.item]))]
@@ -348,14 +349,12 @@ class ClientB(_Party):
 
     def _recover(self, now: int) -> list:
         """Escalate: certify own ciphertext under A's key and ask the STTP."""
-        w_a, v_a, c_a, r_a = self.offer
         value = data_as_int(self.item) if isinstance(self.item, bytes) else self.item
         nonces = sample_nonces(self.b_ctx.group[0], self.rng)
         ct, cert = encrypt_and_certify(value, self.b_ctx, nonces)
-        commitment = blind_commit(v_a, self.base)
         self.state.phase = "wait_sttp"
         self.deadline = now + self.cfg.timeout
-        fields = [w_a, commitment, c_a, r_a, ct.W, ct.V, cert.c, cert.r]
+        fields = [*self.offer, ct.W, ct.V, cert.c, cert.r]
         return [("STTP", self._msg(MsgType.RECOVERY_REQUEST, fields))]
 
 
@@ -365,8 +364,6 @@ class Sttp(_Party):
 
     def __init__(self, cfg: SessionConfig, session_id: bytes):
         super().__init__(cfg, session_id)
-        self.key = cfg.params.sttp_elg
-        self.base = cfg.params.commit_base
         self.a_ctx = CembsContext.a_side(cfg.params)
         self.b_ctx = CembsContext.b_side(cfg.params)
         self.state.phase = "ready"
@@ -379,7 +376,7 @@ class Sttp(_Party):
         w_a, c_blind, c_a, r_a, w_b, v_b, c_b, r_b = _int_fields(incoming)
         offer_ok = cembs_verify(w_a, c_blind, CembsCertificate(r=r_a, c=c_a), self.a_ctx)
         reply_ok = cembs_verify(
-            w_b, blind_commit(v_b, self.base), CembsCertificate(r=r_b, c=c_b), self.b_ctx
+            w_b, blind_commit(v_b, self.b_ctx.commit_base), CembsCertificate(r=r_b, c=c_b), self.b_ctx
         )
         if not (offer_ok and reply_ok):
             self.state.violations.append(
@@ -388,12 +385,12 @@ class Sttp(_Party):
             )
             return []
         return [
-            ("B", self._msg(MsgType.BLIND_HALF_REPLY, [blind_half(w_a, self.key)])),
+            ("B", self._msg(MsgType.BLIND_HALF_REPLY, [blind_half(w_a, self.cfg.params.sttp_elg)])),
             ("A", self._msg(MsgType.FORWARD_CIPHERTEXT, [w_b, v_b])),
         ]
 
 
-def build_parties(cfg: SessionConfig) -> tuple[dict[str, _Party], bytes]:
+def build_parties(cfg: SessionConfig) -> dict[str, _Party]:
     """Instantiate the three machines with independent derived rngs."""
     problems = validate_params(cfg.params)
     if problems:
@@ -413,9 +410,8 @@ def build_parties(cfg: SessionConfig) -> tuple[dict[str, _Party], bytes]:
             raise SetupError("data payload too large to embed under A's key")
     root = Rng(cfg.seed)
     session_id = root.child(b"session-id").random_bytes(16)
-    parties: dict[str, _Party] = {
+    return {
         "A": ClientA(cfg, session_id, root.child(b"party-a")),
         "B": ClientB(cfg, session_id, root.child(b"party-b")),
         "STTP": Sttp(cfg, session_id),
     }
-    return parties, session_id

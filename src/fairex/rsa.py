@@ -14,14 +14,9 @@ from .errors import DomainError, ParameterError
 from .keys import RsaKeyPair
 
 
-def rep_from_hash(digest: bytes, n: int) -> int:
-    """Big-endian integer value of a digest, reduced mod n."""
-    return int_from_bytes(digest) % n
-
-
 def message_rep(raw: bytes, n: int) -> int:
     """The representative in [0, n) that a byte string is signed as: SHA-256(raw) mod n."""
-    return rep_from_hash(hashlib.sha256(raw).digest(), n)
+    return int_from_bytes(hashlib.sha256(raw).digest()) % n
 
 
 def rsa_sign(rep: int, key: RsaKeyPair) -> int:

@@ -17,7 +17,7 @@ import enum
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import TranscriptError, WireError
+from .errors import TranscriptError, WireError, read_text
 
 SESSION_ID_BYTES = 16
 
@@ -162,8 +162,4 @@ class Transcript:
 
     @classmethod
     def load(cls, path: str | Path) -> "Transcript":
-        try:
-            text = Path(path).read_text()
-        except UnicodeDecodeError as exc:
-            raise TranscriptError(f"{path}: not a text file ({exc.reason} at byte {exc.start})") from None
-        return cls.from_text(text)
+        return cls.from_text(read_text(path, TranscriptError))

@@ -1,10 +1,13 @@
+import argparse
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from fairex import cli
 from fairex.cli import cli_main
 from fairex.vectors import FILE_NAME, generate_vectors_text
 
@@ -103,6 +106,16 @@ class TestRun:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_non_utf8_fault_file_is_usage_error(self, keyfile, tmp_path, capsys):
+        script = tmp_path / "fault.txt"
+        script.write_bytes(b"final-signature drop\n\xff\xfe\n")
+        rc = cli_main([
+            "run", "--protocol", "common", "--keys", str(keyfile), "--seed", "01",
+            "--fault", str(script),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
     def test_one_cpu_child_matches_unpinned_child(self, paper_key_file, tmp_path):
         """Spreading validation over CPUs changes no output of `fairex run`."""
@@ -153,6 +166,24 @@ class TestPayloadFlags:
             assert cli_main(command + ["--protocol", protocol] + flags) == 2
             out, err = capsys.readouterr()
             assert out == "" and err.startswith(f"error: {flags[0]} belongs to --protocol ")
+
+
+def test_usage_block_names_every_option():
+    """Each command's lines of the module docstring name every option its parser takes."""
+    _, usage, payload = cli.__doc__.split("\n\n")[:3]
+    documented: dict[str, str] = {}
+    for line in usage.splitlines():
+        if line.split()[0] == "fairex":
+            command = line.split()[1]
+        documented[command] = documented.get(command, "") + line.replace("[PAYLOAD]", payload)
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    assert sorted(documented) == sorted(commands)
+    for name, sub in commands.items():
+        for action in sub._actions:
+            for option in set(action.option_strings) - {"-h", "--help"}:
+                word = rf"(?<![\w-]){re.escape(option)}(?![\w-])"
+                assert re.search(word, documented[name]), (name, option)
 
 
 def test_import_fairex_leaves_the_cli_unloaded():

@@ -151,12 +151,11 @@ class TestTransport:
         assert len(delivered) == 1
 
     def test_transcript_records_deliveries_only(self):
-        transcript = Transcript()
-        t = Transport(fault=FaultScript.parse("final-signature drop"), transcript=transcript)
+        t = Transport(fault=FaultScript.parse("final-signature drop"))
         t.send(0, "A", "B", final_sig())
         t.send(0, "B", "A", WireMessage(MsgType.COUNTER_SIGNATURE, SID, (b"\x01",)))
         t.deliver(1)
-        assert [r.message.msg_type for r in transcript.records] == [MsgType.COUNTER_SIGNATURE]
+        assert [r.message.msg_type for r in t.transcript.records] == [MsgType.COUNTER_SIGNATURE]
 
 
 class TestFaultMatrix:

@@ -15,9 +15,6 @@ from fairex.keys import (
     CommitBase,
     ElgKeyPair,
     generate_system_params,
-    init_client_a,
-    init_client_b,
-    init_sttp,
     load_params,
     save_params,
     validate_params,
@@ -36,7 +33,10 @@ def toy_params():
 
 class TestInitClients:
     def test_client_a_material_is_consistent(self):
-        rsa, elg, base = init_client_a(PROFILES["toy"], rng(b"a"))
+        source = rng(b"a")
+        rsa = keys._gen_rsa(PROFILES["toy"], source)
+        elg = keys._gen_elg(PROFILES["toy"], source, floor=rsa.n)
+        base = keys._gen_commit_base(rsa.n, source)
         assert rsa.n == rsa.p * rsa.q and rsa.p != rsa.q
         phi = (rsa.p - 1) * (rsa.q - 1)
         assert rsa.e * rsa.d % phi == 1
@@ -45,11 +45,11 @@ class TestInitClients:
         assert base.n_ref == rsa.n and base.g not in (1, rsa.n - 1)
 
     def test_client_a_respects_external_floor(self):
-        _, elg, _ = init_client_a(PROFILES["toy"], rng(b"floor"), p_floor=(1 << 24) - 9000)
+        elg = keys._gen_elg(PROFILES["toy"], rng(b"floor"), floor=(1 << 24) - 9000)
         assert elg.P > (1 << 24) - 9000
 
     def test_client_b_exponents(self):
-        key = init_client_b(PROFILES["toy"], rng(b"b"))
+        key = keys._gen_rsa(PROFILES["toy"], rng(b"b"))
         phi = (key.p - 1) * (key.q - 1)
         assert key.e * key.d % phi == 1
         assert key.p != key.q
@@ -59,11 +59,11 @@ class TestInitClients:
         # be rejected; many draws make that path certain to run.
         source = rng(b"collisions")
         assert all(
-            (k := init_client_b(PROFILES["toy"], source)).p != k.q for _ in range(60)
+            (k := keys._gen_rsa(PROFILES["toy"], source)).p != k.q for _ in range(60)
         )
 
     def test_sttp_public_element_recomputes(self):
-        key = init_sttp(PROFILES["toy"], rng(b"t"))
+        key = keys._gen_elg(PROFILES["toy"], rng(b"t"))
         assert mod_exp(key.G, key.SK, key.P) == key.PK
 
     def test_sttp_toy_fixed_vector(self):
@@ -85,13 +85,6 @@ class TestInitClients:
         assert params.a_elg.P > params.b_rsa.n
         assert params.a_elg.P > params.a_rsa.n
         assert params.sttp_elg.P > params.a_rsa.n
-
-    def test_safe_prime_profile(self):
-        profile = BitProfile("toy-safe", rsa_prime_bits=8, elg_bits=24, safe_prime=True)
-        params = generate_system_params(profile, rng(b"safe"))
-        for key in (params.a_elg, params.sttp_elg):
-            assert is_probable_prime(key.P)
-            assert is_probable_prime((key.P - 1) // 2)
 
     def test_unknown_profile_name(self):
         with pytest.raises(ParameterError):
@@ -285,6 +278,31 @@ class TestKeyFileFuzz:
             return
         assert isinstance(loaded, keys.SystemParams)
 
+    # A toy key file with some values swapped for hostile ones: signs,
+    # prefixes and separators int(_, 16) would take, zero, one, and any
+    # toy-sized number.
+    HOSTILE = st.one_of(
+        st.sampled_from(["-01", "0x05", "1_0", " 7", "+3", "00", "01"]),
+        st.integers(min_value=0, max_value=1 << 32).map("{:x}".format),
+    )
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_validate_params_reports_and_never_raises(self, toy_params, tmp_path, data):
+        path = tmp_path / "keys.txt"
+        save_params(toy_params, path)
+        lines = path.read_text().splitlines()
+        for index in data.draw(st.sets(st.integers(0, len(lines) - 1), min_size=1, max_size=4)):
+            name = lines[index].partition("=")[0]
+            if name != "role":
+                lines[index] = f"{name}={data.draw(self.HOSTILE)}"
+        path.write_text("\n".join(lines))
+        try:
+            loaded = load_params(path)
+        except ParameterError:
+            return
+        assert isinstance(validate_params(loaded), list)
+
     def test_non_utf8_key_file(self, tmp_path):
         path = tmp_path / "keys.txt"
         path.write_bytes(b"role=A\n\xff\xfe\n")
@@ -305,7 +323,7 @@ class TestKeyFiles:
 
     def test_public_export_omits_private_fields(self, toy_params, tmp_path):
         path = tmp_path / "pub.txt"
-        save_params(toy_params, path, public_only=True)
+        save_params(toy_params.public(), path)
         text = path.read_text()
         for private in ("d=", "p=", "q=", "SK="):
             assert private not in text
@@ -335,6 +353,13 @@ class TestKeyFiles:
         with pytest.raises(ParameterError):
             load_params(path)
 
+    @pytest.mark.parametrize("value", ["-01", "0x05", "1_0", " 7", "+3", "", "\u0663"])
+    def test_int_syntax_beyond_hex_digits_rejected(self, tmp_path, value):
+        path = tmp_path / "broken.txt"
+        path.write_text(f"role=A\nn={value}\n")
+        with pytest.raises(ParameterError, match="bad hex value"):
+            load_params(path)
+
 
 class TestProfileGuards:
     def test_rsa_prime_floor(self):
@@ -347,4 +372,4 @@ class TestProfileGuards:
 
     def test_impossible_floor_errors_out(self):
         with pytest.raises(SetupError):
-            init_sttp(PROFILES["toy"], rng(b"x"), p_floor=1 << 24)
+            keys._gen_elg(PROFILES["toy"], rng(b"x"), floor=1 << 24)

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fairex.arith import Rng, int_from_bytes, int_to_bytes
 from fairex.errors import ParameterError, SetupError
@@ -20,7 +21,7 @@ from fairex.protocol import (
     link_messages,
 )
 from fairex.rsa import rsa_sign, rsa_verify
-from fairex.wire import MsgType, WireMessage
+from fairex.wire import ARITY, ROLES, MsgType, WireMessage
 
 
 SID = bytes(16)
@@ -43,7 +44,7 @@ def make_cfg(params, protocol=Protocol.COMMON_MESSAGE, payload=b"the deal", **kw
 
 
 def fresh_parties(cfg):
-    parties, _ = build_parties(cfg)
+    parties = build_parties(cfg)
     return parties["A"], parties["B"], parties["STTP"]
 
 
@@ -331,3 +332,79 @@ class TestSessionConfigShape:
         cfg = make_cfg(dataclasses.replace(params, a_rsa=params.a_rsa.public()))
         with pytest.raises(SetupError):
             build_parties(cfg)
+
+
+class TestReplayGap:
+    """Known gap (README, Limitations): nothing binds a recovery request to its session."""
+
+    def test_other_sessions_arbiter_answers_the_request(self, params):
+        cfg_x = make_cfg(params)
+        a, b, _ = fresh_parties(cfg_x)
+        run_offer_through_b(cfg_x, a, b)
+        (_, request), = b.step(Timeout(), now=9)
+        cfg_y = dataclasses.replace(cfg_x, seed=rng(b"session y").random_bytes(32))
+        sttp_y = build_parties(cfg_y)["STTP"]
+        assert sttp_y.session_id != request.session_id
+        out = sttp_y.step(request, now=10)
+        assert [(r, m.msg_type) for r, m in out] == [
+            ("B", MsgType.BLIND_HALF_REPLY),
+            ("A", MsgType.FORWARD_CIPHERTEXT),
+        ]
+        assert all(m.session_id == sttp_y.session_id for _, m in out)
+        # The challenge hash omits the session id and B does not read it,
+        # so session Y's blind half completes session X's recovery.
+        b.step(out[0][1], now=11)
+        assert b.state.verdict == "recovered"
+
+
+# Honest runs, as (role, what it is handed): "kick" starts A, "msg" is the
+# last message addressed to the role, "tick" a timeout.  Every prefix of
+# every run is a reachable state; together they put A and B in each phase.
+HONEST_RUNS = (
+    (("A", "kick"), ("B", "msg"), ("A", "msg"), ("B", "msg")),
+    (("A", "kick"), ("B", "msg"), ("B", "tick"), ("STTP", "msg"), ("B", "msg"), ("A", "msg")),
+    (("A", "kick"), ("A", "tick")),
+    (("B", "tick"),),
+)
+PREFIXES = sorted({run[:k] for run in HONEST_RUNS for k in range(len(run) + 1)})
+
+
+def drive(cfg, prefix) -> tuple[dict, list[bytes]]:
+    """Parties after an honest prefix, and every field value they sent."""
+    parties = build_parties(cfg)
+    last: dict[str, WireMessage] = {}
+    fields: list[bytes] = []
+    for now, (role, handed) in enumerate(prefix):
+        if handed == "msg":
+            incoming = last.pop(role)
+        else:
+            incoming = None if handed == "kick" else Timeout()
+        for receiver, msg in parties[role].step(incoming, now=now):
+            last[receiver] = msg
+            fields += msg.fields
+    return parties, fields
+
+
+class TestStepFuzz:
+    """No party's step raises on a well-formed message, in any reachable phase."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(protocol=st.sampled_from(list(Protocol)), data=st.data())
+    def test_no_step_raises(self, params, protocol, data):
+        cfg = make_cfg(params, protocol=protocol, payload=b"ok")
+        parties, seen = drive(cfg, HONEST_RUNS[1])
+        field_value = st.one_of(st.binary(max_size=4), st.binary(max_size=200), st.sampled_from(seen))
+        session_id = st.one_of(st.just(parties["A"].session_id), st.binary(min_size=16, max_size=16))
+        messages = [
+            WireMessage(kind, data.draw(session_id), tuple(data.draw(field_value) for _ in range(arity)))
+            for kind, arity in ARITY.items()
+        ]
+        # The arbiter keeps no state, so one instance takes every message.
+        cases = [(("STTP",), ())] + [(("A", "B"), prefix) for prefix in PREFIXES]
+        for roles, prefix in cases:
+            for role in roles:
+                for msg in messages:
+                    parties, _ = drive(cfg, prefix)
+                    out = parties[role].step(msg, now=len(prefix))
+                    out += parties[role].step(Timeout(), now=len(prefix) + 9)
+                    assert all(r in ROLES and isinstance(m, WireMessage) for r, m in out)

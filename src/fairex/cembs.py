@@ -25,8 +25,9 @@ happens in a group whose element orders divide P-1, so the reduction
 changes nothing that a verifier can see.
 
 Powers of the fixed bases G, PK (inside elg_encrypt) and g come from
-arith.fixed_base_exp's cached tables; W and a vary per call and go
-through mod_exp.
+arith.fixed_base_exp's cached tables, A included: with P prime,
+a^PK = G^(u*PK mod P-1), so a certify needs no other power.  A
+verifier's W and a' vary per call and go through mod_exp.
 
 The challenge hash is SHA-256 over a canonical length-prefixed encoding
 (see hash_challenge); the one-byte tag separates certificates bound to
@@ -129,7 +130,7 @@ def encrypt_and_certify(
     ct = elg_encrypt(value, ctx.group, nonces.w)
     commitment = blind_commit(ct.V, ctx.commit_base)
     a = fixed_base_exp(G, nonces.u, P)
-    big_a = mod_exp(a, PK, P)
+    big_a = fixed_base_exp(G, nonces.u * PK % (P - 1), P)  # a^PK = G^(u*PK), as G^(P-1) = 1
     c = hash_challenge(ctx.side_tag, [ctx.commit_base.g, ct.W, commitment, a, big_a])
     r = (nonces.u - c * nonces.w) % (P - 1)
     return ct, CembsCertificate(r=r, c=c)

@@ -77,10 +77,13 @@ def _payload_from_args(args) -> bytes | tuple[bytes, bytes]:
             raise FairexError(
                 f"--{flag.replace('_', '-')} belongs to --protocol {owner.value}, not {protocol.value}"
             )
-    if args.message is not None:
-        return args.message.encode()
-    if args.data is not None:
-        return args.data.encode()
+    for flag in ("message", "data"):
+        text = getattr(args, flag)
+        if text is not None:
+            try:
+                return text.encode()
+            except UnicodeEncodeError as exc:  # argv bytes that are not UTF-8
+                raise FairexError(f"--{flag} is not UTF-8 text ({exc.reason})") from None
     if args.file_a or args.file_b:
         if not (args.file_a and args.file_b):
             raise FairexError("linked protocol needs both --file-a and --file-b")

@@ -9,6 +9,10 @@ a signature always embeds injectively as a plaintext.
 Two named size profiles ship: "paper" (512-bit RSA primes, 1024-bit
 ElGamal moduli) and "toy" (8-bit primes, 24-bit moduli) for exhaustive
 desk-scale tests.
+
+Above toy size, keygen uses up to two CPUs and validation every usable
+one, through forked children; each party's keys come from its own stream,
+so the bytes are the same on any number of CPUs.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from __future__ import annotations
 import os
 import re
 import threading
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import gcd, isqrt
@@ -34,9 +39,10 @@ from .errors import ParameterError, SetupError, read_text
 # Candidates tried before a generation step is declared failed.
 _MAX_RETRIES = 100_000
 
-# Validation forks only when its largest number has at least this many
-# bits: 40 Miller-Rabin rounds on a 128-bit prime take about 2.4 ms, more
-# than a fork, a one-byte pipe read and a waitpid (about 1.6 ms) cost.
+# Keygen and validation fork only when their largest number has at least
+# this many bits: 40 Miller-Rabin rounds on a 128-bit prime take about
+# 2.4 ms, more than a fork, a short pipe read and a waitpid (about 1.6 ms)
+# cost.  Toy sets (24-bit moduli) never fork.
 _FORK_MIN_BITS = 128
 
 
@@ -206,7 +212,10 @@ def generate_system_params(profile: BitProfile | str, rng: Rng) -> SystemParams:
     P_A lies above both n_A and n_B, so B's signatures embed under A's
     ElGamal key, and P_T above n_A.  Per-party child streams keep each
     party's keys independent of how many samples the others consumed, so
-    identical seeds give identical parameter sets run after run.
+    identical seeds give identical parameter sets run after run.  It also
+    lets a forked child make B's RSA key while A's is made here, then the
+    STTP's ElGamal key (needs n_A) while A's (needs n_A and n_B) and the
+    commitment base are made here: the same set on any number of CPUs.
     """
     if isinstance(profile, str):
         try:
@@ -214,11 +223,15 @@ def generate_system_params(profile: BitProfile | str, rng: Rng) -> SystemParams:
         except KeyError:
             raise ParameterError(f"unknown profile {profile!r}") from None
     rng_a, rng_b, rng_t = rng.child(b"client-a"), rng.child(b"client-b"), rng.child(b"sttp")
-    b_rsa = _gen_rsa(profile, rng_b)
-    a_rsa = _gen_rsa(profile, rng_a)
-    a_elg = _gen_elg(profile, rng_a, floor=max(a_rsa.n, b_rsa.n))
-    base = _gen_commit_base(a_rsa.n, rng_a)
-    sttp_elg = _gen_elg(profile, rng_t, floor=a_rsa.n)
+    fork = profile.elg_bits >= _FORK_MIN_BITS and _usable_cpus() > 1
+    a_rsa, b_rsa = _alongside(
+        lambda: _gen_rsa(profile, rng_a), lambda: _gen_rsa(profile, rng_b), RsaKeyPair, fork
+    )
+    floor_a = max(a_rsa.n, b_rsa.n)
+    (a_elg, base), sttp_elg = _alongside(
+        lambda: (_gen_elg(profile, rng_a, floor=floor_a), _gen_commit_base(a_rsa.n, rng_a)),
+        lambda: _gen_elg(profile, rng_t, floor=a_rsa.n), ElgKeyPair, fork,
+    )
     params = SystemParams(
         a_rsa=a_rsa,
         b_rsa=b_rsa,
@@ -231,6 +244,24 @@ def generate_system_params(profile: BitProfile | str, rng: Rng) -> SystemParams:
     if violations:
         raise SetupError(f"generated parameters invalid: {violations}")
     return params
+
+
+def _alongside(mine: Callable, theirs: Callable, kind: type, fork: bool) -> tuple:
+    """(mine(), theirs()), where theirs() makes a `kind` key in a forked child when `fork`.
+
+    A child that dies or raises sends nothing; theirs() then runs here on
+    its stream, which the child left untouched, giving the same key or the
+    same SetupError.  The RSA keys' errors name no party, so A's going
+    first raises what B's would.
+    """
+    child = None
+    if fork:
+        child = _spawn(lambda: " ".join(f"{v:x}" for v in vars(theirs()).values()).encode())
+    try:
+        made = mine()
+    finally:
+        reply = _reap(child)
+    return made, kind(*(int(v, 16) for v in reply.split())) if reply else theirs()
 
 
 def _check_rsa(key: RsaKeyPair, who: str, prime: dict[int, bool], out: list[str]) -> None:
@@ -289,8 +320,8 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _spawn(group: list[int]) -> tuple[int, int] | None:
-    """Fork a child that writes one verdict byte per number of `group` to a pipe."""
+def _spawn(work: Callable[[], bytes]) -> tuple[int, int] | None:
+    """Fork a child that writes work() to a pipe; None if the fork fails."""
     r, w = os.pipe()
     try:
         pid = os.fork()
@@ -299,23 +330,27 @@ def _spawn(group: list[int]) -> tuple[int, int] | None:
         os.close(w)
         return None
     if pid == 0:
+        status = 1
         try:
             os.close(r)
-            os.write(w, bytes(is_probable_prime(n) for n in group))
+            with open(w, "wb") as pipe:
+                pipe.write(work())
+            status = 0
         finally:
-            os._exit(0)
+            os._exit(status)
     os.close(w)
     return pid, r
 
 
 def _reap(child: tuple[int, int] | None) -> bytes:
+    """What the child wrote, or b"" when there is no child or it did not exit cleanly."""
     if child is None:
         return b""
     pid, r = child
     with open(r, "rb") as pipe:
         reply = pipe.read()
-    os.waitpid(pid, 0)
-    return reply
+    _, status = os.waitpid(pid, 0)
+    return reply if status == 0 else b""
 
 
 def _primality(numbers: set[int]) -> dict[int, bool]:
@@ -331,7 +366,7 @@ def _primality(numbers: set[int]) -> dict[int, bool]:
     if ordered[0].bit_length() >= _FORK_MIN_BITS:
         k = min(_usable_cpus(), len(ordered))
     groups = [ordered[i::k] for i in range(k)]
-    children = [_spawn(group) for group in groups[1:]]
+    children = [_spawn(lambda g=group: bytes(map(is_probable_prime, g))) for group in groups[1:]]
     try:
         prime = {n: is_probable_prime(n) for n in groups[0]}
     finally:

@@ -1,8 +1,9 @@
 import inspect
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fairex.arith import Rng
+from fairex.arith import Rng, fixed_base_exp, mod_exp, sample_range
 from fairex.cembs import (
     CembsCertificate,
     CembsContext,
@@ -147,6 +148,28 @@ class TestGenerateVerify:
         ct, cert = encrypt_and_certify(not_a_signature, ctx, nonces)
         commitment = blind_commit(ct.V, toy_params.commit_base)
         assert cembs_verify(ct.W, commitment, cert, ctx)
+
+
+class TestCertifyPower:
+    """A certify takes A = a^PK from G's table as G^(u*PK mod P-1); P prime makes that exact."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        u=st.integers(1 << (NONCE_U_BITS - 1), (1 << NONCE_U_BITS) - 1),
+        w_seed=st.binary(max_size=8),
+        paper=st.booleans(),
+        side=st.sampled_from([CembsContext.a_side, CembsContext.b_side]),
+    )
+    def test_table_form_matches_a_to_the_pk(self, toy_params, paper_key_set, u, w_seed, paper, side):
+        ctx = side(paper_key_set if paper else toy_params)
+        P, G, PK = ctx.group
+        a = fixed_base_exp(G, u, P)
+        big_a = mod_exp(a, PK, P)
+        assert fixed_base_exp(G, u * PK % (P - 1), P) == big_a
+        w = sample_range(1, P - 1, Rng.from_material(w_seed))
+        ct, cert = encrypt_and_certify(5, ctx, Nonces(w=w, u=u))
+        commitment = blind_commit(ct.V, ctx.commit_base)
+        assert cert.c == hash_challenge(ctx.side_tag, [ctx.commit_base.g, ct.W, commitment, a, big_a])
 
 
 class TestCorrectnessIdentities:

@@ -167,6 +167,23 @@ class TestPayloadFlags:
             out, err = capsys.readouterr()
             assert out == "" and err.startswith(f"error: {flags[0]} belongs to --protocol ")
 
+    @pytest.mark.parametrize("protocol, flag", [("common", "--message"), ("data-for-sig", "--data")])
+    def test_non_utf8_payload_text_is_usage_error(self, keyfile, tmp_path, capsys, protocol, flag):
+        # An argv byte that is not UTF-8 (0xff) reaches Python as the surrogate escape U+DCFF.
+        transcript = tmp_path / "t.txt"
+        assert cli_main([
+            "run", "--protocol", protocol, "--keys", str(keyfile), "--seed", "01",
+            "--transcript", str(transcript),
+        ]) == 0
+        capsys.readouterr()
+        for command in (
+            ["run", "--keys", str(keyfile), "--seed", "01"],
+            ["audit", "--keys", str(keyfile), "--transcript", str(transcript)],
+        ):
+            assert cli_main(command + ["--protocol", protocol, flag, "terms \udcff"]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith(f"error: {flag} is not UTF-8 text")
+
 
 def test_usage_block_names_every_option():
     """Each command's lines of the module docstring name every option its parser takes."""
@@ -195,6 +212,7 @@ def test_import_fairex_leaves_the_cli_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
 
 
 class TestAudit:

@@ -251,6 +251,68 @@ class TestBatchedPrimality:
         assert not worker.is_alive()
 
 
+class TestForkedKeygen:
+    """Keygen with forked children makes the set that one CPU makes, whatever the children do."""
+
+    PROFILE = BitProfile("fork-test", 64, 128)  # just above _FORK_MIN_BITS
+
+    @pytest.fixture
+    def made_here(self, monkeypatch):
+        """The keys the test process itself makes, by kind; a child's calls do not show."""
+        made, parent = [], os.getpid()
+
+        def recorded(name, real):
+            def gen(*args, **kwargs):
+                if os.getpid() == parent:
+                    made.append(name)
+                return real(*args, **kwargs)
+            return gen
+
+        for name in ("_gen_rsa", "_gen_elg"):
+            monkeypatch.setattr(keys, name, recorded(name, getattr(keys, name)))
+        return made
+
+    @pytest.fixture
+    def spawned(self, monkeypatch):
+        calls, spawn = [], keys._spawn
+        monkeypatch.setattr(keys, "_spawn", lambda work: calls.append(work) or spawn(work))
+        return calls
+
+    def generate(self, monkeypatch, cpus: int, tag: bytes = b"forked keygen"):
+        monkeypatch.setattr(keys, "_usable_cpus", lambda: cpus)
+        return generate_system_params(self.PROFILE, rng(tag))
+
+    def test_same_set_and_file_on_one_and_three_cpus(self, monkeypatch, tmp_path, made_here, spawned):
+        keys._violations.cache_clear()
+        one = self.generate(monkeypatch, 1)
+        assert spawned == [] and sorted(made_here) == ["_gen_elg"] * 2 + ["_gen_rsa"] * 2
+        made_here.clear()
+        # The 1-CPU run left this set's validation in the cache, so the
+        # only forks of the 3-CPU run are keygen's two.
+        three = self.generate(monkeypatch, 3)
+        assert len(spawned) == 2 and made_here == ["_gen_rsa", "_gen_elg"]
+        assert three == one
+        save_params(one, tmp_path / "one.txt")
+        save_params(three, tmp_path / "three.txt")
+        assert (tmp_path / "three.txt").read_text() == (tmp_path / "one.txt").read_text()
+
+    def test_children_that_die_leave_the_work_to_the_parent(self, monkeypatch, made_here):
+        one = self.generate(monkeypatch, 1, b"dying children")
+        made_here.clear()
+        spawn = keys._spawn
+        monkeypatch.setattr(keys, "_spawn", lambda work: spawn(lambda: os._exit(1)))
+        assert self.generate(monkeypatch, 3, b"dying children") == one
+        assert sorted(made_here) == ["_gen_elg"] * 2 + ["_gen_rsa"] * 2
+
+    def test_failing_search_raises_the_same_error(self, monkeypatch, spawned):
+        monkeypatch.setattr(keys, "_MAX_RETRIES", 0)
+        with pytest.raises(SetupError) as one:
+            self.generate(monkeypatch, 1)
+        with pytest.raises(SetupError) as three:
+            self.generate(monkeypatch, 3)
+        assert spawned and str(three.value) == str(one.value)
+
+
 class TestKeyFileFuzz:
     FIELDS = sorted({name for fields in keys._ROLE_FIELDS.values() for name in fields} | {"role", "x"})
     LINE = st.one_of(

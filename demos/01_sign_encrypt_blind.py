@@ -42,16 +42,16 @@ print(f"other message    = {rsa_verify(signature, flipped, params.a_rsa.pub)}")
 # ---------------------------------------------------------------------------
 group = params.sttp_elg.pub  # (P, G, PK)
 nonce = sample_range(1, group[0] - 1, rng)
-ct = elg_encrypt(signature, group, nonce)
-print(f"\nciphertext       = (W={ct.W:#x}, V={ct.V:#x})")
-print(f"decrypts back    = {elg_decrypt(ct, params.sttp_elg) == signature}")
+W, V = elg_encrypt(signature, group, nonce)
+print(f"\nciphertext       = (W={W:#x}, V={V:#x})")
+print(f"decrypts back    = {elg_decrypt(W, V, params.sttp_elg) == signature}")
 
 # ---------------------------------------------------------------------------
 # Blind split: hand the key holder only W.  It returns W^SK; whoever holds
 # V finishes the decryption, and the key holder never sees the plaintext.
 # ---------------------------------------------------------------------------
-half = blind_half(ct.W, params.sttp_elg)
-recovered = unblind(ct.V, half, group[0])
+half = blind_half(W, params.sttp_elg)
+recovered = unblind(V, half, group[0])
 print(f"\nblind half       = {half:#x}   (computed from W alone)")
 print(f"unblinded value  = {recovered:#x}")
 print(f"matches original = {recovered == signature}")

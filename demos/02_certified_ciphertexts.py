@@ -2,14 +2,12 @@
 Certified encrypted signatures
 ==============================
 
-A signature is encrypted under the arbiter's key, and a certificate
-(r, c) is attached.  Anyone can check the certificate against the
+A signature is encrypted under the arbiter's key as (W, V), and a
+certificate (c, r) is attached; the four ints travel in that order.  Anyone can check the certificate against the
 ciphertext half W and the commitment C = g^V -- without ever seeing V,
 and therefore without being able to decrypt.  That is exactly the
 position the arbiter is kept in.
 """
-
-from dataclasses import replace
 
 from fairex import (
     CembsContext,
@@ -30,31 +28,31 @@ ctx = CembsContext.a_side(params)
 
 rep = message_rep(b"the agreed contract", params.a_rsa.n)
 signature = rsa_sign(rep, params.a_rsa)
-nonces = sample_nonces(params.sttp_elg.P, rng)
-ct, cert = encrypt_and_certify(signature, ctx, nonces)
-commitment = blind_commit(ct.V, params.commit_base)
+w, u = sample_nonces(params.sttp_elg.P, rng)
+W, V, c, r = encrypt_and_certify(signature, ctx, w, u)
+commitment = blind_commit(V, params.commit_base)
 
-print(f"ciphertext  W={ct.W:#x}  V={ct.V:#x}")
+print(f"ciphertext  W={W:#x}  V={V:#x}")
 print(f"commitment  C={commitment:#x}")
-print(f"certificate c={cert.c:#x}")
-print(f"            r={cert.r:#x}")
+print(f"certificate c={c:#x}")
+print(f"            r={r:#x}")
 
-# The verifier's whole view is (W, C, r, c) plus public parameters.
-print(f"\nverifies blindly       = {cembs_verify(ct.W, commitment, cert, ctx)}")
+# The verifier's whole view is (W, C, c, r) plus public parameters.
+print(f"\nverifies blindly       = {cembs_verify(W, commitment, c, r, ctx)}")
 
 # Any tampering breaks it: here the response is nudged by one.
-bad = replace(cert, r=(cert.r + 1) % (params.sttp_elg.P - 1))
-print(f"tampered r             = {cembs_verify(ct.W, commitment, bad, ctx)}")
+bad_r = (r + 1) % (params.sttp_elg.P - 1)
+print(f"tampered r             = {cembs_verify(W, commitment, c, bad_r, ctx)}")
 
 # ... and a commitment to the wrong V does too.
-wrong_c = blind_commit(ct.V + 1, params.commit_base)
-print(f"commitment to wrong V  = {cembs_verify(ct.W, wrong_c, cert, ctx)}")
+wrong_c = blind_commit(V + 1, params.commit_base)
+print(f"commitment to wrong V  = {cembs_verify(W, wrong_c, c, r, ctx)}")
 
 # Caveat (see README, Limitations): the certificate binds (W, C) but not
 # the claim "the plaintext is a signature on m".  Encrypting garbage
 # still certifies.
 garbage = 31337 % params.sttp_elg.P
 assert not rsa_verify(garbage, rep, params.a_rsa.pub)
-g_ct, g_cert = encrypt_and_certify(garbage, ctx, sample_nonces(params.sttp_elg.P, rng))
-g_commit = blind_commit(g_ct.V, params.commit_base)
-print(f"garbage plaintext      = {cembs_verify(g_ct.W, g_commit, g_cert, ctx)}  (known limitation)")
+g_W, g_V, g_c, g_r = encrypt_and_certify(garbage, ctx, *sample_nonces(params.sttp_elg.P, rng))
+g_commit = blind_commit(g_V, params.commit_base)
+print(f"garbage plaintext      = {cembs_verify(g_W, g_commit, g_c, g_r, ctx)}  (known limitation)")

@@ -2,13 +2,13 @@
 
 The sender encrypts a signature s under an ElGamal key (P, G, PK) as
 (W, V) and publishes a commitment C = g^V mod n together with a
-challenge-response pair (r, c):
+challenge-response pair (c, r):
 
     a = G^u,  A = a^PK              for a fresh 400-bit nonce u
     c = H(tag || g || W || C || a || A)
     r = u - c*w  reduced mod P-1
 
-A verifier holding only (W, C, r, c) recomputes a' = G^r * W^c and
+A verifier holding only (W, C, c, r) recomputes a' = G^r * W^c and
 A' = a'^PK and accepts iff c matches the challenge hash over
 (g, W, C, a', A').  V never enters verification, which is what lets the
 third party check an offer it must not be able to decrypt for itself.
@@ -29,6 +29,9 @@ arith.fixed_base_exp's cached tables, A included: with P prime,
 a^PK = G^(u*PK mod P-1), so a certify needs no other power.  A
 verifier's W and a' vary per call and go through mod_exp.
 
+Every value is a plain int.  An offer is (W, V, c, r) in wire order, as
+encrypt_and_certify returns it; cembs_verify takes (W, C, c, r).
+
 The challenge hash is SHA-256 over a canonical length-prefixed encoding
 (see hash_challenge); the one-byte tag separates certificates bound to
 the STTP's group from certificates bound to Client A's group.
@@ -42,21 +45,13 @@ from dataclasses import dataclass
 from .arith import Rng, fixed_base_exp, int_from_bytes, int_to_bytes, mod_exp, sample_range
 from .errors import ParameterError
 from .keys import CommitBase, SystemParams
-from .elgamal import ElgCiphertext, elg_encrypt
+from .elgamal import elg_encrypt
 
 CHALLENGE_BYTES = 32
 NONCE_U_BITS = 400
 
 A_SIDE_TAG = 0x41  # certificate over the STTP's group (Client A's offer)
 B_SIDE_TAG = 0x42  # certificate over Client A's group (Client B's recovery)
-
-
-@dataclass(frozen=True)
-class CembsCertificate:
-    """Response r (reduced mod P-1) and challenge c (32-byte hash as integer)."""
-
-    r: int
-    c: int
 
 
 @dataclass(frozen=True)
@@ -80,18 +75,10 @@ class CembsContext:
         return cls(commit_base=params.commit_base, group=params.a_elg.pub, side_tag=B_SIDE_TAG)
 
 
-@dataclass(frozen=True)
-class Nonces:
-    """Encryption nonce w in [1, P-2] and commitment nonce u of exactly 400 bits."""
-
-    w: int
-    u: int
-
-
-def sample_nonces(P: int, rng: Rng) -> Nonces:
+def sample_nonces(P: int, rng: Rng) -> tuple[int, int]:
+    """(w, u): encryption nonce w in [1, P-2], commitment nonce u of exactly 400 bits."""
     w = sample_range(1, P - 1, rng)
-    u = (1 << (NONCE_U_BITS - 1)) | rng.rand_bits(NONCE_U_BITS - 1)
-    return Nonces(w=w, u=u)
+    return w, (1 << (NONCE_U_BITS - 1)) | rng.rand_bits(NONCE_U_BITS - 1)
 
 
 def hash_challenge(side_tag: int, elems: list[int]) -> int:
@@ -114,37 +101,34 @@ def blind_commit(V: int, base: CommitBase) -> int:
     return fixed_base_exp(base.g, V, base.n_ref)
 
 
-def encrypt_and_certify(
-    value: int, ctx: CembsContext, nonces: Nonces
-) -> tuple[ElgCiphertext, CembsCertificate]:
-    """Encrypt any embeddable value and certify the ciphertext.
+def encrypt_and_certify(value: int, ctx: CembsContext, w: int, u: int) -> tuple[int, int, int, int]:
+    """Encrypt any embeddable value and certify the ciphertext: (W, V, c, r).
 
     The certificate binds (W, C) only; nothing ties the encrypted value
     to a particular signature equation (see README, Limitations).
     """
     P, G, PK = ctx.group
-    if not 1 <= nonces.w <= P - 2:
+    if not 1 <= w <= P - 2:
         raise ParameterError(f"nonce w must be in [1, {P - 2}]")
-    if nonces.u.bit_length() != NONCE_U_BITS:
+    if u.bit_length() != NONCE_U_BITS:
         raise ParameterError(f"nonce u must be exactly {NONCE_U_BITS} bits")
-    ct = elg_encrypt(value, ctx.group, nonces.w)
-    commitment = blind_commit(ct.V, ctx.commit_base)
-    a = fixed_base_exp(G, nonces.u, P)
-    big_a = fixed_base_exp(G, nonces.u * PK % (P - 1), P)  # a^PK = G^(u*PK), as G^(P-1) = 1
-    c = hash_challenge(ctx.side_tag, [ctx.commit_base.g, ct.W, commitment, a, big_a])
-    r = (nonces.u - c * nonces.w) % (P - 1)
-    return ct, CembsCertificate(r=r, c=c)
+    W, V = elg_encrypt(value, ctx.group, w)
+    commitment = blind_commit(V, ctx.commit_base)
+    a = fixed_base_exp(G, u, P)
+    big_a = fixed_base_exp(G, u * PK % (P - 1), P)  # a^PK = G^(u*PK), as G^(P-1) = 1
+    c = hash_challenge(ctx.side_tag, [ctx.commit_base.g, W, commitment, a, big_a])
+    return W, V, c, (u - c * w) % (P - 1)
 
 
-def cembs_verify(W: int, C: int, cert: CembsCertificate, ctx: CembsContext) -> bool:
-    """Check a certificate against (W, C) alone.  Malformed inputs fail, never raise."""
+def cembs_verify(W: int, C: int, c: int, r: int, ctx: CembsContext) -> bool:
+    """Check a certificate (c, r) against (W, C) alone.  Malformed inputs fail, never raise."""
     P, G, PK = ctx.group
     if not 0 < W < P or not 0 < C < ctx.commit_base.n_ref:
         return False
-    if not 0 <= cert.r < P - 1 or not 0 <= cert.c < 1 << (8 * CHALLENGE_BYTES):
+    if not 0 <= r < P - 1 or not 0 <= c < 1 << (8 * CHALLENGE_BYTES):
         return False
-    a = fixed_base_exp(G, cert.r, P) * mod_exp(W, cert.c, P) % P
-    return cert.c == hash_challenge(ctx.side_tag, [ctx.commit_base.g, W, C, a, mod_exp(a, PK, P)])
+    a = fixed_base_exp(G, r, P) * mod_exp(W, c, P) % P
+    return c == hash_challenge(ctx.side_tag, [ctx.commit_base.g, W, C, a, mod_exp(a, PK, P)])
 
 
 def correctness_identity_check(

@@ -1,42 +1,36 @@
 """ElGamal encryption with the decryption split needed for blind recovery.
 
-The key holder can be handed only W and return W^SK; whoever holds V then
-finishes the decryption with m = V * (W^SK)^-1 mod P.  The key holder
-never sees V, so it learns nothing about the plaintext.
+A ciphertext is two ints, (W, V) = (G^w, m * PK^w) mod P, in the order
+the wire carries them.  The key holder can be handed only W and return
+W^SK; whoever holds V then finishes the decryption with
+m = V * (W^SK)^-1 mod P.  The key holder never sees V, so it learns
+nothing about the plaintext.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .arith import fixed_base_exp, mod_exp, mod_inv
 from .errors import EmbeddingError, NotInvertibleError, ParameterError
 from .keys import ElgKeyPair
 
 
-@dataclass(frozen=True)
-class ElgCiphertext:
-    W: int
-    V: int
-
-
-def elg_encrypt(m: int, pub: tuple[int, int, int], w: int) -> ElgCiphertext:
+def elg_encrypt(m: int, pub: tuple[int, int, int], w: int) -> tuple[int, int]:
     """(W, V) = (G^w mod P, m * PK^w mod P) for plaintext m in (0, P)."""
     P, G, PK = pub
     if not 0 < m < P:
         raise EmbeddingError(f"plaintext must be in (0, {P}), got {m}")
     if not 1 <= w <= P - 2:
         raise ParameterError(f"nonce must be in [1, {P - 2}]")
-    return ElgCiphertext(W=fixed_base_exp(G, w, P), V=m * fixed_base_exp(PK, w, P) % P)
+    return fixed_base_exp(G, w, P), m * fixed_base_exp(PK, w, P) % P
 
 
-def elg_decrypt(ct: ElgCiphertext, key: ElgKeyPair) -> int:
+def elg_decrypt(W: int, V: int, key: ElgKeyPair) -> int:
     """m = V * (W^SK)^-1 mod P."""
     if key.SK is None:
         raise ParameterError("decryption requires the private exponent")
-    half = mod_exp(ct.W, key.SK, key.P)
+    half = mod_exp(W, key.SK, key.P)
     try:
-        return ct.V * mod_inv(half, key.P) % key.P
+        return V * mod_inv(half, key.P) % key.P
     except NotInvertibleError as exc:
         raise EmbeddingError("malformed ciphertext: W^SK not invertible") from exc
 

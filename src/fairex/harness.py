@@ -14,7 +14,9 @@ recovery-request, blind-half-reply, forward-ciphertext) and <action> is
     silence_party ROLE           swallow everything ROLE sends from here on
     force_timeout ROLE           make ROLE's wait deadline expire now
 
-Each directive fires at most once (silencing, once begun, persists).
+Each directive fires at most once per session (silencing, once begun,
+persists).  A run never changes its script, so a run is a pure function
+of (config, seed, script) even when one script object is run again.
 Blank lines and lines starting with '#' are ignored.
 """
 
@@ -24,28 +26,26 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .arith import int_from_bytes
-from .cembs import CembsCertificate, CembsContext, blind_commit, cembs_verify
+from .cembs import CembsContext, blind_commit, cembs_verify
 from .errors import FaultScriptError, WireError, read_text
 from .keys import SystemParams
 from .protocol import PartyState, Protocol, SessionConfig, Terms, Timeout, build_parties, carried_item
 from .wire import ROLES, MsgType, Transcript, WireMessage
 
 CORRUPT_MODES = ("bitflip", "zero")
+TICK_LIMIT = 200  # ticks visited before an unsettled session counts as stalled
 
 
-@dataclass
+@dataclass(frozen=True)
 class FaultDirective:
-    """One line of a fault script; fires at most once."""
+    """One line of a fault script; fires at most once per session."""
 
     match_tick: int | None
     match_type: MsgType | None
     action: str
     args: tuple = ()
-    used: bool = False
 
     def matches(self, tick: int, msg: WireMessage) -> bool:
-        if self.used:
-            return False
         if self.match_tick is not None:
             return tick == self.match_tick
         return msg.msg_type is self.match_type
@@ -159,7 +159,6 @@ def _corrupt(msg: WireMessage, index: int, mode: str) -> WireMessage:
 @dataclass
 class _QueuedMessage:
     deliver_at: int
-    seq: int
     sender: str
     receiver: str
     message: WireMessage
@@ -174,22 +173,19 @@ class Transport:
     """
 
     def __init__(self, fault: FaultScript | None = None):
-        self.fault = fault or FaultScript()
+        self.pending = list(fault.directives) if fault else []  # directives yet to fire
         self.transcript = Transcript()
-        self.queue: list[_QueuedMessage] = []
+        self.queue: list[_QueuedMessage] = []  # in send order
         self.silenced: set[str] = set()
         self.forced_timeouts: list[str] = []
-        self._seq = 0
 
     def send(self, tick: int, sender: str, receiver: str, msg: WireMessage) -> None:
         if sender in self.silenced:
             return
         dropped = False
         delay = 0
-        for directive in self.fault.directives:
-            if not directive.matches(tick, msg):
-                continue
-            directive.used = True
+        for directive in [d for d in self.pending if d.matches(tick, msg)]:
+            self.pending.remove(directive)
             if directive.action == "drop":
                 dropped = True
             elif directive.action == "corrupt_field":
@@ -202,15 +198,12 @@ class Transport:
                 self.forced_timeouts.append(directive.args[0])
         if dropped or sender in self.silenced:
             return
-        self._seq += 1
-        self.queue.append(_QueuedMessage(tick + 1 + delay, self._seq, sender, receiver, msg))
+        self.queue.append(_QueuedMessage(tick + 1 + delay, sender, receiver, msg))
 
     def deliver(self, tick: int) -> tuple[list[tuple[str, str, WireMessage]], list[str]]:
         """Everything due at this tick, in order, plus forced-timeout roles."""
-        due = sorted(
-            (q for q in self.queue if q.deliver_at <= tick),
-            key=lambda q: (q.deliver_at, q.seq),
-        )
+        # The queue is in send order and sorted is stable, so ties keep send order.
+        due = sorted((q for q in self.queue if q.deliver_at <= tick), key=lambda q: q.deliver_at)
         for q in due:
             self.queue.remove(q)
             self.transcript.add(tick, q.sender, q.receiver, q.message)
@@ -230,12 +223,24 @@ class SessionResult:
 
 
 def run_session(cfg: SessionConfig, fault: FaultScript | None = None) -> SessionResult:
-    """Drive all three machines to quiescence under a fault script."""
+    """Drive all three machines to quiescence under a fault script.
+
+    A opens at tick 0; after that only ticks where a delivery, a deadline
+    or a forced timeout is due are visited, since any other tick does nothing.
+    """
     parties = build_parties(cfg)
     transport = Transport(fault=fault)
-    kicked = False
-    stalled = True
-    for tick in range(cfg.tick_budget):
+    for receiver, msg in parties["A"].step(None, now=0):
+        transport.send(0, "A", receiver, msg)
+    tick = 0
+    for _ in range(TICK_LIMIT):
+        deadlines = [p.deadline for p in parties.values() if p.deadline is not None]
+        if transport.quiescent and not deadlines:
+            break
+        if transport.forced_timeouts:
+            tick += 1
+        else:
+            tick = max(tick + 1, min([q.deliver_at for q in transport.queue] + deadlines))
         deliveries, forced = transport.deliver(tick)
         inbox: dict[str, list[WireMessage]] = {role: [] for role in ROLES}
         for sender, receiver, msg in deliveries:
@@ -243,9 +248,6 @@ def run_session(cfg: SessionConfig, fault: FaultScript | None = None) -> Session
         for role in ROLES:
             party = parties[role]
             outgoing = []
-            if role == "A" and not kicked:
-                outgoing += party.step(None, now=tick)
-                kicked = True
             for msg in inbox[role]:
                 outgoing += party.step(msg, now=tick)
             timed_out = party.deadline is not None and tick >= party.deadline and not inbox[role]
@@ -253,9 +255,7 @@ def run_session(cfg: SessionConfig, fault: FaultScript | None = None) -> Session
                 outgoing += party.step(Timeout(), now=tick)
             for receiver, msg in outgoing:
                 transport.send(tick, role, receiver, msg)
-        if kicked and transport.quiescent and all(p.deadline is None for p in parties.values()):
-            stalled = False
-            break
+    stalled = not transport.quiescent or any(p.deadline is not None for p in parties.values())
     transcript = transport.transcript
     for role in ROLES:
         for violation in parties[role].state.violations:
@@ -364,7 +364,7 @@ def _forward_certified(transcript: Transcript, params: SystemParams) -> bool:
     for m in _delivered(transcript, "STTP", MsgType.RECOVERY_REQUEST):
         w_b, v_b, c_b, r_b = (int_from_bytes(f) for f in m.fields[4:8])
         if (w_b, v_b) in forwards and cembs_verify(
-            w_b, blind_commit(v_b, params.commit_base), CembsCertificate(r=r_b, c=c_b), b_ctx
+            w_b, blind_commit(v_b, params.commit_base), c_b, r_b, b_ctx
         ):
             return True
     return False

@@ -29,15 +29,8 @@ import hashlib
 from dataclasses import dataclass, field
 
 from .arith import Rng, int_from_bytes, int_to_bytes
-from .cembs import (
-    CembsCertificate,
-    CembsContext,
-    blind_commit,
-    cembs_verify,
-    encrypt_and_certify,
-    sample_nonces,
-)
-from .elgamal import ElgCiphertext, blind_half, elg_decrypt, unblind
+from .cembs import CembsContext, blind_commit, cembs_verify, encrypt_and_certify, sample_nonces
+from .elgamal import blind_half, elg_decrypt, unblind
 from .errors import EmbeddingError, ParameterError, SetupError
 from .keys import SystemParams, validate_params
 from .rsa import message_rep, rsa_sign, rsa_verify
@@ -61,7 +54,6 @@ class SessionConfig:
     payload: bytes | tuple[bytes, bytes]
     seed: bytes
     timeout: int = 8
-    tick_budget: int = 200
     terms: Terms = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -173,8 +165,7 @@ def carried_item(msg: WireMessage, terms: Terms, v_a: int | None = None) -> int 
         if kind is MsgType.BLIND_HALF_REPLY and v_a is not None:
             return unblind(v_a, int_from_bytes(msg.fields[0]), terms.params.sttp_elg.P)
         if kind is MsgType.FORWARD_CIPHERTEXT:
-            w_b, v_b = _int_fields(msg)
-            return terms.a_item(elg_decrypt(ElgCiphertext(W=w_b, V=v_b), terms.params.a_elg))
+            return terms.a_item(elg_decrypt(*_int_fields(msg), terms.params.a_elg))
     except (EmbeddingError, ParameterError):
         pass
     return None
@@ -201,7 +192,7 @@ class _Party:
         self.state = PartyState(phase="start")
         self.deadline: int | None = None
 
-    def _msg(self, msg_type: MsgType, values: list[int | bytes]) -> WireMessage:
+    def _msg(self, msg_type: MsgType, *values: int | bytes) -> WireMessage:
         fields = tuple(v if isinstance(v, bytes) else int_to_bytes(v) for v in values)
         return WireMessage(msg_type=msg_type, session_id=self.session_id, fields=fields)
 
@@ -238,11 +229,11 @@ class ClientA(_Party):
         if incoming is None:
             if self.state.phase != "start":
                 return self._violation(incoming, "spurious kickoff")
-            nonces = sample_nonces(self.a_ctx.group[0], self.rng)
-            ct, cert = encrypt_and_certify(self.signature, self.a_ctx, nonces)
+            w, u = sample_nonces(self.a_ctx.group[0], self.rng)
+            offer = encrypt_and_certify(self.signature, self.a_ctx, w, u)
             self.state.phase = "wait_step2"
             self.deadline = now + self.cfg.timeout
-            return [("B", self._msg(MsgType.CEMBS_OFFER, [ct.W, ct.V, cert.c, cert.r]))]
+            return [("B", self._msg(MsgType.CEMBS_OFFER, *offer))]
 
         if isinstance(incoming, Timeout):
             if self.state.phase == "wait_step2":
@@ -261,7 +252,7 @@ class ClientA(_Party):
                 self._finish("aborted")  # refuse to release s_A
                 return []
             self._finish("success")
-            return [("B", self._msg(MsgType.FINAL_SIGNATURE, [self.signature]))]
+            return [("B", self._msg(MsgType.FINAL_SIGNATURE, self.signature))]
         return self._violation(incoming)
 
     def _on_forward(self, incoming: WireMessage, item: int | bytes | None, valid: bool) -> list:
@@ -329,13 +320,13 @@ class ClientB(_Party):
             self._finish("aborted")  # stop the protocol
             return []
         commitment = blind_commit(v_a, self.cfg.params.commit_base)
-        if not cembs_verify(w_a, commitment, CembsCertificate(r=r_a, c=c_a), self.a_ctx):
+        if not cembs_verify(w_a, commitment, c_a, r_a, self.a_ctx):
             self._finish("aborted")
             return []
         self.v_a, self.offer = v_a, (w_a, commitment, c_a, r_a)
         self.state.phase = "wait_final"
         self.deadline = now + self.cfg.timeout
-        return [("A", self._msg(_reply_type(self.cfg), [self.item]))]
+        return [("A", self._msg(_reply_type(self.cfg), self.item))]
 
     def _on_timeout(self, now: int) -> list:
         if self.state.phase == "wait_final":
@@ -350,12 +341,11 @@ class ClientB(_Party):
     def _recover(self, now: int) -> list:
         """Escalate: certify own ciphertext under A's key and ask the STTP."""
         value = data_as_int(self.item) if isinstance(self.item, bytes) else self.item
-        nonces = sample_nonces(self.b_ctx.group[0], self.rng)
-        ct, cert = encrypt_and_certify(value, self.b_ctx, nonces)
+        w, u = sample_nonces(self.b_ctx.group[0], self.rng)
+        reply = encrypt_and_certify(value, self.b_ctx, w, u)
         self.state.phase = "wait_sttp"
         self.deadline = now + self.cfg.timeout
-        fields = [*self.offer, ct.W, ct.V, cert.c, cert.r]
-        return [("STTP", self._msg(MsgType.RECOVERY_REQUEST, fields))]
+        return [("STTP", self._msg(MsgType.RECOVERY_REQUEST, *self.offer, *reply))]
 
 
 class Sttp(_Party):
@@ -374,10 +364,8 @@ class Sttp(_Party):
         if incoming.msg_type is not MsgType.RECOVERY_REQUEST:
             return self._violation(incoming)
         w_a, c_blind, c_a, r_a, w_b, v_b, c_b, r_b = _int_fields(incoming)
-        offer_ok = cembs_verify(w_a, c_blind, CembsCertificate(r=r_a, c=c_a), self.a_ctx)
-        reply_ok = cembs_verify(
-            w_b, blind_commit(v_b, self.b_ctx.commit_base), CembsCertificate(r=r_b, c=c_b), self.b_ctx
-        )
+        offer_ok = cembs_verify(w_a, c_blind, c_a, r_a, self.a_ctx)
+        reply_ok = cembs_verify(w_b, blind_commit(v_b, self.b_ctx.commit_base), c_b, r_b, self.b_ctx)
         if not (offer_ok and reply_ok):
             self.state.violations.append(
                 f"rejected recovery request (offer cert {'ok' if offer_ok else 'bad'}, "
@@ -385,8 +373,8 @@ class Sttp(_Party):
             )
             return []
         return [
-            ("B", self._msg(MsgType.BLIND_HALF_REPLY, [blind_half(w_a, self.cfg.params.sttp_elg)])),
-            ("A", self._msg(MsgType.FORWARD_CIPHERTEXT, [w_b, v_b])),
+            ("B", self._msg(MsgType.BLIND_HALF_REPLY, blind_half(w_a, self.cfg.params.sttp_elg))),
+            ("A", self._msg(MsgType.FORWARD_CIPHERTEXT, w_b, v_b)),
         ]
 
 

@@ -36,10 +36,10 @@ def generate_vectors_text() -> str:
         raw = b"vector message %d" % index
         rep = message_rep(raw, params.a_rsa.n)
         signature = rsa_sign(rep, params.a_rsa)
-        nonces = sample_nonces(params.sttp_elg.P, rng.child(b"nonces-%d" % index))
-        ct, cert = encrypt_and_certify(signature, ctx, nonces)
-        commitment = blind_commit(ct.V, params.commit_base)
-        assert cembs_verify(ct.W, commitment, cert, ctx)
+        w, u = sample_nonces(params.sttp_elg.P, rng.child(b"nonces-%d" % index))
+        W, V, c, r = encrypt_and_certify(signature, ctx, w, u)
+        commitment = blind_commit(V, params.commit_base)
+        assert cembs_verify(W, commitment, c, r, ctx)
         lines += [
             f"vector={index}",
             f"message={raw.hex()}",
@@ -53,13 +53,13 @@ def generate_vectors_text() -> str:
             f"PK_T={_hex(params.sttp_elg.PK)}",
             f"rep={_hex(rep)}",
             f"s={_hex(signature)}",
-            f"w={_hex(nonces.w)}",
-            f"u={_hex(nonces.u)}",
-            f"W={_hex(ct.W)}",
-            f"V={_hex(ct.V)}",
+            f"w={_hex(w)}",
+            f"u={_hex(u)}",
+            f"W={_hex(W)}",
+            f"V={_hex(V)}",
             f"C={_hex(commitment)}",
-            f"c={_hex(cert.c)}",
-            f"r={_hex(cert.r)}",
+            f"c={_hex(c)}",
+            f"r={_hex(r)}",
             "",
         ]
     return "\n".join(lines)

@@ -12,7 +12,6 @@ import pytest
 
 from fairex.arith import Rng, int_from_bytes, int_to_bytes
 from fairex.cembs import (
-    CembsCertificate,
     CembsContext,
     blind_commit,
     cembs_verify,
@@ -91,9 +90,9 @@ def test_02_elgamal_round_trip_and_blind_equivalence():
         cases = 0
         for m in range(1, 23):
             for w in range(1, 22):
-                ct = elg_encrypt(m, key.pub, w)
-                direct = elg_decrypt(ct, key)
-                split = unblind(ct.V, blind_half(ct.W, key), key.P)
+                W, V = elg_encrypt(m, key.pub, w)
+                direct = elg_decrypt(W, V, key)
+                split = unblind(V, blind_half(W, key), key.P)
                 assert direct == split == m
                 cases += 1
         assert cases == 462
@@ -107,9 +106,9 @@ def test_03_certificate_completeness():
             ctx = CembsContext.a_side(params)
             message = message_rep(b"case %d" % i, params.a_rsa.n)
             signature = rsa_sign(message, params.a_rsa)
-            nonces = sample_nonces(params.sttp_elg.P, source.child(b"nonce%d" % i))
-            ct, cert = encrypt_and_certify(signature, ctx, nonces)
-            assert cembs_verify(ct.W, blind_commit(ct.V, params.commit_base), cert, ctx)
+            w, u = sample_nonces(params.sttp_elg.P, source.child(b"nonce%d" % i))
+            W, V, c, r = encrypt_and_certify(signature, ctx, w, u)
+            assert cembs_verify(W, blind_commit(V, params.commit_base), c, r, ctx)
         P, G, PK = 23, 5, 8
         for w in range(22):
             W = pow(G, w, P)
@@ -127,10 +126,10 @@ def test_04_certificate_tamper_sensitivity(toy_params):
         for i in range(1000):
             message = message_rep(b"tamper %d" % i, params.a_rsa.n)
             signature = rsa_sign(message, params.a_rsa)
-            nonces = sample_nonces(params.sttp_elg.P, source.child(b"n%d" % i))
-            ct, cert = encrypt_and_certify(signature, ctx, nonces)
-            commitment = blind_commit(ct.V, params.commit_base)
-            values = [ct.W, commitment, cert.r, cert.c]
+            w, u = sample_nonces(params.sttp_elg.P, source.child(b"n%d" % i))
+            W, V, c, r = encrypt_and_certify(signature, ctx, w, u)
+            commitment = blind_commit(V, params.commit_base)
+            values = [W, commitment, r, c]
             encodings = [bytearray(int_to_bytes(v)) or bytearray(b"\x00") for v in values]
             lengths = [len(e) for e in encodings]
             position = source.below(sum(lengths))
@@ -141,7 +140,7 @@ def test_04_certificate_tamper_sensitivity(toy_params):
             old = encodings[index][position]
             encodings[index][position] = (old + 1 + source.below(255)) % 256
             w2, c2, r2, ch2 = (int_from_bytes(bytes(e)) for e in encodings)
-            if cembs_verify(w2, c2, CembsCertificate(r=r2, c=ch2), ctx):
+            if cembs_verify(w2, c2, ch2, r2, ctx):
                 false_accepts += 1
         assert false_accepts == 0
 
@@ -249,6 +248,6 @@ def test_10_certificate_binding_gap(toy_params):
         not_a_signature = 31337 % params.sttp_elg.P
         message = message_rep(default_payload(Protocol.COMMON_MESSAGE), params.a_rsa.n)
         assert not rsa_verify(not_a_signature, message, params.a_rsa.pub)
-        nonces = sample_nonces(params.sttp_elg.P, rng(b"gap"))
-        ct, cert = encrypt_and_certify(not_a_signature, ctx, nonces)
-        assert cembs_verify(ct.W, blind_commit(ct.V, params.commit_base), cert, ctx)
+        w, u = sample_nonces(params.sttp_elg.P, rng(b"gap"))
+        W, V, c, r = encrypt_and_certify(not_a_signature, ctx, w, u)
+        assert cembs_verify(W, blind_commit(V, params.commit_base), c, r, ctx)

@@ -5,10 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from fairex.arith import Rng, fixed_base_exp, mod_exp, sample_range
 from fairex.cembs import (
-    CembsCertificate,
     CembsContext,
     NONCE_U_BITS,
-    Nonces,
     blind_commit,
     cembs_verify,
     correctness_identity_check,
@@ -33,9 +31,8 @@ def toy_params():
 def make_certified(params, raw: bytes, nonce_rng: Rng):
     ctx = CembsContext.a_side(params)
     sig = rsa_sign(message_rep(raw, params.a_rsa.n), params.a_rsa)
-    nonces = sample_nonces(params.sttp_elg.P, nonce_rng)
-    ct, cert = encrypt_and_certify(sig, ctx, nonces)
-    return ctx, ct, blind_commit(ct.V, params.commit_base), cert
+    W, V, c, r = encrypt_and_certify(sig, ctx, *sample_nonces(params.sttp_elg.P, nonce_rng))
+    return ctx, (W, V), blind_commit(V, params.commit_base), (c, r)
 
 
 class TestBlindCommit:
@@ -73,12 +70,12 @@ class TestHashChallenge:
 
 class TestGenerateVerify:
     def test_honest_certificate_verifies(self, toy_params):
-        ctx, ct, commitment, cert = make_certified(toy_params, b"hello", rng(b"n1"))
-        assert cembs_verify(ct.W, commitment, cert, ctx)
+        ctx, (W, _), commitment, (c, r) = make_certified(toy_params, b"hello", rng(b"n1"))
+        assert cembs_verify(W, commitment, c, r, ctx)
 
     def test_response_is_reduced(self, toy_params):
-        ctx, ct, commitment, cert = make_certified(toy_params, b"hello", rng(b"n2"))
-        assert 0 <= cert.r < toy_params.sttp_elg.P - 1
+        _, _, _, (_, r) = make_certified(toy_params, b"hello", rng(b"n2"))
+        assert 0 <= r < toy_params.sttp_elg.P - 1
 
     def test_fixed_seed_reproduces_certificate(self, toy_params):
         first = make_certified(toy_params, b"same", rng(b"n3"))
@@ -86,53 +83,51 @@ class TestGenerateVerify:
         assert first[1:] == second[1:]
 
     def test_tampered_response_rejected(self, toy_params):
-        ctx, ct, commitment, cert = make_certified(toy_params, b"hello", rng(b"n4"))
+        ctx, (W, _), commitment, (c, r) = make_certified(toy_params, b"hello", rng(b"n4"))
         P = ctx.group[0]
-        bad = CembsCertificate(r=(cert.r + 1) % (P - 1), c=cert.c)
-        assert not cembs_verify(ct.W, commitment, bad, ctx)
+        assert not cembs_verify(W, commitment, c, (r + 1) % (P - 1), ctx)
 
     def test_commitment_from_wrong_v_rejected(self, toy_params):
-        ctx, ct, _, cert = make_certified(toy_params, b"hello", rng(b"n5"))
-        wrong = blind_commit(ct.V + 1, toy_params.commit_base)
-        assert wrong != blind_commit(ct.V, toy_params.commit_base)
-        assert not cembs_verify(ct.W, wrong, cert, ctx)
+        ctx, (W, V), _, (c, r) = make_certified(toy_params, b"hello", rng(b"n5"))
+        wrong = blind_commit(V + 1, toy_params.commit_base)
+        assert wrong != blind_commit(V, toy_params.commit_base)
+        assert not cembs_verify(W, wrong, c, r, ctx)
 
     def test_out_of_range_inputs_fail_quietly(self, toy_params):
-        ctx, ct, commitment, cert = make_certified(toy_params, b"hello", rng(b"n6"))
+        ctx, (W, _), commitment, (c, r) = make_certified(toy_params, b"hello", rng(b"n6"))
         P = ctx.group[0]
-        assert not cembs_verify(0, commitment, cert, ctx)
-        assert not cembs_verify(P, commitment, cert, ctx)
-        assert not cembs_verify(ct.W, 0, cert, ctx)
-        assert not cembs_verify(ct.W, commitment, CembsCertificate(r=P - 1, c=cert.c), ctx)
-        assert not cembs_verify(ct.W, commitment, CembsCertificate(r=cert.r, c=1 << 256), ctx)
+        assert not cembs_verify(0, commitment, c, r, ctx)
+        assert not cembs_verify(P, commitment, c, r, ctx)
+        assert not cembs_verify(W, 0, c, r, ctx)
+        assert not cembs_verify(W, commitment, c, P - 1, ctx)
+        assert not cembs_verify(W, commitment, 1 << 256, r, ctx)
 
     def test_a_and_b_side_contexts_are_disjoint(self, toy_params):
         ctx_a = CembsContext.a_side(toy_params)
         ctx_b = CembsContext.b_side(toy_params)
         sig = rsa_sign(message_rep(b"x", toy_params.b_rsa.n), toy_params.b_rsa)
-        nonces = sample_nonces(ctx_b.group[0], rng(b"n7"))
-        ct, cert = encrypt_and_certify(sig, ctx_b, nonces)
-        commitment = blind_commit(ct.V, toy_params.commit_base)
-        assert cembs_verify(ct.W, commitment, cert, ctx_b)
-        assert not cembs_verify(ct.W, commitment, cert, ctx_a)
+        W, V, c, r = encrypt_and_certify(sig, ctx_b, *sample_nonces(ctx_b.group[0], rng(b"n7")))
+        commitment = blind_commit(V, toy_params.commit_base)
+        assert cembs_verify(W, commitment, c, r, ctx_b)
+        assert not cembs_verify(W, commitment, c, r, ctx_a)
 
     def test_nonce_constraints_enforced(self, toy_params):
         ctx = CembsContext.a_side(toy_params)
         with pytest.raises(ParameterError):
-            encrypt_and_certify(2, ctx, Nonces(w=0, u=1 << (NONCE_U_BITS - 1)))
+            encrypt_and_certify(2, ctx, 0, 1 << (NONCE_U_BITS - 1))
         with pytest.raises(ParameterError):
-            encrypt_and_certify(2, ctx, Nonces(w=3, u=1 << NONCE_U_BITS))
+            encrypt_and_certify(2, ctx, 3, 1 << NONCE_U_BITS)
 
     def test_sampled_nonces_shape(self, toy_params):
         P = toy_params.sttp_elg.P
         source = rng(b"n8")
         for _ in range(50):
-            nonces = sample_nonces(P, source)
-            assert 1 <= nonces.w <= P - 2
-            assert nonces.u.bit_length() == NONCE_U_BITS
+            w, u = sample_nonces(P, source)
+            assert 1 <= w <= P - 2
+            assert u.bit_length() == NONCE_U_BITS
 
     def test_verifier_never_receives_v_by_interface(self):
-        assert list(inspect.signature(cembs_verify).parameters) == ["W", "C", "cert", "ctx"]
+        assert list(inspect.signature(cembs_verify).parameters) == ["W", "C", "c", "r", "ctx"]
 
     def test_certificate_does_not_bind_the_signature_equation(self, toy_params):
         """A ciphertext of a non-signature passes verification.
@@ -144,10 +139,10 @@ class TestGenerateVerify:
         """
         ctx = CembsContext.a_side(toy_params)
         not_a_signature = 12345 % toy_params.sttp_elg.P
-        nonces = sample_nonces(toy_params.sttp_elg.P, rng(b"gap"))
-        ct, cert = encrypt_and_certify(not_a_signature, ctx, nonces)
-        commitment = blind_commit(ct.V, toy_params.commit_base)
-        assert cembs_verify(ct.W, commitment, cert, ctx)
+        w, u = sample_nonces(toy_params.sttp_elg.P, rng(b"gap"))
+        W, V, c, r = encrypt_and_certify(not_a_signature, ctx, w, u)
+        commitment = blind_commit(V, toy_params.commit_base)
+        assert cembs_verify(W, commitment, c, r, ctx)
 
 
 class TestCertifyPower:
@@ -167,9 +162,9 @@ class TestCertifyPower:
         big_a = mod_exp(a, PK, P)
         assert fixed_base_exp(G, u * PK % (P - 1), P) == big_a
         w = sample_range(1, P - 1, Rng.from_material(w_seed))
-        ct, cert = encrypt_and_certify(5, ctx, Nonces(w=w, u=u))
-        commitment = blind_commit(ct.V, ctx.commit_base)
-        assert cert.c == hash_challenge(ctx.side_tag, [ctx.commit_base.g, ct.W, commitment, a, big_a])
+        W, V, c, _ = encrypt_and_certify(5, ctx, w, u)
+        commitment = blind_commit(V, ctx.commit_base)
+        assert c == hash_challenge(ctx.side_tag, [ctx.commit_base.g, W, commitment, a, big_a])
 
 
 class TestCorrectnessIdentities:

@@ -83,6 +83,15 @@ class TestRun:
         assert cli_main(args + ["--transcript", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
 
+    def test_long_timeout_recovers_without_a_stall(self, keyfile, capsys):
+        rc = cli_main([
+            "run", "--keys", str(keyfile), "--seed", "01", "--fault", "drop-final", "--timeout", "300",
+        ])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "run finished (A=success, B=recovered)\n" in out
+        assert "fair outcome:        yes" in out
+
     def test_unknown_fault_is_usage_error(self, keyfile):
         rc = cli_main([
             "run", "--protocol", "common", "--keys", str(keyfile), "--seed", "01",

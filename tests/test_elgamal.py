@@ -2,7 +2,7 @@ import inspect
 
 import pytest
 
-from fairex.elgamal import ElgCiphertext, blind_half, elg_decrypt, elg_encrypt, unblind
+from fairex.elgamal import blind_half, elg_decrypt, elg_encrypt, unblind
 from fairex.errors import EmbeddingError, ParameterError
 from fairex.keys import ElgKeyPair
 
@@ -12,12 +12,10 @@ KEY = ElgKeyPair(P=23, G=5, PK=8, SK=6)
 
 class TestEncrypt:
     def test_vector(self):
-        ct = elg_encrypt(10, KEY.pub, w=3)
-        assert (ct.W, ct.V) == (10, 14)  # 5^3 = 125 = 10 mod 23; 10*8^3 = 10*6 = 14 mod 23
+        assert elg_encrypt(10, KEY.pub, w=3) == (10, 14)  # 5^3 = 125 = 10 mod 23; 10*8^3 = 10*6 = 14 mod 23
 
     def test_unit_nonce_collapses_to_key_material(self):
-        ct = elg_encrypt(1, KEY.pub, w=1)
-        assert (ct.W, ct.V) == (KEY.G, KEY.PK)
+        assert elg_encrypt(1, KEY.pub, w=1) == (KEY.G, KEY.PK)
 
     def test_plaintext_out_of_range(self):
         for bad in (0, 23, 24):
@@ -32,14 +30,14 @@ class TestEncrypt:
 
 class TestDecrypt:
     def test_vector(self):
-        assert elg_decrypt(ElgCiphertext(W=10, V=14), KEY) == 10
+        assert elg_decrypt(10, 14, KEY) == 10
 
     def test_inverse_of_unit_nonce(self):
-        assert elg_decrypt(ElgCiphertext(W=KEY.G, V=KEY.PK), KEY) == 1
+        assert elg_decrypt(KEY.G, KEY.PK, KEY) == 1
 
     def test_needs_private_exponent(self):
         with pytest.raises(ParameterError):
-            elg_decrypt(ElgCiphertext(W=10, V=14), KEY.public())
+            elg_decrypt(10, 14, KEY.public())
 
 
 class TestBlindSplit:
@@ -69,8 +67,8 @@ class TestRoundTripExhaustive:
         cases = 0
         for m in range(1, 23):
             for w in range(1, 22):
-                ct = elg_encrypt(m, KEY.pub, w)
-                assert elg_decrypt(ct, KEY) == m
-                assert unblind(ct.V, blind_half(ct.W, KEY), KEY.P) == m
+                W, V = elg_encrypt(m, KEY.pub, w)
+                assert elg_decrypt(W, V, KEY) == m
+                assert unblind(V, blind_half(W, KEY), KEY.P) == m
                 cases += 1
         assert cases == 462

@@ -9,6 +9,7 @@ from fairex.errors import FaultScriptError
 from fairex.harness import (
     CORRUPT_MODES,
     SHIPPED_FAULT_SCRIPTS,
+    TICK_LIMIT,
     FaultScript,
     Transport,
     audit,
@@ -18,7 +19,7 @@ from fairex.harness import (
     shipped_script,
 )
 from fairex.keys import generate_system_params
-from fairex.protocol import Protocol, SessionConfig, Terms
+from fairex.protocol import ClientB, Protocol, SessionConfig, Terms
 from fairex.rsa import rsa_sign, rsa_verify
 from fairex.wire import ARITY, ROLES, MsgType, Transcript, WireMessage
 
@@ -235,6 +236,14 @@ class TestDeterminism:
         second = run_session(cfg, shipped_script("drop-final"))
         assert first.transcript.to_text() == second.transcript.to_text()
 
+    @pytest.mark.parametrize("name", ["drop-final", "b-early-dispute", "a-silent-step3"])
+    def test_one_script_object_replays(self, params, name):
+        cfg, script = make_cfg(params), shipped_script(name)
+        first, second = run_session(cfg, script), run_session(cfg, script)
+        assert first.transcript.to_text() == second.transcript.to_text()
+        assert first.transcript.notes == second.transcript.notes
+        assert first.states == second.states
+
     def test_different_seed_different_transcript(self, params):
         cfg1 = make_cfg(params)
         cfg2 = dataclasses.replace(cfg1, seed=rng(b"other").random_bytes(32))
@@ -351,7 +360,30 @@ class TestStall:
         assert result.states["B"].verdict == "aborted"
         assert any("arbiter unreachable" in n for n in result.transcript.notes)
 
-    def test_tiny_budget_reports_stall(self, params):
-        cfg = make_cfg(params, tick_budget=2)
-        result = run_session(cfg)
+    def test_endlessly_rearmed_deadline_reports_stall(self, params, monkeypatch):
+        timeouts = []
+
+        def rearm(self, now):
+            timeouts.append(now)
+            self.deadline = now + 1
+            return []
+
+        monkeypatch.setattr(ClientB, "_on_timeout", rearm)
+        result = run_session(make_cfg(params), FaultScript.parse("cembs-offer drop"))
         assert result.stalled
+        assert result.states["A"].verdict == "aborted"
+        assert len(timeouts) == TICK_LIMIT  # every visited tick but A's opening one
+
+    def test_long_timeout_recovers(self, params):
+        cfg = make_cfg(params, timeout=300)
+        result = run_session(cfg, shipped_script("drop-final"))
+        assert not result.stalled
+        assert (result.states["A"].verdict, result.states["B"].verdict) == ("success", "recovered")
+        assert result.transcript.records[-1].tick > 300
+
+    def test_huge_delay_is_delivered_not_stalled(self, params):
+        result = run_session(make_cfg(params), FaultScript.parse("final-signature delay 1000000000"))
+        assert not result.stalled
+        assert result.transcript.records[-1].tick == 1000000003
+        assert result.transcript.records[-1].message.msg_type is MsgType.FINAL_SIGNATURE
+        assert result.states["B"].verdict == "recovered"

@@ -14,10 +14,13 @@ recovery-request, blind-half-reply, forward-ciphertext) and <action> is
     silence_party ROLE           swallow everything ROLE sends from here on
     force_timeout ROLE           make ROLE's wait deadline expire now
 
+`ACTIONS` holds this grammar.  Counts (ticks, indexes, delays) are ASCII
+decimal digits.  A `corrupt_field` index past its message type's arity
+fails at parse time (under a tick match, when the message is sent).
 Each directive fires at most once per session (silencing, once begun,
 persists).  A run never changes its script, so a run is a pure function
 of (config, seed, script) even when one script object is run again.
-Blank lines and lines starting with '#' are ignored.
+Blank lines and text after '#' are ignored.
 """
 
 from __future__ import annotations
@@ -30,9 +33,17 @@ from .cembs import CembsContext, blind_commit, cembs_verify
 from .errors import FaultScriptError, WireError, read_text
 from .keys import SystemParams
 from .protocol import PartyState, Protocol, SessionConfig, Terms, Timeout, build_parties, carried_item
-from .wire import ROLES, MsgType, Transcript, WireMessage
+from .wire import ARITY, ROLES, MsgType, Transcript, WireMessage
 
 CORRUPT_MODES = ("bitflip", "zero")
+# Each action's argument slots: the words allowed there, or int for a count.
+ACTIONS: dict[str, tuple] = {
+    "drop": (),
+    "corrupt_field": (int, CORRUPT_MODES),
+    "delay": (int,),
+    "silence_party": (ROLES,),
+    "force_timeout": (ROLES,),
+}
 TICK_LIMIT = 200  # ticks visited before an unsettled session counts as stalled
 
 
@@ -59,59 +70,46 @@ class FaultScript:
     def parse(cls, text: str) -> "FaultScript":
         directives = []
         for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
+            words = raw.split("#", 1)[0].split()
+            if not words:
                 continue
-            parts = line.split()
-            match, action, args = parts[0], parts[1] if len(parts) > 1 else "", parts[2:]
             try:
-                match_tick: int | None = int(match)
-                match_type: MsgType | None = None
-            except ValueError:
-                match_tick = None
-                try:
-                    match_type = MsgType.from_wire_name(match)
-                except WireError:
-                    raise FaultScriptError(f"line {lineno}: unknown match {match!r}") from None
-            try:
-                directives.append(cls._directive(match_tick, match_type, action, args))
-            except FaultScriptError as exc:
+                directives.append(_directive(*words))
+            except (FaultScriptError, ValueError) as exc:  # int() refuses counts past its digit limit
                 raise FaultScriptError(f"line {lineno}: {exc}") from None
         return cls(directives)
-
-    @staticmethod
-    def _directive(match_tick, match_type, action, args) -> FaultDirective:
-        if action == "drop":
-            if args:
-                raise FaultScriptError("drop takes no arguments")
-            return FaultDirective(match_tick, match_type, "drop")
-        if action == "corrupt_field":
-            if len(args) != 2 or args[1] not in CORRUPT_MODES:
-                raise FaultScriptError("corrupt_field takes INDEX and MODE (bitflip|zero)")
-            try:
-                index = int(args[0])
-            except ValueError:
-                raise FaultScriptError("corrupt_field INDEX must be an integer") from None
-            if index < 0:
-                raise FaultScriptError("corrupt_field INDEX must be non-negative")
-            return FaultDirective(match_tick, match_type, "corrupt_field", (index, args[1]))
-        if action == "delay":
-            try:
-                ticks = int(args[0]) if len(args) == 1 else None
-            except ValueError:
-                ticks = None
-            if ticks is None or ticks < 0:
-                raise FaultScriptError("delay takes a non-negative tick count")
-            return FaultDirective(match_tick, match_type, "delay", (ticks,))
-        if action in ("silence_party", "force_timeout"):
-            if len(args) != 1 or args[0] not in ROLES:
-                raise FaultScriptError(f"{action} takes one of {ROLES}")
-            return FaultDirective(match_tick, match_type, action, (args[0],))
-        raise FaultScriptError(f"unknown action {action!r}")
 
     @classmethod
     def load(cls, path: str | Path) -> "FaultScript":
         return cls.parse(read_text(path, FaultScriptError))
+
+
+def _arg(slot, word: str):
+    """word read in its slot (a count, or one of the slot's words), else None."""
+    if slot is not int:
+        return word if word in slot else None
+    # int() alone would also take a sign, "_" and other scripts' digits.
+    return int(word) if word.isascii() and word.isdigit() else None
+
+
+def _directive(match: str, action: str = "", *words: str) -> FaultDirective:
+    """One script line, checked against ACTIONS and, under a type match, the type's arity."""
+    match_tick, match_type = _arg(int, match), None
+    if match_tick is None:
+        try:
+            match_type = MsgType.from_wire_name(match)
+        except WireError:
+            raise FaultScriptError(f"unknown match {match!r}") from None
+    if action not in ACTIONS:
+        raise FaultScriptError(f"unknown action {action!r}")
+    slots = ACTIONS[action]
+    args = tuple(_arg(slot, word) for slot, word in zip(slots, words))
+    if len(words) != len(slots) or None in args:
+        usage = " ".join("COUNT" if slot is int else "|".join(slot) for slot in slots)
+        raise FaultScriptError(f"{action} takes {usage or 'no arguments'}, not {' '.join(words)!r}")
+    if action == "corrupt_field" and match_type is not None and args[0] >= ARITY[match_type]:
+        raise FaultScriptError(f"{match_type.wire_name} has no field {args[0]}")
+    return FaultDirective(match_tick, match_type, action, args)
 
 
 # The misbehavior matrix: the two ways B can cheat (bad counter-signature,
@@ -256,12 +254,8 @@ def run_session(cfg: SessionConfig, fault: FaultScript | None = None) -> Session
             for receiver, msg in outgoing:
                 transport.send(tick, role, receiver, msg)
     stalled = not transport.quiescent or any(p.deadline is not None for p in parties.values())
-    transcript = transport.transcript
-    for role in ROLES:
-        for violation in parties[role].state.violations:
-            transcript.note(f"{role}: {violation}")
     return SessionResult(
-        transcript=transcript,
+        transcript=transport.transcript,
         states={role: parties[role].state for role in ROLES},
         stalled=stalled,
     )
@@ -293,10 +287,6 @@ def _delivered(transcript: Transcript, receiver: str, msg_type: MsgType):
             yield rec.message
 
 
-def _sttp_involved(transcript: Transcript) -> bool:
-    return any("STTP" in (rec.sender, rec.receiver) for rec in transcript.records)
-
-
 def _sttp_saw_va(transcript: Transcript) -> bool:
     va_values = {
         int_from_bytes(m.fields[1]) for m in _delivered(transcript, "B", MsgType.CEMBS_OFFER)
@@ -312,7 +302,7 @@ def _sttp_saw_va(transcript: Transcript) -> bool:
 def _report(transcript: Transcript, a_ok: bool, b_ok: bool) -> AuditReport:
     return AuditReport(
         fair=a_ok == b_ok,
-        sttp_involved=_sttp_involved(transcript),
+        sttp_involved=any("STTP" in (rec.sender, rec.receiver) for rec in transcript.records),
         sttp_saw_va=_sttp_saw_va(transcript),
         a_acquired_valid=a_ok,
         b_acquired_valid=b_ok,
@@ -322,8 +312,8 @@ def _report(transcript: Transcript, a_ok: bool, b_ok: bool) -> AuditReport:
 def audit(
     transcript: Transcript,
     params: SystemParams,
-    protocol: Protocol = Protocol.COMMON_MESSAGE,
-    payload: bytes | tuple[bytes, bytes] | None = None,
+    protocol: Protocol,
+    payload: bytes | tuple[bytes, bytes],
 ) -> AuditReport:
     """Recompute the fairness and semi-trust flags from a transcript.
 
@@ -335,8 +325,6 @@ def audit(
     is then accepted when it reproduces a recovery request whose
     certificate verifies.
     """
-    if payload is None:
-        payload = default_payload(protocol)
     terms = Terms(protocol, payload, params)
     offer = next(_delivered(transcript, "B", MsgType.CEMBS_OFFER), None)
     v_a = int_from_bytes(offer.fields[1]) if offer is not None else None
@@ -379,15 +367,12 @@ def live_flags(result: SessionResult) -> AuditReport:
     return _report(result.transcript, states["A"].acquired is not None, states["B"].acquired is not None)
 
 
-DEFAULT_MESSAGE = b"the undersigned agree to the attached terms"
-DEFAULT_FILE_A = b"contract counterpart held by A"
-DEFAULT_FILE_B = b"contract counterpart held by B"
-DEFAULT_DATA = b"ok"
+_DEFAULT_PAYLOADS = {
+    Protocol.COMMON_MESSAGE: b"the undersigned agree to the attached terms",
+    Protocol.LINKED_FILES: (b"contract counterpart held by A", b"contract counterpart held by B"),
+    Protocol.DATA_FOR_SIGNATURE: b"ok",
+}
 
 
 def default_payload(protocol: Protocol) -> bytes | tuple[bytes, bytes]:
-    if protocol is Protocol.COMMON_MESSAGE:
-        return DEFAULT_MESSAGE
-    if protocol is Protocol.LINKED_FILES:
-        return (DEFAULT_FILE_A, DEFAULT_FILE_B)
-    return DEFAULT_DATA
+    return _DEFAULT_PAYLOADS[protocol]

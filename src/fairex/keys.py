@@ -96,7 +96,6 @@ class CommitBase:
 
 @dataclass(frozen=True)
 class BitProfile:
-    name: str
     rsa_prime_bits: int
     elg_bits: int
 
@@ -108,8 +107,8 @@ class BitProfile:
 
 
 PROFILES: dict[str, BitProfile] = {
-    "paper": BitProfile("paper", rsa_prime_bits=512, elg_bits=1024),
-    "toy": BitProfile("toy", rsa_prime_bits=8, elg_bits=24),
+    "paper": BitProfile(rsa_prime_bits=512, elg_bits=1024),
+    "toy": BitProfile(rsa_prime_bits=8, elg_bits=24),
 }
 
 

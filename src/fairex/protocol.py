@@ -80,11 +80,6 @@ def link_messages(file_a: bytes, file_b: bytes) -> tuple[bytes, bytes]:
     )
 
 
-def check_data_matches(data: bytes, expected_hash: int) -> bool:
-    """Does SHA-256(data), read big-endian, equal the expected value?"""
-    return int_from_bytes(hashlib.sha256(data).digest()) == expected_hash
-
-
 def data_as_int(data: bytes) -> int:
     """Integer embedding of a data payload; must round-trip exactly."""
     value = int_from_bytes(data)
@@ -132,16 +127,15 @@ class Terms:
     def valid_for_A(self, item: int | bytes | None) -> bool:
         """Is item B's signature on b_rep, or the data that hashes to expected_hash?"""
         if self.protocol is Protocol.DATA_FOR_SIGNATURE:
-            return isinstance(item, bytes) and check_data_matches(item, self.expected_hash)
+            return (
+                isinstance(item, bytes)
+                and int_from_bytes(hashlib.sha256(item).digest()) == self.expected_hash
+            )
         return isinstance(item, int) and rsa_verify(item, self.b_rep, self.params.b_rsa.pub)
 
     def valid_for_B(self, item: int | bytes | None) -> bool:
         """Is item A's signature on a_rep?"""
         return isinstance(item, int) and rsa_verify(item, self.a_rep, self.params.a_rsa.pub)
-
-    def a_item(self, value: int) -> int | bytes:
-        """A's item from the plaintext of B's recovery ciphertext (data travels as data_as_int)."""
-        return int_to_bytes(value) if self.protocol is Protocol.DATA_FOR_SIGNATURE else value
 
 
 def _int_fields(msg: WireMessage) -> list[int]:
@@ -165,7 +159,8 @@ def carried_item(msg: WireMessage, terms: Terms, v_a: int | None = None) -> int 
         if kind is MsgType.BLIND_HALF_REPLY and v_a is not None:
             return unblind(v_a, int_from_bytes(msg.fields[0]), terms.params.sttp_elg.P)
         if kind is MsgType.FORWARD_CIPHERTEXT:
-            return terms.a_item(elg_decrypt(*_int_fields(msg), terms.params.a_elg))
+            value = elg_decrypt(*_int_fields(msg), terms.params.a_elg)  # data travels as data_as_int
+            return int_to_bytes(value) if terms.protocol is Protocol.DATA_FOR_SIGNATURE else value
     except (EmbeddingError, ParameterError):
         pass
     return None

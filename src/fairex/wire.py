@@ -115,20 +115,12 @@ class TranscriptRecord:
 
 @dataclass
 class Transcript:
-    """Append-only log of every delivered message, plus out-of-band notes.
-
-    Notes (protocol violations, STTP rejections) are simulation metadata
-    and are not part of the transcript file format.
-    """
+    """Every delivered message, in order: all that a transcript file holds."""
 
     records: list[TranscriptRecord] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
 
     def add(self, tick: int, sender: str, receiver: str, message: WireMessage) -> None:
         self.records.append(TranscriptRecord(tick, sender, receiver, message))
-
-    def note(self, text: str) -> None:
-        self.notes.append(text)
 
     def to_text(self) -> str:
         lines = [

@@ -82,8 +82,9 @@ def session_digest(params, protocol: Protocol, script: str) -> str:
     cfg = SessionConfig(protocol=protocol, params=params, payload=payload, seed=SESSION_SEED)
     result = run_session(cfg, shipped_script(script))
     h = hashlib.sha256(result.transcript.to_text().encode())
-    for note in result.transcript.notes:
-        h.update(note.encode() + b"\n")
+    for role in ROLES:
+        for violation in result.states[role].violations:
+            h.update(f"{role}: {violation}\n".encode())
     for role in ROLES:
         state = result.states[role]
         h.update(repr((role, state.verdict, state.acquired, state.violations)).encode())

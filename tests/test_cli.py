@@ -125,6 +125,19 @@ class TestRun:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_bad_corrupt_index_is_a_usage_error_before_the_session(
+        self, keyfile, tmp_path, capsys, monkeypatch
+    ):
+        script, out = tmp_path / "fault.txt", tmp_path / "t.txt"
+        script.write_text("final-signature corrupt_field 5 zero\n")
+        monkeypatch.setattr(cli, "run_session", lambda *a: pytest.fail("a session ran"))
+        rc = cli_main([
+            "run", "--keys", str(keyfile), "--seed", "01", "--fault", str(script), "--transcript", str(out),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: line 1: final-signature has no field 5\n"
+        assert not out.exists()
+
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
     def test_one_cpu_child_matches_unpinned_child(self, paper_key_file, tmp_path):
         """Spreading validation over CPUs changes no output of `fairex run`."""

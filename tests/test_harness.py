@@ -1,12 +1,15 @@
 import dataclasses
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from fairex import harness
 from fairex.arith import Rng, int_from_bytes, int_to_bytes
 from fairex.errors import FaultScriptError
 from fairex.harness import (
+    ACTIONS,
     CORRUPT_MODES,
     SHIPPED_FAULT_SCRIPTS,
     TICK_LIMIT,
@@ -78,11 +81,26 @@ class TestFaultScriptParsing:
             "final-signature delay -1",
             "final-signature silence_party EVE",
             "final-signature drop now",
+            "final-signature corrupt_field 1 zero",
+            "recovery-request corrupt_field 8 zero",
+            "+1 drop",
+            "-1 drop",
+            "final-signature delay +3",
+            "final-signature delay 1_0",
+            pytest.param("final-signature delay " + "9" * 5000, id="delay-past-int-digit-limit"),
         ],
     )
     def test_bad_lines_rejected(self, line):
-        with pytest.raises(FaultScriptError):
-            FaultScript.parse(line)
+        with pytest.raises(FaultScriptError, match=r"^line 2: "):
+            FaultScript.parse(f"# a comment line counts\n{line}\n")
+
+    def test_every_action_is_documented(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        paragraph = readme[readme.index("Fault scripts are plain text"):]
+        paragraph = paragraph[: paragraph.index("\n\n")]
+        for action in ACTIONS:
+            assert f"    {action} " in harness.__doc__, action
+            assert f"`{action}" in paragraph, action
 
     def test_shipped_scripts_parse(self):
         for name in SHIPPED_FAULT_SCRIPTS:
@@ -123,9 +141,9 @@ class TestTransport:
         assert delivered[0][2].fields[0] == b"\x06"
 
     def test_corrupt_index_out_of_range(self):
-        t = Transport(fault=FaultScript.parse("final-signature corrupt_field 5 zero"))
-        with pytest.raises(FaultScriptError):
-            t.send(0, "A", "B", final_sig())
+        t = Transport(fault=FaultScript.parse("2 corrupt_field 3 zero"))
+        with pytest.raises(FaultScriptError, match="index 3 out of range for FINAL_SIGNATURE"):
+            t.send(2, "A", "B", final_sig())
 
     def test_delay_holds_message_back(self):
         t = Transport(fault=FaultScript.parse("final-signature delay 3"))
@@ -157,6 +175,28 @@ class TestTransport:
         t.send(0, "B", "A", WireMessage(MsgType.COUNTER_SIGNATURE, SID, (b"\x01",)))
         t.deliver(1)
         assert [r.message.msg_type for r in t.transcript.records] == [MsgType.COUNTER_SIGNATURE]
+
+
+class TestTickMatch:
+    """A tick match fires on whatever is sent at that tick: B replies at 1, A releases at 2."""
+
+    @pytest.mark.parametrize(
+        "by_tick, by_type",
+        [
+            ("2 drop", SHIPPED_FAULT_SCRIPTS["drop-final"]),
+            ("1 corrupt_field 0 bitflip", "{reply} corrupt_field 0 bitflip"),
+        ],
+        ids=["drop-final", "corrupt-reply"],
+    )
+    @pytest.mark.parametrize("protocol", list(Protocol), ids=lambda p: p.value)
+    def test_same_session_as_the_type_match(self, params, protocol, by_tick, by_type):
+        reply = "data-payload" if protocol is Protocol.DATA_FOR_SIGNATURE else "counter-signature"
+        cfg = make_cfg(params, protocol=protocol)
+        ticked = run_session(cfg, FaultScript.parse(by_tick))
+        typed = run_session(cfg, FaultScript.parse(by_type.format(reply=reply)))
+        assert ticked.transcript.to_text() == typed.transcript.to_text()
+        assert ticked.states == typed.states
+        assert ticked.transcript.to_text() != run_session(cfg).transcript.to_text()
 
 
 class TestFaultMatrix:
@@ -241,7 +281,6 @@ class TestDeterminism:
         cfg, script = make_cfg(params), shipped_script(name)
         first, second = run_session(cfg, script), run_session(cfg, script)
         assert first.transcript.to_text() == second.transcript.to_text()
-        assert first.transcript.notes == second.transcript.notes
         assert first.states == second.states
 
     def test_different_seed_different_transcript(self, params):
@@ -358,7 +397,7 @@ class TestStall:
         result = run_session(cfg, script)
         assert not result.stalled
         assert result.states["B"].verdict == "aborted"
-        assert any("arbiter unreachable" in n for n in result.transcript.notes)
+        assert "arbiter unreachable" in result.states["B"].violations
 
     def test_endlessly_rearmed_deadline_reports_stall(self, params, monkeypatch):
         timeouts = []

@@ -254,7 +254,7 @@ class TestBatchedPrimality:
 class TestForkedKeygen:
     """Keygen with forked children makes the set that one CPU makes, whatever the children do."""
 
-    PROFILE = BitProfile("fork-test", 64, 128)  # just above _FORK_MIN_BITS
+    PROFILE = BitProfile(64, 128)  # just above _FORK_MIN_BITS
 
     @pytest.fixture
     def made_here(self, monkeypatch):
@@ -426,11 +426,11 @@ class TestKeyFiles:
 class TestProfileGuards:
     def test_rsa_prime_floor(self):
         with pytest.raises(ParameterError):
-            BitProfile("tiny", rsa_prime_bits=4, elg_bits=16)
+            BitProfile(rsa_prime_bits=4, elg_bits=16)
 
     def test_elg_must_cover_rsa(self):
         with pytest.raises(ParameterError):
-            BitProfile("cramped", rsa_prime_bits=16, elg_bits=24)
+            BitProfile(rsa_prime_bits=16, elg_bits=24)
 
     def test_impossible_floor_errors_out(self):
         with pytest.raises(SetupError):

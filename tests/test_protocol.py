@@ -13,10 +13,10 @@ from fairex.protocol import (
     Protocol,
     SessionConfig,
     Sttp,
+    Terms,
     Timeout,
     build_parties,
     carried_item,
-    check_data_matches,
     data_as_int,
     link_messages,
 )
@@ -65,18 +65,13 @@ class TestLinkMessages:
         assert m_a[:-32] == b"file a"
 
 
-class TestCheckDataMatches:
-    def expected(self, data: bytes) -> int:
-        return int_from_bytes(hashlib.sha256(data).digest())
-
-    def test_honest(self):
-        assert check_data_matches(b"payload", self.expected(b"payload"))
-
-    def test_flipped_byte(self):
-        assert not check_data_matches(b"paxload", self.expected(b"payload"))
-
-    def test_empty(self):
-        assert check_data_matches(b"", self.expected(b""))
+@pytest.mark.parametrize(
+    "payload, data, valid",
+    [(b"payload", b"payload", True), (b"payload", b"paxload", False), (b"", b"", True)],
+    ids=["honest", "flipped-byte", "empty"],
+)
+def test_data_valid_for_a_exactly_when_its_hash_matches(params, payload, data, valid):
+    assert Terms(Protocol.DATA_FOR_SIGNATURE, payload, params).valid_for_A(data) is valid
 
 
 class TestClientASteps:

@@ -82,13 +82,6 @@ class TestTranscript:
         with pytest.raises(TranscriptError):
             Transcript.from_text(f"1\tA\tEVE\t{payload}\n")
 
-    def test_notes_not_serialized(self, tmp_path):
-        t = self.make()
-        t.note("B: out-of-phase message")
-        path = tmp_path / "transcript.txt"
-        t.save(path)
-        assert Transcript.load(path).notes == []
-
 
 class TestParserFuzz:
     MESSAGE = st.one_of(

@@ -129,17 +129,3 @@ def cembs_verify(W: int, C: int, c: int, r: int, ctx: CembsContext) -> bool:
         return False
     a = fixed_base_exp(G, r, P) * mod_exp(W, c, P) % P
     return c == hash_challenge(ctx.side_tag, [ctx.commit_base.g, W, C, a, mod_exp(a, PK, P)])
-
-
-def correctness_identity_check(
-    u: int, c: int, w: int, G: int, W: int, PK: int, P: int
-) -> bool:
-    """The two algebraic identities behind verification, checked directly.
-
-    Requires W = G^w mod P.  With r = (u - c*w) mod (P-1), both
-    a = G^u = G^r * W^c = a' and A = a^PK = a'^PK = A' must hold mod P.
-    """
-    r = (u - c * w) % (P - 1)
-    a = mod_exp(G, u % (P - 1), P)
-    a_prime = mod_exp(G, r, P) * mod_exp(W, c, P) % P
-    return a == a_prime and mod_exp(a, PK, P) == mod_exp(a_prime, PK, P)

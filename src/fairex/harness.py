@@ -4,9 +4,9 @@ Fault scripts are plain text, one directive per line:
 
     <match> <action> [args]
 
-where <match> is either a tick number or a message type name
-(cembs-offer, counter-signature, final-signature, data-payload,
-recovery-request, blind-half-reply, forward-ciphertext) and <action> is
+where <match> is either a tick number or a message type name, spelled
+exactly (cembs-offer, counter-signature, final-signature, data-payload,
+recovery-request, blind-half-reply, forward-ciphertext), and <action> is
 
     drop                         swallow the matching message
     corrupt_field INDEX MODE     mangle one field (mode: bitflip | zero)
@@ -33,7 +33,7 @@ from .cembs import CembsContext, blind_commit, cembs_verify
 from .errors import FaultScriptError, WireError, read_text
 from .keys import SystemParams
 from .protocol import PartyState, Protocol, SessionConfig, Terms, Timeout, build_parties, carried_item
-from .wire import ARITY, ROLES, MsgType, Transcript, WireMessage
+from .wire import ARITY, ROLES, MsgType, Transcript, WireMessage, read_count
 
 CORRUPT_MODES = ("bitflip", "zero")
 # Each action's argument slots: the words allowed there, or int for a count.
@@ -86,15 +86,14 @@ class FaultScript:
 
 def _arg(slot, word: str):
     """word read in its slot (a count, or one of the slot's words), else None."""
-    if slot is not int:
-        return word if word in slot else None
-    # int() alone would also take a sign, "_" and other scripts' digits.
-    return int(word) if word.isascii() and word.isdigit() else None
+    if slot is int:
+        return read_count(word)
+    return word if word in slot else None
 
 
 def _directive(match: str, action: str = "", *words: str) -> FaultDirective:
     """One script line, checked against ACTIONS and, under a type match, the type's arity."""
-    match_tick, match_type = _arg(int, match), None
+    match_tick, match_type = read_count(match), None
     if match_tick is None:
         try:
             match_type = MsgType.from_wire_name(match)

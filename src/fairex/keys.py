@@ -11,13 +11,15 @@ ElGamal moduli) and "toy" (8-bit primes, 24-bit moduli) for exhaustive
 desk-scale tests.
 
 Above toy size, keygen uses up to two CPUs and validation every usable
-one, through forked children; each party's keys come from its own stream,
-so the bytes are the same on any number of CPUs.
+one.  One helper, `_fan_out`, forks every child behind one size gate and
+runs again in the caller any job whose child fails.  Each party's keys
+come from its own stream, so the bytes are the same on any number of CPUs.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
 import re
 import threading
 from collections.abc import Callable
@@ -211,9 +213,9 @@ def generate_system_params(profile: BitProfile | str, rng: Rng) -> SystemParams:
     P_A lies above both n_A and n_B, so B's signatures embed under A's
     ElGamal key, and P_T above n_A.  Per-party child streams keep each
     party's keys independent of how many samples the others consumed, so
-    identical seeds give identical parameter sets run after run.  It also
-    lets a forked child make B's RSA key while A's is made here, then the
-    STTP's ElGamal key (needs n_A) while A's (needs n_A and n_B) and the
+    identical seeds give identical parameter sets run after run.  So a
+    child can make B's RSA key while A's is made here, then the STTP's
+    ElGamal key (needs n_A) while A's (needs n_A and n_B) and the
     commitment base are made here: the same set on any number of CPUs.
     """
     if isinstance(profile, str):
@@ -222,45 +224,20 @@ def generate_system_params(profile: BitProfile | str, rng: Rng) -> SystemParams:
         except KeyError:
             raise ParameterError(f"unknown profile {profile!r}") from None
     rng_a, rng_b, rng_t = rng.child(b"client-a"), rng.child(b"client-b"), rng.child(b"sttp")
-    fork = profile.elg_bits >= _FORK_MIN_BITS and _usable_cpus() > 1
-    a_rsa, b_rsa = _alongside(
-        lambda: _gen_rsa(profile, rng_a), lambda: _gen_rsa(profile, rng_b), RsaKeyPair, fork
-    )
+    bits = profile.elg_bits
+    a_rsa, b_rsa = _fan_out([lambda: _gen_rsa(profile, rng_a), lambda: _gen_rsa(profile, rng_b)], bits)
     floor_a = max(a_rsa.n, b_rsa.n)
-    (a_elg, base), sttp_elg = _alongside(
+    (a_elg, base), sttp_elg = _fan_out([
         lambda: (_gen_elg(profile, rng_a, floor=floor_a), _gen_commit_base(a_rsa.n, rng_a)),
-        lambda: _gen_elg(profile, rng_t, floor=a_rsa.n), ElgKeyPair, fork,
-    )
+        lambda: _gen_elg(profile, rng_t, floor=a_rsa.n),
+    ], bits)
     params = SystemParams(
-        a_rsa=a_rsa,
-        b_rsa=b_rsa,
-        a_elg=a_elg,
-        sttp_elg=sttp_elg,
-        commit_base=base,
-        bit_profile=profile,
+        a_rsa=a_rsa, b_rsa=b_rsa, a_elg=a_elg, sttp_elg=sttp_elg, commit_base=base, bit_profile=profile
     )
     violations = validate_params(params)
     if violations:
         raise SetupError(f"generated parameters invalid: {violations}")
     return params
-
-
-def _alongside(mine: Callable, theirs: Callable, kind: type, fork: bool) -> tuple:
-    """(mine(), theirs()), where theirs() makes a `kind` key in a forked child when `fork`.
-
-    A child that dies or raises sends nothing; theirs() then runs here on
-    its stream, which the child left untouched, giving the same key or the
-    same SetupError.  The RSA keys' errors name no party, so A's going
-    first raises what B's would.
-    """
-    child = None
-    if fork:
-        child = _spawn(lambda: " ".join(f"{v:x}" for v in vars(theirs()).values()).encode())
-    try:
-        made = mine()
-    finally:
-        reply = _reap(child)
-    return made, kind(*(int(v, 16) for v in reply.split())) if reply else theirs()
 
 
 def _check_rsa(key: RsaKeyPair, who: str, prime: dict[int, bool], out: list[str]) -> None:
@@ -301,10 +278,8 @@ def validate_params(sp: SystemParams) -> list[str]:
     public exports validate too.  No check reads the bit profile, so the
     result is cached per parameter set with the profile stripped: a set
     that was generated and then loaded back from a key file runs its
-    primality tests once.  Those tests (40 Miller-Rabin rounds on each of
-    up to six numbers) run as one batch spread across the usable CPUs;
-    each verdict is a pure function of its number, so the result is the
-    same on any number of CPUs.
+    primality tests (40 Miller-Rabin rounds on each of up to six numbers,
+    through `_primality`) once.
     """
     return list(_violations(replace(sp, bit_profile=None)))
 
@@ -320,7 +295,10 @@ def _usable_cpus() -> int:
 
 
 def _spawn(work: Callable[[], bytes]) -> tuple[int, int] | None:
-    """Fork a child that writes work() to a pipe; None if the fork fails."""
+    """Fork a child that writes work() to a pipe; None if the fork fails.
+
+    Its one caller, `_fan_out`, holds the one fork gate and the one fallback.
+    """
     r, w = os.pipe()
     try:
         pid = os.fork()
@@ -352,29 +330,31 @@ def _reap(child: tuple[int, int] | None) -> bytes:
     return reply if status == 0 else b""
 
 
-def _primality(numbers: set[int]) -> dict[int, bool]:
-    """is_probable_prime of each number, the work dealt out to forked children.
+def _fan_out(jobs: list[Callable], bits: int) -> list:
+    """[job() for job in jobs]: jobs[0] here, each other job in a forked child if `bits` merits it.
 
-    Largest first, the numbers go round-robin into one group per usable
-    CPU; the caller tests group 0 while a child tests each other group.
-    A child that dies before sending every verdict has its group tested
-    again here, so a crash can never change the answer.
+    A child pickles its result into its pipe.  A job whose child was refused,
+    died or raised runs again here, on state the child left untouched, so it
+    gives the same result or the same error.  No child outlives the call.
     """
-    ordered = sorted(numbers, reverse=True)
-    k = 1
-    if ordered[0].bit_length() >= _FORK_MIN_BITS:
-        k = min(_usable_cpus(), len(ordered))
-    groups = [ordered[i::k] for i in range(k)]
-    children = [_spawn(lambda g=group: bytes(map(is_probable_prime, g))) for group in groups[1:]]
+    fork = bits >= _FORK_MIN_BITS and _usable_cpus() > 1
+    children = [_spawn(lambda job=job: pickle.dumps(job())) if fork else None for job in jobs[1:]]
     try:
-        prime = {n: is_probable_prime(n) for n in groups[0]}
+        results = [jobs[0]()]
     finally:
         replies = [_reap(child) for child in children]
-    for group, reply in zip(groups[1:], replies):
-        if len(reply) != len(group):
-            reply = bytes(is_probable_prime(n) for n in group)
-        prime.update(zip(group, map(bool, reply)))
-    return prime
+    # Unpickling is safe: the only writer on each pipe is this process's own forked child.
+    return results + [pickle.loads(reply) if reply else job() for job, reply in zip(jobs[1:], replies)]
+
+
+def _primality(numbers: set[int]) -> dict[int, bool]:
+    """is_probable_prime of each number; largest first, round-robin into one `_fan_out` job per CPU."""
+    ordered = sorted(numbers, reverse=True)
+    k = min(_usable_cpus(), len(ordered))
+    groups = [ordered[i::k] for i in range(k)]
+    jobs = [lambda g=g: list(map(is_probable_prime, g)) for g in groups]
+    verdicts = _fan_out(jobs, ordered[0].bit_length())
+    return {n: v for group, vs in zip(groups, verdicts) for n, v in zip(group, vs)}
 
 
 @lru_cache(maxsize=16)

@@ -39,10 +39,15 @@ class MsgType(enum.IntEnum):
 
     @classmethod
     def from_wire_name(cls, name: str) -> "MsgType":
-        try:
-            return cls[name.upper().replace("-", "_")]
-        except KeyError:
-            raise WireError(f"unknown message type {name!r}") from None
+        for msg_type in cls:
+            if msg_type.wire_name == name:
+                return msg_type
+        raise WireError(f"unknown message type {name!r}")
+
+
+def read_count(word: str) -> int | None:
+    """word as a count if it is ASCII decimal digits, else None; int() alone takes "-1", "1_0", " 1"."""
+    return int(word) if word.isascii() and word.isdigit() else None
 
 
 ARITY = {
@@ -112,6 +117,10 @@ class TranscriptRecord:
     receiver: str
     message: WireMessage
 
+    @property
+    def line(self) -> str:
+        return f"{self.tick}\t{self.sender}\t{self.receiver}\t{self.message.encode().hex()}"
+
 
 @dataclass
 class Transcript:
@@ -123,19 +132,16 @@ class Transcript:
         self.records.append(TranscriptRecord(tick, sender, receiver, message))
 
     def to_text(self) -> str:
-        lines = [
-            f"{rec.tick}\t{rec.sender}\t{rec.receiver}\t{rec.message.encode().hex()}"
-            for rec in self.records
-        ]
-        return "".join(line + "\n" for line in lines)
+        return "".join(rec.line + "\n" for rec in self.records)
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(self.to_text())
 
     @classmethod
     def from_text(cls, text: str) -> "Transcript":
+        """Load every non-blank line, each exactly as to_text writes it."""
         transcript = cls()
-        for lineno, line in enumerate(text.splitlines(), start=1):
+        for lineno, line in enumerate(text.split("\n"), start=1):
             if not line.strip():
                 continue
             parts = line.split("\t")
@@ -143,13 +149,16 @@ class Transcript:
                 raise TranscriptError(f"line {lineno}: expected 4 tab-separated columns")
             tick_str, sender, receiver, hex_msg = parts
             try:
-                tick = int(tick_str)
+                tick = read_count(tick_str)
                 message = WireMessage.decode(bytes.fromhex(hex_msg))
             except (ValueError, WireError) as exc:
                 raise TranscriptError(f"line {lineno}: {exc}") from None
             if sender not in ROLES or receiver not in ROLES:
                 raise TranscriptError(f"line {lineno}: unknown party")
-            transcript.add(tick, sender, receiver, message)
+            record = TranscriptRecord(tick, sender, receiver, message)
+            if tick is None or record.line != line:
+                raise TranscriptError(f"line {lineno}: not as a run writes it")
+            transcript.records.append(record)
         return transcript
 
     @classmethod

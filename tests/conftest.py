@@ -1,6 +1,6 @@
 import pytest
 
-from fairex.arith import Rng
+from fairex.arith import Rng, mod_exp
 from fairex.keys import generate_system_params, save_params
 
 
@@ -19,3 +19,21 @@ def paper_key_file(paper_key_set, tmp_path_factory):
     path = tmp_path_factory.mktemp("paper") / "keys.txt"
     save_params(paper_key_set, path)
     return path
+
+
+def _identities_hold(u: int, c: int, w: int, G: int, W: int, PK: int, P: int) -> bool:
+    """The two algebraic identities behind certificate verification, checked directly.
+
+    Requires W = G^w mod P.  With r = (u - c*w) mod (P-1), both
+    a = G^u = G^r * W^c = a' and A = a^PK = a'^PK = A' must hold mod P.
+    """
+    r = (u - c * w) % (P - 1)
+    a = mod_exp(G, u % (P - 1), P)
+    a_prime = mod_exp(G, r, P) * mod_exp(W, c, P) % P
+    return a == a_prime and mod_exp(a, PK, P) == mod_exp(a_prime, PK, P)
+
+
+@pytest.fixture(scope="session")
+def correctness_identity_check():
+    """The identity check that test_cembs and test_acceptance share."""
+    return _identities_hold

@@ -15,7 +15,6 @@ from fairex.cembs import (
     CembsContext,
     blind_commit,
     cembs_verify,
-    correctness_identity_check,
     encrypt_and_certify,
     sample_nonces,
 )
@@ -98,7 +97,7 @@ def test_02_elgamal_round_trip_and_blind_equivalence():
         assert cases == 462
 
 
-def test_03_certificate_completeness():
+def test_03_certificate_completeness(correctness_identity_check):
     with criterion(3, 10.0, "certificate completeness: 1000 random toy cases + exhaustive identities"):
         source = rng(b"completeness")
         for i in range(1000):

@@ -9,7 +9,6 @@ from fairex.cembs import (
     NONCE_U_BITS,
     blind_commit,
     cembs_verify,
-    correctness_identity_check,
     encrypt_and_certify,
     hash_challenge,
     sample_nonces,
@@ -168,7 +167,7 @@ class TestCertifyPower:
 
 
 class TestCorrectnessIdentities:
-    def test_exhaustive_toy_cube(self):
+    def test_exhaustive_toy_cube(self, correctness_identity_check):
         P, G, PK = 23, 5, 8
         passed = 0
         for w in range(22):
@@ -179,7 +178,7 @@ class TestCorrectnessIdentities:
                     passed += 1
         assert passed == 22**3
 
-    def test_large_nonce_values(self):
+    def test_large_nonce_values(self, correctness_identity_check):
         P, G, PK = 23, 5, 8
         w = 7
         W = pow(G, w, P)

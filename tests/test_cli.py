@@ -257,6 +257,19 @@ class TestAudit:
         rc = cli_main(["audit", "--transcript", str(transcript), "--keys", str(keyfile)])
         assert rc == 2
 
+    @pytest.mark.parametrize("tick", ["-5", "+1_0", " 1", "01", "\u0661"])
+    def test_transcript_a_run_cannot_write_is_usage_error(self, keyfile, tmp_path, capsys, tick):
+        transcript = tmp_path / "t.txt"
+        cli_main([
+            "run", "--protocol", "common", "--keys", str(keyfile), "--seed", "03",
+            "--transcript", str(transcript),
+        ])
+        _, rest = transcript.read_text().split("\t", 1)
+        transcript.write_text(f"{tick}\t{rest}")
+        rc = cli_main(["audit", "--transcript", str(transcript), "--keys", str(keyfile)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: line 1: ")
+
     def test_non_utf8_transcript_is_usage_error(self, keyfile, tmp_path, capsys):
         transcript = tmp_path / "t.txt"
         transcript.write_bytes(b"1\tA\tB\t\xff\xfe\n")

@@ -94,13 +94,28 @@ class TestFaultScriptParsing:
         with pytest.raises(FaultScriptError, match=r"^line 2: "):
             FaultScript.parse(f"# a comment line counts\n{line}\n")
 
-    def test_every_action_is_documented(self):
+    @pytest.mark.parametrize("match", ["FINAL_SIGNATURE", "final_signature", "Final-Signature"])
+    def test_message_types_have_one_spelling(self, match):
+        with pytest.raises(FaultScriptError, match=r"^line 1: unknown match"):
+            FaultScript.parse(f"{match} drop\n")
+
+    @staticmethod
+    def readme_paragraph() -> str:
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
         paragraph = readme[readme.index("Fault scripts are plain text"):]
-        paragraph = paragraph[: paragraph.index("\n\n")]
+        return paragraph[: paragraph.index("\n\n")]
+
+    def test_every_action_is_documented(self):
+        paragraph = self.readme_paragraph()
         for action in ACTIONS:
             assert f"    {action} " in harness.__doc__, action
             assert f"`{action}" in paragraph, action
+
+    def test_every_message_type_is_documented(self):
+        paragraph = self.readme_paragraph()
+        for msg_type in MsgType:
+            assert msg_type.wire_name in harness.__doc__, msg_type
+            assert f"`{msg_type.wire_name}`" in paragraph, msg_type
 
     def test_shipped_scripts_parse(self):
         for name in SHIPPED_FAULT_SCRIPTS:

@@ -304,6 +304,28 @@ class TestForkedKeygen:
         assert self.generate(monkeypatch, 3, b"dying children") == one
         assert sorted(made_here) == ["_gen_elg"] * 2 + ["_gen_rsa"] * 2
 
+    def test_refused_fork_leaves_the_work_to_the_parent(self, monkeypatch):
+        one = self.generate(monkeypatch, 1, b"refused forks")
+        opened, closed, pipe, close = [], [], os.pipe, os.close
+
+        def recorded_pipe():
+            ends = pipe()
+            opened.extend(ends)
+            return ends
+
+        def refused_fork():
+            raise OSError("fork refused")
+
+        monkeypatch.setattr(os, "pipe", recorded_pipe)
+        monkeypatch.setattr(os, "close", lambda fd: closed.append(fd) or close(fd))
+        monkeypatch.setattr(os, "fork", refused_fork)
+        keys._violations.cache_clear()
+        assert self.generate(monkeypatch, 3, b"refused forks") == one
+        numbers = {one.a_elg.P, one.sttp_elg.P, one.a_rsa.n, one.a_rsa.p, one.b_rsa.q, 3 * one.a_elg.P}
+        assert keys._primality(numbers) == {n: is_probable_prime(n) for n in numbers}
+        # Keygen's two jobs, validation's two groups and the last call's two.
+        assert len(opened) == 12 and set(opened) <= set(closed)
+
     def test_failing_search_raises_the_same_error(self, monkeypatch, spawned):
         monkeypatch.setattr(keys, "_MAX_RETRIES", 0)
         with pytest.raises(SetupError) as one:
@@ -311,6 +333,9 @@ class TestForkedKeygen:
         with pytest.raises(SetupError) as three:
             self.generate(monkeypatch, 3)
         assert spawned and str(three.value) == str(one.value)
+        # The caller's job raised, yet its child was reaped: none is left.
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestKeyFileFuzz:

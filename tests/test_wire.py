@@ -42,9 +42,11 @@ class TestWireMessage:
 
     def test_wire_names(self):
         assert MsgType.CEMBS_OFFER.wire_name == "cembs-offer"
-        assert MsgType.from_wire_name("recovery-request") is MsgType.RECOVERY_REQUEST
-        with pytest.raises(WireError):
-            MsgType.from_wire_name("telegram")
+        for msg_type in MsgType:
+            assert MsgType.from_wire_name(msg_type.wire_name) is msg_type
+        for name in ("telegram", "RECOVERY_REQUEST", "recovery_request", "Recovery-Request"):
+            with pytest.raises(WireError):
+                MsgType.from_wire_name(name)
 
 
 class TestTranscript:
@@ -81,6 +83,27 @@ class TestTranscript:
         payload = offer().encode().hex()
         with pytest.raises(TranscriptError):
             Transcript.from_text(f"1\tA\tEVE\t{payload}\n")
+
+    LOOSE_LINES = {
+        "negative tick": "-5\tA\tB\t{0}",
+        "signed tick with underscore": "+1_0\tA\tB\t{0}",
+        "tick with a space": " 1\tA\tB\t{0}",
+        "tick with a leading zero": "01\tA\tB\t{0}",
+        "non-ASCII digit tick": "\u0661\tA\tB\t{0}",
+        "upper-case hex": "1\tA\tB\t{upper}",
+        "hex with a space": "1\tA\tB\t{spaced}",
+        "carriage return": "1\tA\tB\t{0}\r",
+        "form feed between records": "1\tA\tB\t{0}\x0c1\tA\tB\t{0}",
+    }
+
+    @pytest.mark.parametrize("form", sorted(LOOSE_LINES))
+    def test_only_lines_a_run_writes_load(self, form):
+        payload = offer().encode().hex()
+        assert Transcript.from_text(f"1\tA\tB\t{payload}\n").to_text() == f"1\tA\tB\t{payload}\n"
+        spaced = f"{payload[:2]} {payload[2:]}"
+        line = self.LOOSE_LINES[form].format(payload, upper=payload.upper(), spaced=spaced)
+        with pytest.raises(TranscriptError, match=r"^line 1: "):
+            Transcript.from_text(line + "\n")
 
 
 class TestParserFuzz:
@@ -124,6 +147,7 @@ class TestParserFuzz:
         except TranscriptError:
             return
         assert Transcript.from_text(transcript.to_text()).records == transcript.records
+        assert transcript.to_text().splitlines() == [line for line in text.splitlines() if line.strip()]
 
     def test_non_utf8_transcript_file(self, tmp_path):
         path = tmp_path / "transcript.txt"

@@ -175,12 +175,26 @@ def _sieve(limit: int) -> list[int]:
     return [i for i in range(limit + 1) if flags[i]]
 
 _TRIAL_PRIMES = _sieve(2000)
+# Below 1999^2, a number with no factor among the trial primes is prime.
+TRIAL_BOUND = _TRIAL_PRIMES[-1] ** 2
 
 
 @cache
 def small_primes_to_100k() -> list[int]:
     """Primes up to 10^5, sieved once and cached (order checks, factor scans)."""
     return _sieve(100_000)
+
+
+def _trial_division(n: int) -> bool | None:
+    """True if n is a trial prime, False if n < 2 or a trial prime divides it, else None."""
+    if n < 2:
+        return False
+    for p in _TRIAL_PRIMES:
+        if n == p:
+            return True
+        if n % p == 0:
+            return False
+    return None
 
 
 def is_probable_prime(n: int, rng: Rng | None = None) -> bool:
@@ -190,13 +204,9 @@ def is_probable_prime(n: int, rng: Rng | None = None) -> bool:
     itself, so the answer is a pure function of n (needed by parameter
     validation, which must be replayable).
     """
-    if n < 2:
-        return False
-    for p in _TRIAL_PRIMES:
-        if n == p:
-            return True
-        if n % p == 0:
-            return False
+    verdict = _trial_division(n)
+    if verdict is not None:
+        return verdict
     if rng is None:
         rng = Rng.from_material(b"primality:" + int_to_bytes(n))
     d = n - 1

@@ -92,7 +92,7 @@ def _payload_from_args(args) -> bytes | tuple[bytes, bytes]:
 
 
 def _cmd_keygen(args) -> int:
-    params = generate_system_params(args.profile, Rng(_parse_seed(args.seed)))
+    params = generate_system_params(args.profile, Rng(_parse_seed(args.seed)), certified=True)
     save_params(params, args.out)
     if args.public_out:
         save_params(params.public(), args.public_out)

@@ -40,8 +40,11 @@ class FaultScriptError(FairexError):
 
 
 def read_text(path: str | Path, error: type[FairexError]) -> str:
-    """The text of a file; one that is not UTF-8 raises `error`, not UnicodeDecodeError."""
+    """The text of a file, line ends as written.
+
+    A file that is not UTF-8 raises `error`, not UnicodeDecodeError.
+    """
     try:
-        return Path(path).read_text()
+        return Path(path).read_bytes().decode()
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not a text file ({exc.reason} at byte {exc.start})") from None

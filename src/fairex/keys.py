@@ -14,6 +14,10 @@ Above toy size, keygen uses up to two CPUs and validation every usable
 one.  One helper, `_fan_out`, forks every child behind one size gate and
 runs again in the caller any job whose child fails.  Each party's keys
 come from its own stream, so the bytes are the same on any number of CPUs.
+
+Certified keygen (`fairex keygen`) builds each prime with a Pocklington
+certificate, a chain of (a, q) pairs that validation checks in about one
+modexp per level; a prime without one gets 40 Miller-Rabin rounds.
 """
 
 from __future__ import annotations
@@ -29,7 +33,9 @@ from math import gcd, isqrt
 from pathlib import Path
 
 from .arith import (
+    TRIAL_BOUND,
     Rng,
+    _trial_division,
     int_to_bytes,
     is_probable_prime,
     mod_exp,
@@ -47,6 +53,9 @@ _MAX_RETRIES = 100_000
 # cost.  Toy sets (24-bit moduli) never fork.
 _FORK_MIN_BITS = 128
 
+# (a, q) per level, largest q first; see `_certified`.
+Certificate = tuple[tuple[int, int], ...]
+
 
 @dataclass(frozen=True)
 class RsaKeyPair:
@@ -57,9 +66,14 @@ class RsaKeyPair:
     d: int | None = None
     p: int | None = None
     q: int | None = None
+    p_cert: Certificate | None = None
+    q_cert: Certificate | None = None
 
     def public(self) -> "RsaKeyPair":
-        return replace(self, d=None, p=None, q=None)
+        # A certificate is as private as its prime.  Its top q divides p - 1
+        # and 2q > n^(1/4), and knowing p mod 2q at that size factors n in
+        # polynomial time (Coppersmith; Boneh-Durfee-Howgrave-Graham).
+        return replace(self, d=None, p=None, q=None, p_cert=None, q_cert=None)
 
     @property
     def pub(self) -> tuple[int, int]:
@@ -74,6 +88,7 @@ class ElgKeyPair:
     G: int
     PK: int
     SK: int | None = None
+    P_cert: Certificate | None = None
 
     def public(self) -> "ElgKeyPair":
         return replace(self, SK=None)
@@ -133,12 +148,18 @@ class SystemParams:
         )
 
 
-def _gen_prime_exact(bits: int, rng: Rng, floor: int = 0) -> int:
-    """Probable prime of exactly `bits` bits, strictly above `floor`."""
+def _prime_range(bits: int, floor: int) -> tuple[int, int]:
+    """[lo, hi): the `bits`-bit integers strictly above `floor`."""
     lo = max(1 << (bits - 1), floor + 1)
     hi = 1 << bits
     if lo >= hi:
         raise SetupError(f"no {bits}-bit integers above {floor}")
+    return lo, hi
+
+
+def _gen_prime_exact(bits: int, rng: Rng, floor: int = 0) -> int:
+    """Probable prime of exactly `bits` bits, strictly above `floor`."""
+    lo, hi = _prime_range(bits, floor)
     for _ in range(_MAX_RETRIES):
         candidate = sample_range(lo, hi, rng) | 1
         if candidate >= hi:
@@ -146,6 +167,60 @@ def _gen_prime_exact(bits: int, rng: Rng, floor: int = 0) -> int:
         if is_probable_prime(candidate, rng):
             return candidate
     raise SetupError(f"no {bits}-bit prime above {floor} found after bounded retries")
+
+
+def _gen_provable(bits: int, rng: Rng, floor: int = 0) -> tuple[int, Certificate]:
+    """Prime of exactly `bits` bits above `floor`, with the certificate that proves it.
+
+    Below 1999^2 trial division proves it and the certificate is empty.
+    Above, p = 2tq + 1 for a provable q of ceil(bits/2) + 1 bits, so
+    q^2 > p, and t drawn so that p lies in range; p is kept when no trial
+    prime divides it and base 2 passes `_pocklington` (Maurer, J. Cryptology
+    1995; FIPS 186-4 C.6).
+    """
+    lo, hi = _prime_range(bits, floor)
+    if hi <= TRIAL_BOUND:
+        for _ in range(_MAX_RETRIES):
+            candidate = sample_range(lo, hi, rng) | 1
+            if candidate < hi and _certified(candidate, ()):
+                return candidate, ()
+    else:
+        q, cert = _gen_provable((bits + 1) // 2 + 1, rng)
+        t_lo, t_hi = -((1 - lo) // (2 * q)), (hi - 2) // (2 * q) + 1
+        for _ in range(_MAX_RETRIES if t_lo < t_hi else 0):
+            p = 2 * q * sample_range(t_lo, t_hi, rng) + 1
+            if _trial_division(p) is None and _pocklington(p, 2, q):
+                return p, ((2, q), *cert)
+    raise SetupError(f"no provable {bits}-bit prime above {floor} found after bounded retries")
+
+
+def _gen_prime(bits: int, rng: Rng, floor: int, certified: bool) -> tuple[int, Certificate | None]:
+    """A provable prime and its certificate, or a probable prime and None."""
+    if certified:
+        return _gen_provable(bits, rng, floor)
+    return _gen_prime_exact(bits, rng, floor), None
+
+
+def _pocklington(n: int, a: int, q: int) -> bool:
+    """Whether base a shows every prime factor of n to be 1 mod q, so above sqrt(n).
+
+    With q^2 > n and q | n - 1, b = a^((n-1)/q) has b^q = a^(n-1), and
+    b^q = 1 with gcd(b - 1, n) = 1 gives b order q modulo each prime factor
+    r of n, so q | r - 1: n is prime once q is (Pocklington, 1914).
+    """
+    if not (1 < q and n < q * q and (n - 1) % q == 0):
+        return False
+    b = pow(a, (n - 1) // q, n)
+    return pow(b, q, n) == 1 and gcd(b - 1, n) == 1
+
+
+def _certified(n: int, cert: Certificate) -> bool:
+    """Whether `cert` proves n prime: each level passes, and the last q is a prime below 1999^2."""
+    for a, q in cert:
+        if not _pocklington(n, a, q):
+            return False
+        n = q
+    return n < TRIAL_BOUND and _trial_division(n) is not False
 
 
 def _small_prime_factors(n: int) -> list[int]:
@@ -161,8 +236,8 @@ def _small_prime_factors(n: int) -> list[int]:
     return found
 
 
-def _gen_elg(profile: BitProfile, rng: Rng, floor: int = 0) -> ElgKeyPair:
-    P = _gen_prime_exact(profile.elg_bits, rng, floor=floor)
+def _gen_elg(profile: BitProfile, rng: Rng, floor: int = 0, certified: bool = False) -> ElgKeyPair:
+    P, P_cert = _gen_prime(profile.elg_bits, rng, floor, certified)
     small_factors = _small_prime_factors(P - 1)
     for _ in range(_MAX_RETRIES):
         G = sample_range(2, P - 1, rng)  # excludes 1 and P-1
@@ -172,17 +247,17 @@ def _gen_elg(profile: BitProfile, rng: Rng, floor: int = 0) -> ElgKeyPair:
     else:
         raise SetupError("no base of large order found after bounded retries")
     SK = sample_range(1, P - 1, rng)  # [1, P-2]
-    return ElgKeyPair(P=P, G=G, PK=mod_exp(G, SK, P), SK=SK)
+    return ElgKeyPair(P=P, G=G, PK=mod_exp(G, SK, P), SK=SK, P_cert=P_cert)
 
 
-def _gen_rsa(profile: BitProfile, rng: Rng) -> RsaKeyPair:
+def _gen_rsa(profile: BitProfile, rng: Rng, certified: bool = False) -> RsaKeyPair:
     bits = profile.rsa_prime_bits
     # Keep both primes above sqrt(2^(2*bits - 1)) so n = p*q has exactly
     # twice as many bits as each prime; 2^(2*bits - 1) is never a square.
     floor = isqrt(1 << (2 * bits - 1))
-    p = _gen_prime_exact(bits, rng, floor=floor)
+    p, p_cert = _gen_prime(bits, rng, floor, certified)
     for _ in range(_MAX_RETRIES):
-        q = _gen_prime_exact(bits, rng, floor=floor)
+        q, q_cert = _gen_prime(bits, rng, floor, certified)
         if q != p:
             break
     else:
@@ -196,7 +271,7 @@ def _gen_rsa(profile: BitProfile, rng: Rng) -> RsaKeyPair:
     else:
         raise SetupError("no public exponent coprime to phi(n) found")
     d = pow(e, -1, phi)
-    return RsaKeyPair(n=n, e=e, d=d, p=p, q=q)
+    return RsaKeyPair(n=n, e=e, d=d, p=p, q=q, p_cert=p_cert, q_cert=q_cert)
 
 
 def _gen_commit_base(n: int, rng: Rng) -> CommitBase:
@@ -207,8 +282,11 @@ def _gen_commit_base(n: int, rng: Rng) -> CommitBase:
     raise SetupError("no commitment base found after bounded retries")
 
 
-def generate_system_params(profile: BitProfile | str, rng: Rng) -> SystemParams:
+def generate_system_params(profile: BitProfile | str, rng: Rng, *, certified: bool = False) -> SystemParams:
     """Every party's keys, with the cross-party size constraints.
+
+    `certified` builds each prime with its certificate (`_gen_provable`), so
+    the set differs from the default one for the same seed.
 
     P_A lies above both n_A and n_B, so B's signatures embed under A's
     ElGamal key, and P_T above n_A.  Per-party child streams keep each
@@ -225,11 +303,13 @@ def generate_system_params(profile: BitProfile | str, rng: Rng) -> SystemParams:
             raise ParameterError(f"unknown profile {profile!r}") from None
     rng_a, rng_b, rng_t = rng.child(b"client-a"), rng.child(b"client-b"), rng.child(b"sttp")
     bits = profile.elg_bits
-    a_rsa, b_rsa = _fan_out([lambda: _gen_rsa(profile, rng_a), lambda: _gen_rsa(profile, rng_b)], bits)
+    a_rsa, b_rsa = _fan_out([
+        lambda: _gen_rsa(profile, rng_a, certified), lambda: _gen_rsa(profile, rng_b, certified)
+    ], bits)
     floor_a = max(a_rsa.n, b_rsa.n)
     (a_elg, base), sttp_elg = _fan_out([
-        lambda: (_gen_elg(profile, rng_a, floor=floor_a), _gen_commit_base(a_rsa.n, rng_a)),
-        lambda: _gen_elg(profile, rng_t, floor=a_rsa.n),
+        lambda: (_gen_elg(profile, rng_a, floor_a, certified), _gen_commit_base(a_rsa.n, rng_a)),
+        lambda: _gen_elg(profile, rng_t, a_rsa.n, certified),
     ], bits)
     params = SystemParams(
         a_rsa=a_rsa, b_rsa=b_rsa, a_elg=a_elg, sttp_elg=sttp_elg, commit_base=base, bit_profile=profile
@@ -240,11 +320,11 @@ def generate_system_params(profile: BitProfile | str, rng: Rng) -> SystemParams:
     return params
 
 
-def _check_rsa(key: RsaKeyPair, who: str, prime: dict[int, bool], out: list[str]) -> None:
+def _check_rsa(key: RsaKeyPair, who: str, prime: dict[tuple, bool], out: list[str]) -> None:
     if key.p is not None and key.q is not None:
         if key.p == key.q:
             out.append(f"{who}: rsa primes equal")
-        if not prime[key.p] or not prime[key.q]:
+        if not prime[key.p, key.p_cert] or not prime[key.q, key.q_cert]:
             out.append(f"{who}: rsa factor not prime")
         if key.n != key.p * key.q:
             out.append(f"{who}: rsa modulus mismatch")
@@ -257,8 +337,8 @@ def _check_rsa(key: RsaKeyPair, who: str, prime: dict[int, bool], out: list[str]
         out.append(f"{who}: rsa public key out of range")
 
 
-def _check_elg(key: ElgKeyPair, who: str, prime: dict[int, bool], out: list[str]) -> None:
-    if not prime[key.P]:
+def _check_elg(key: ElgKeyPair, who: str, prime: dict[tuple, bool], out: list[str]) -> None:
+    if not prime[key.P, key.P_cert]:
         out.append(f"{who}: modulus not prime")
     if not 1 < key.G < key.P:
         out.append(f"{who}: base out of range")
@@ -275,11 +355,12 @@ def validate_params(sp: SystemParams) -> list[str]:
     """Every violated invariant as a human-readable string; empty iff valid.
 
     Checks that need private material are skipped when it is absent, so
-    public exports validate too.  No check reads the bit profile, so the
-    result is cached per parameter set with the profile stripped: a set
-    that was generated and then loaded back from a key file runs its
-    primality tests (40 Miller-Rabin rounds on each of up to six numbers,
-    through `_primality`) once.
+    public exports validate too.  A prime with a certificate is proved by
+    it (`_certified`), and a broken certificate reads "not prime"; one
+    without gets 40 Miller-Rabin rounds through `_primality`.  No check
+    reads the bit profile, so the result is cached per parameter set with
+    the profile stripped: a set that was generated and then loaded back
+    from a key file runs its primality checks once.
     """
     return list(_violations(replace(sp, bit_profile=None)))
 
@@ -349,6 +430,8 @@ def _fan_out(jobs: list[Callable], bits: int) -> list:
 
 def _primality(numbers: set[int]) -> dict[int, bool]:
     """is_probable_prime of each number; largest first, round-robin into one `_fan_out` job per CPU."""
+    if not numbers:
+        return {}
     ordered = sorted(numbers, reverse=True)
     k = min(_usable_cpus(), len(ordered))
     groups = [ordered[i::k] for i in range(k)]
@@ -360,11 +443,12 @@ def _primality(numbers: set[int]) -> dict[int, bool]:
 @lru_cache(maxsize=16)
 def _violations(sp: SystemParams) -> tuple[str, ...]:
     out: list[str] = []
-    numbers = {sp.a_elg.P, sp.sttp_elg.P}
+    claims = {(sp.a_elg.P, sp.a_elg.P_cert), (sp.sttp_elg.P, sp.sttp_elg.P_cert)}
     for key in (sp.a_rsa, sp.b_rsa):
         if key.p is not None and key.q is not None:
-            numbers |= {key.p, key.q}
-    prime = _primality(numbers)
+            claims |= {(key.p, key.p_cert), (key.q, key.q_cert)}
+    tested = _primality({n for n, cert in claims if cert is None})
+    prime = {(n, cert): tested[n] if cert is None else _certified(n, cert) for n, cert in claims}
     _check_rsa(sp.a_rsa, "client A", prime, out)
     _check_rsa(sp.b_rsa, "client B", prime, out)
     _check_elg(sp.a_elg, "client A", prime, out)
@@ -384,15 +468,40 @@ def _violations(sp: SystemParams) -> tuple[str, ...]:
 # --- key files: one `field=hex` record per line, grouped by role ----------
 
 _ROLE_FIELDS = {
-    "A": ("n", "e", "d", "p", "q", "P", "G", "SK", "PK", "g"),
-    "B": ("n", "e", "d", "p", "q"),
-    "STTP": ("P", "G", "SK", "PK"),
+    "A": ("n", "e", "d", "p", "q", "p_cert", "q_cert", "P", "G", "SK", "PK", "P_cert", "g"),
+    "B": ("n", "e", "d", "p", "q", "p_cert", "q_cert"),
+    "STTP": ("P", "G", "SK", "PK", "P_cert"),
 }
+_CERT_FIELDS = ("p_cert", "q_cert", "P_cert")
 _HEX_VALUE = re.compile("[0-9a-fA-F]+")
 
 
 def _hex(x: int) -> str:
     return int_to_bytes(x).hex() or "00"
+
+
+def _cert_hex(cert: Certificate) -> str:
+    """A count byte, then a and q of each level, each as a 2-byte length and its magnitude."""
+    out = bytearray([len(cert)])
+    for x in (x for level in cert for x in level):
+        raw = int_to_bytes(x)
+        out += len(raw).to_bytes(2, "big") + raw
+    return out.hex()
+
+
+def _read_cert(value: str) -> Certificate:
+    """The certificate `_cert_hex` wrote; ValueError for anything else."""
+    data = bytes.fromhex(value)
+    ints, pos = [], 1
+    while pos < len(data):
+        size = int.from_bytes(data[pos : pos + 2], "big")
+        pos += 2 + size
+        if pos > len(data):
+            raise ValueError("truncated")
+        ints.append(int.from_bytes(data[pos - size : pos], "big"))
+    if not data or len(ints) != 2 * data[0]:
+        raise ValueError("wrong count")
+    return tuple(zip(ints[::2], ints[1::2]))
 
 
 def save_params(sp: SystemParams, path: str | Path) -> None:
@@ -413,14 +522,17 @@ def save_params(sp: SystemParams, path: str | Path) -> None:
             value = values[role][name]
             if value is None:
                 continue
-            lines.append(f"{name}={_hex(value)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+            lines.append(f"{name}={_cert_hex(value) if name in _CERT_FIELDS else _hex(value)}")
+    Path(path).write_bytes(("\n".join(lines) + "\n").encode())
 
 
 def load_params(path: str | Path) -> SystemParams:
-    """Parse a key file written by save_params.  Missing private fields load as None."""
-    records: dict[str, dict[str, int]] = {}
-    current: dict[str, int] | None = None
+    """Parse a key file written by save_params.  Missing private fields load as None.
+
+    A role or a field given twice, and a field its role does not have, are errors.
+    """
+    records: dict[str, dict] = {}
+    role: str | None = None
     text = read_text(path, ParameterError)
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -432,24 +544,33 @@ def load_params(path: str | Path) -> SystemParams:
         if name == "role":
             if value not in _ROLE_FIELDS:
                 raise ParameterError(f"{path}:{lineno}: unknown role {value!r}")
-            current = records.setdefault(value, {})
+            if value in records:
+                raise ParameterError(f"{path}:{lineno}: role {value} repeated")
+            role, records[value] = value, {}
             continue
-        if current is None:
+        if role is None:
             raise ParameterError(f"{path}:{lineno}: field before any role line")
+        if name not in _ROLE_FIELDS[role]:
+            raise ParameterError(f"{path}:{lineno}: role {role} has no field {name!r}")
+        if name in records[role]:
+            raise ParameterError(f"{path}:{lineno}: field {name} repeated")
         # int(value, 16) alone would also take a sign, "0x", "_" and spaces.
         if not _HEX_VALUE.fullmatch(value):
             raise ParameterError(f"{path}:{lineno}: bad hex value")
-        current[name] = int(value, 16)
+        try:
+            records[role][name] = _read_cert(value) if name in _CERT_FIELDS else int(value, 16)
+        except ValueError as exc:
+            raise ParameterError(f"{path}:{lineno}: bad certificate ({exc})") from None
     missing = set(_ROLE_FIELDS) - set(records)
     if missing:
         raise ParameterError(f"{path}: missing roles {sorted(missing)}")
     a, b, t = records["A"], records["B"], records["STTP"]
     try:
         return SystemParams(
-            a_rsa=RsaKeyPair(n=a["n"], e=a["e"], d=a.get("d"), p=a.get("p"), q=a.get("q")),
-            b_rsa=RsaKeyPair(n=b["n"], e=b["e"], d=b.get("d"), p=b.get("p"), q=b.get("q")),
-            a_elg=ElgKeyPair(P=a["P"], G=a["G"], PK=a["PK"], SK=a.get("SK")),
-            sttp_elg=ElgKeyPair(P=t["P"], G=t["G"], PK=t["PK"], SK=t.get("SK")),
+            a_rsa=RsaKeyPair(a["n"], a["e"], *map(a.get, ("d", "p", "q", "p_cert", "q_cert"))),
+            b_rsa=RsaKeyPair(b["n"], b["e"], *map(b.get, ("d", "p", "q", "p_cert", "q_cert"))),
+            a_elg=ElgKeyPair(a["P"], a["G"], a["PK"], a.get("SK"), a.get("P_cert")),
+            sttp_elg=ElgKeyPair(t["P"], t["G"], t["PK"], t.get("SK"), t.get("P_cert")),
             commit_base=CommitBase(g=a["g"], n_ref=a["n"]),
         )
     except KeyError as exc:

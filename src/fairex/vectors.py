@@ -69,5 +69,5 @@ def generate_vectors(out_dir: str | Path) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / FILE_NAME
-    path.write_text(generate_vectors_text())
+    path.write_bytes(generate_vectors_text().encode())
     return path

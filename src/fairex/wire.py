@@ -135,7 +135,7 @@ class Transcript:
         return "".join(rec.line + "\n" for rec in self.records)
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_text())
+        Path(path).write_bytes(self.to_text().encode())
 
     @classmethod
     def from_text(cls, text: str) -> "Transcript":

@@ -15,6 +15,13 @@ def paper_key_set():
 
 
 @pytest.fixture(scope="session")
+def certified_paper_key_set():
+    """A paper-profile set whose six primes carry certificates, as `fairex keygen` makes it."""
+    seed = Rng.from_material(b"tests certified paper key set")
+    return generate_system_params("paper", seed, certified=True)
+
+
+@pytest.fixture(scope="session")
 def paper_key_file(paper_key_set, tmp_path_factory):
     path = tmp_path_factory.mktemp("paper") / "keys.txt"
     save_params(paper_key_set, path)

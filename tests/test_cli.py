@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import os
 import re
 import subprocess
@@ -8,7 +9,9 @@ from pathlib import Path
 import pytest
 
 from fairex import cli
+from fairex.arith import Rng
 from fairex.cli import cli_main
+from fairex.keys import generate_system_params, load_params, save_params
 from fairex.vectors import FILE_NAME, generate_vectors_text
 
 GOLDEN = Path(__file__).parent / "golden" / "cembs_vectors.txt"
@@ -32,14 +35,20 @@ class TestKeygen:
             "--public-out", str(pub),
         ])
         assert rc == 0
-        assert "SK=" in full.read_text()
-        assert "SK=" not in pub.read_text()
+        assert "SK=" in full.read_text() and "q_cert=" in full.read_text()
+        assert "SK=" not in pub.read_text() and "q_cert=" not in pub.read_text()
+        assert pub.read_text().count("P_cert=") == 2
 
     def test_same_seed_same_file(self, tmp_path):
-        first, second = tmp_path / "a.txt", tmp_path / "b.txt"
+        first, second, library = tmp_path / "a.txt", tmp_path / "b.txt", tmp_path / "c.txt"
         cli_main(["keygen", "--profile", "toy", "--seed", "42", "--out", str(first)])
         cli_main(["keygen", "--profile", "toy", "--seed", "42", "--out", str(second)])
         assert first.read_bytes() == second.read_bytes()
+        # keygen writes the certified set, which differs from the library's default.
+        seed = hashlib.sha256(bytes.fromhex("42")).digest()
+        save_params(generate_system_params("toy", Rng(seed), certified=True), library)
+        assert first.read_bytes() == library.read_bytes()
+        assert load_params(first).sttp_elg.P != generate_system_params("toy", Rng(seed)).sttp_elg.P
 
     def test_bad_seed_is_usage_error(self, tmp_path):
         rc = cli_main(["keygen", "--profile", "toy", "--seed", "xyz", "--out", str(tmp_path / "k")])

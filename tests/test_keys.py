@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fairex import keys
-from fairex.arith import Rng, is_probable_prime, mod_exp
+from fairex.arith import TRIAL_BOUND, Rng, is_probable_prime, mod_exp
 from fairex.errors import ParameterError, SetupError
 from fairex.keys import (
     PROFILES,
@@ -29,6 +29,11 @@ def rng(tag: bytes = b"") -> Rng:
 @pytest.fixture(scope="module")
 def toy_params():
     return generate_system_params("toy", rng(b"toy"))
+
+
+@pytest.fixture(scope="module")
+def certified_toy():
+    return generate_system_params("toy", rng(b"certified toy"), certified=True)
 
 
 class TestInitClients:
@@ -157,6 +162,22 @@ class TestValidateParamsCache:
         assert validate_params(loaded) == []
         assert primality_tests == []
 
+    def test_certified_paper_set_round_trips_without_miller_rabin(
+        self, certified_paper_key_set, tmp_path, primality_tests
+    ):
+        sp = certified_paper_key_set
+        assert sp.a_rsa.p.bit_length() == sp.b_rsa.q.bit_length() == 512
+        assert sp.a_rsa.n.bit_length() == sp.b_rsa.n.bit_length() == 1024
+        assert sp.a_elg.P.bit_length() == sp.sttp_elg.P.bit_length() == 1024
+        assert sp.a_elg.P > max(sp.a_rsa.n, sp.b_rsa.n) and sp.sttp_elg.P > sp.a_rsa.n
+        path = tmp_path / "keys.txt"
+        save_params(sp, path)
+        loaded = load_params(path)
+        assert loaded == dataclasses.replace(sp, bit_profile=None)
+        keys._violations.cache_clear()
+        assert validate_params(loaded) == []
+        assert primality_tests == []
+
     def test_distinct_set_is_validated_again(self, toy_params, primality_tests):
         validate_params(toy_params)
         primality_tests.clear()
@@ -278,31 +299,42 @@ class TestForkedKeygen:
         monkeypatch.setattr(keys, "_spawn", lambda work: calls.append(work) or spawn(work))
         return calls
 
-    def generate(self, monkeypatch, cpus: int, tag: bytes = b"forked keygen"):
+    def generate(self, monkeypatch, cpus: int, tag: bytes = b"forked keygen", certified: bool = False):
         monkeypatch.setattr(keys, "_usable_cpus", lambda: cpus)
-        return generate_system_params(self.PROFILE, rng(tag))
+        return generate_system_params(self.PROFILE, rng(tag), certified=certified)
 
-    def test_same_set_and_file_on_one_and_three_cpus(self, monkeypatch, tmp_path, made_here, spawned):
+    def test_same_set_and_file_on_one_and_three_cpus(
+        self, monkeypatch, tmp_path, made_here, spawned, certified=False
+    ):
         keys._violations.cache_clear()
-        one = self.generate(monkeypatch, 1)
+        one = self.generate(monkeypatch, 1, certified=certified)
         assert spawned == [] and sorted(made_here) == ["_gen_elg"] * 2 + ["_gen_rsa"] * 2
+        assert (one.sttp_elg.P_cert is not None) == (one.b_rsa.q_cert is not None) == certified
         made_here.clear()
         # The 1-CPU run left this set's validation in the cache, so the
         # only forks of the 3-CPU run are keygen's two.
-        three = self.generate(monkeypatch, 3)
+        three = self.generate(monkeypatch, 3, certified=certified)
         assert len(spawned) == 2 and made_here == ["_gen_rsa", "_gen_elg"]
         assert three == one
         save_params(one, tmp_path / "one.txt")
         save_params(three, tmp_path / "three.txt")
         assert (tmp_path / "three.txt").read_text() == (tmp_path / "one.txt").read_text()
 
-    def test_children_that_die_leave_the_work_to_the_parent(self, monkeypatch, made_here):
-        one = self.generate(monkeypatch, 1, b"dying children")
+    def test_same_certified_set_and_file_on_one_and_three_cpus(
+        self, monkeypatch, tmp_path, made_here, spawned
+    ):
+        self.test_same_set_and_file_on_one_and_three_cpus(monkeypatch, tmp_path, made_here, spawned, True)
+
+    def test_children_that_die_leave_the_work_to_the_parent(self, monkeypatch, made_here, certified=False):
+        one = self.generate(monkeypatch, 1, b"dying children", certified)
         made_here.clear()
         spawn = keys._spawn
         monkeypatch.setattr(keys, "_spawn", lambda work: spawn(lambda: os._exit(1)))
-        assert self.generate(monkeypatch, 3, b"dying children") == one
+        assert self.generate(monkeypatch, 3, b"dying children", certified) == one
         assert sorted(made_here) == ["_gen_elg"] * 2 + ["_gen_rsa"] * 2
+
+    def test_certified_children_that_die_leave_the_work_to_the_parent(self, monkeypatch, made_here):
+        self.test_children_that_die_leave_the_work_to_the_parent(monkeypatch, made_here, True)
 
     def test_refused_fork_leaves_the_work_to_the_parent(self, monkeypatch):
         one = self.generate(monkeypatch, 1, b"refused forks")
@@ -338,6 +370,93 @@ class TestForkedKeygen:
             os.waitpid(-1, os.WNOHANG)
 
 
+def _qnr(P: int) -> int:
+    return next(a for a in range(2, P) if pow(a, (P - 1) // 2, P) == P - 1)
+
+
+class TestCertificates:
+    """A certificate proves its number prime, or validation reports the number as not prime."""
+
+    # Each rewrites the certificate of A's ElGamal modulus P, whose toy
+    # chain is one level ((2, q),) with q below the trial bound, so that
+    # exactly one condition of `_certified` fails (see each comment).
+    BROKEN = {
+        # q = 2 divides P - 1, a non-residue passes both powers, 2 is a trial prime.
+        "q squared not above n": lambda P, cert, other: ((_qnr(P), 2),),
+        # The STTP's q: a proven prime above sqrt(P) that does not divide P - 1.
+        "q does not divide n - 1": lambda P, cert, other: ((2, other[0][1]),),
+        # a = P: a^((P-1)/q) = 0, so gcd(0 - 1, P) = 1 but a^(P-1) = 0.
+        "a^(n-1) is not 1": lambda P, cert, other: ((P, cert[0][1]),),
+        # a = 1: a^(P-1) = 1 but gcd(1 - 1, P) = P.
+        "gcd is not 1": lambda P, cert, other: ((1, cert[0][1]),),
+        # 2q divides P - 1 = 2tq, and 2^t != 1 as 2^(2t) != 1; 2q is even.
+        "chain ends at a composite": lambda P, cert, other: ((2, 2 * cert[0][1]),),
+        # The empty chain: P itself is above 1999^2.
+        "chain ends above the trial bound": lambda P, cert, other: (),
+        "certificate of another number": lambda P, cert, other: other,
+    }
+
+    def test_toy_chain_shape(self, certified_toy):
+        (a, q), = certified_toy.a_elg.P_cert
+        assert a == 2 and q < TRIAL_BOUND < certified_toy.a_elg.P
+        assert (certified_toy.a_elg.P - 1) % certified_toy.sttp_elg.P_cert[0][1] != 0
+        assert certified_toy.a_rsa.p_cert == certified_toy.b_rsa.q_cert == ()
+
+    @pytest.mark.parametrize("broken", sorted(BROKEN))
+    def test_broken_certificate_reads_not_prime(self, certified_toy, broken, monkeypatch):
+        sp = certified_toy
+        cert = self.BROKEN[broken](sp.a_elg.P, sp.a_elg.P_cert, sp.sttp_elg.P_cert)
+        # P is prime, and Miller-Rabin is never asked: a broken certificate
+        # is a violation, not a reason to test the number another way.
+        assert is_probable_prime(sp.a_elg.P)
+        monkeypatch.setattr(keys, "is_probable_prime", None)
+        broken_set = dataclasses.replace(sp, a_elg=dataclasses.replace(sp.a_elg, P_cert=cert))
+        assert validate_params(broken_set) == ["client A: modulus not prime"]
+
+    def test_swapped_rsa_certificates_read_not_prime(self, certified_paper_key_set):
+        key = certified_paper_key_set.a_rsa
+        swapped = dataclasses.replace(key, p_cert=key.q_cert, q_cert=key.p_cert)
+        assert validate_params(dataclasses.replace(certified_paper_key_set, a_rsa=swapped)) == [
+            "client A: rsa factor not prime"
+        ]
+
+    @pytest.mark.parametrize("cert", [(), ((2, 0),), ((2, 1),), ((2, 2),), ((0, 3),)])
+    def test_zero_and_one_are_never_proved_and_never_raise(self, cert):
+        assert not keys._certified(0, cert) and not keys._certified(1, cert)
+
+    @st.composite
+    def chains(draw):
+        """n and a chain built as keygen builds one, but from any start and any t.
+
+        Each level is 2tq + 1 with t <= q/2, so q^2 > n nearly always, but n
+        and q are prime only by chance; a q is sometimes swapped for any number.
+        """
+        q = draw(st.one_of(st.sampled_from([2, 3, 5, 1009, 1999]), st.integers(0, 2000)))
+        cert = []
+        for _ in range(draw(st.integers(1, 3))):
+            n = 2 * draw(st.integers(1, max(1, q // 2))) * q + 1
+            cert.insert(0, (draw(st.one_of(st.integers(0, 5), st.integers(0, n))), q))
+            q = n
+        if draw(st.booleans()):
+            i = draw(st.integers(0, len(cert) - 1))
+            cert[i] = (cert[i][0], draw(st.integers(0, 2 * cert[i][1])))
+        return n, tuple(cert)
+
+    @settings(max_examples=150)
+    @given(chains())
+    def test_never_proves_a_composite(self, chain):
+        n, cert = chain
+        if keys._certified(n, cert):
+            assert is_probable_prime(n)
+
+    def test_provable_primes_have_their_size_and_floor(self):
+        source = rng(b"provable")
+        for bits, floor in ((2, 0), (21, 0), (22, 0), (40, 0), (40, (1 << 40) - (1 << 30)), (257, 0)):
+            p, cert = keys._gen_provable(bits, source, floor)
+            assert p.bit_length() == bits and p > floor and keys._certified(p, cert)
+            assert is_probable_prime(p) and (cert == ()) == (1 << bits <= TRIAL_BOUND)
+
+
 class TestKeyFileFuzz:
     FIELDS = sorted({name for fields in keys._ROLE_FIELDS.values() for name in fields} | {"role", "x"})
     LINE = st.one_of(
@@ -349,6 +468,13 @@ class TestKeyFileFuzz:
                       st.integers(min_value=0).map("{:x}".format)),
         ),
     )
+    # Certificates as `save_params` writes them, and cut short.
+    CERT = st.builds(
+        lambda cert, cut: keys._cert_hex(tuple(cert))[:cut],
+        st.lists(st.tuples(st.integers(0, 1 << 40), st.integers(0, 1 << 40)), max_size=3),
+        st.integers(min_value=1),
+    )
+    LINE = st.one_of(LINE, st.builds("{}={}".format, st.sampled_from(keys._CERT_FIELDS), CERT))
     FILE = st.one_of(
         st.binary(max_size=200),
         st.lists(LINE, max_size=20).map(lambda lines: "\n".join(lines).encode()),
@@ -366,18 +492,19 @@ class TestKeyFileFuzz:
         assert isinstance(loaded, keys.SystemParams)
 
     # A toy key file with some values swapped for hostile ones: signs,
-    # prefixes and separators int(_, 16) would take, zero, one, and any
-    # toy-sized number.
+    # prefixes and separators int(_, 16) would take, zero, one, any
+    # toy-sized number, and certificates whole or cut.
     HOSTILE = st.one_of(
         st.sampled_from(["-01", "0x05", "1_0", " 7", "+3", "00", "01"]),
         st.integers(min_value=0, max_value=1 << 32).map("{:x}".format),
+        CERT,
     )
 
     @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
-    def test_validate_params_reports_and_never_raises(self, toy_params, tmp_path, data):
+    def test_validate_params_reports_and_never_raises(self, toy_params, certified_toy, tmp_path, data):
         path = tmp_path / "keys.txt"
-        save_params(toy_params, path)
+        save_params(data.draw(st.sampled_from([toy_params, certified_toy])), path)
         lines = path.read_text().splitlines()
         for index in data.draw(st.sets(st.integers(0, len(lines) - 1), min_size=1, max_size=4)):
             name = lines[index].partition("=")[0]
@@ -408,16 +535,20 @@ class TestKeyFiles:
         assert loaded.sttp_elg == toy_params.sttp_elg
         assert loaded.commit_base == toy_params.commit_base
 
-    def test_public_export_omits_private_fields(self, toy_params, tmp_path):
-        path = tmp_path / "pub.txt"
-        save_params(toy_params.public(), path)
-        text = path.read_text()
-        for private in ("d=", "p=", "q=", "SK="):
-            assert private not in text
-        loaded = load_params(path)
-        assert loaded.a_rsa.d is None and loaded.a_elg.SK is None
-        assert loaded.a_rsa.n == toy_params.a_rsa.n
-        assert validate_params(loaded) == []
+    def test_public_export_omits_private_fields(self, toy_params, certified_toy, tmp_path):
+        for params, certificates in ((toy_params, 0), (certified_toy, 2)):
+            path = tmp_path / "pub.txt"
+            save_params(params.public(), path)
+            text = path.read_text()
+            for private in ("d=", "p=", "q=", "SK=", "p_cert=", "q_cert="):
+                assert private not in text
+            # The ElGamal moduli are public, and so are their certificates.
+            assert text.count("P_cert=") == certificates
+            loaded = load_params(path)
+            assert loaded.a_rsa.d is None and loaded.a_elg.SK is None and loaded.b_rsa.q_cert is None
+            assert loaded.a_rsa.n == params.a_rsa.n
+            assert loaded.sttp_elg.P_cert == params.sttp_elg.P_cert
+            assert validate_params(loaded) == []
 
     def test_format_is_field_equals_hex(self, toy_params, tmp_path):
         path = tmp_path / "keys.txt"
@@ -438,6 +569,25 @@ class TestKeyFiles:
         path = tmp_path / "broken.txt"
         path.write_text("role=A\nn=zz\n")
         with pytest.raises(ParameterError):
+            load_params(path)
+
+    STRICT = {
+        "field no role has": ("role=B\nbogus=ff\n", 2),
+        "field of another role": ("role=B\nn=0f\nP=17\n", 3),
+        "repeated field": ("role=A\nn=0f\nn=11\n", 3),
+        "repeated role": ("role=A\nn=0f\nrole=B\nrole=A\n", 4),
+        "certificate missing its levels": ("role=STTP\nP_cert=01\n", 2),
+        "certificate cut inside a length": ("role=STTP\nP_cert=0100\n", 2),
+        "certificate longer than its count": ("role=STTP\nP_cert=00000001ff\n", 2),
+        "certificate of odd length": ("role=STTP\nP_cert=000\n", 2),
+    }
+
+    @pytest.mark.parametrize("case", sorted(STRICT))
+    def test_lines_save_params_never_writes_rejected(self, tmp_path, case):
+        text, lineno = self.STRICT[case]
+        path = tmp_path / "broken.txt"
+        path.write_text(text)
+        with pytest.raises(ParameterError, match=f"broken.txt:{lineno}: "):
             load_params(path)
 
     @pytest.mark.parametrize("value", ["-01", "0x05", "1_0", " 7", "+3", "", "\u0663"])

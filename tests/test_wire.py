@@ -63,6 +63,20 @@ class TestTranscript:
         loaded = Transcript.load(path)
         assert loaded.records == t.records
 
+    def test_saved_file_holds_exactly_to_text(self, tmp_path):
+        t = self.make()
+        path = tmp_path / "transcript.txt"
+        t.save(path)
+        assert path.read_bytes() == t.to_text().encode()
+
+    @pytest.mark.parametrize("newline", ["\r", "\r\n"])
+    def test_file_with_other_line_ends_rejected(self, tmp_path, newline):
+        # Read as written: no newline translation turns these into records.
+        path = tmp_path / "transcript.txt"
+        path.write_bytes(self.make().to_text().replace("\n", newline).encode())
+        with pytest.raises(TranscriptError, match=r"^line 1: "):
+            Transcript.load(path)
+
     def test_file_format(self, tmp_path):
         t = self.make()
         line = t.to_text().splitlines()[0]

@@ -8,18 +8,10 @@ plaintext.  Everything is driven from one fixed seed, so the numbers
 printed here are the same on every run.
 """
 
-from fairex import (
-    Rng,
-    blind_half,
-    elg_decrypt,
-    elg_encrypt,
-    generate_system_params,
-    message_rep,
-    rsa_sign,
-    rsa_verify,
-    sample_range,
-    unblind,
-)
+from fairex.arith import Rng, sample_range
+from fairex.elgamal import blind_half, elg_decrypt, elg_encrypt, unblind
+from fairex.keys import generate_system_params
+from fairex.rsa import message_rep, rsa_sign, rsa_verify
 
 rng = Rng.from_material(b"demo 01")
 params = generate_system_params("toy", rng)

@@ -9,18 +9,10 @@ and therefore without being able to decrypt.  That is exactly the
 position the arbiter is kept in.
 """
 
-from fairex import (
-    CembsContext,
-    Rng,
-    blind_commit,
-    cembs_verify,
-    encrypt_and_certify,
-    generate_system_params,
-    message_rep,
-    rsa_sign,
-    rsa_verify,
-    sample_nonces,
-)
+from fairex.arith import Rng
+from fairex.cembs import CembsContext, blind_commit, cembs_verify, encrypt_and_certify, sample_nonces
+from fairex.keys import generate_system_params
+from fairex.rsa import message_rep, rsa_sign, rsa_verify
 
 rng = Rng.from_material(b"demo 02")
 params = generate_system_params("toy", rng)

@@ -14,16 +14,12 @@ Three runs of the common-message protocol over the simulated transport:
 Every run is audited from its transcript alone.
 """
 
-from fairex import (
-    Protocol,
-    Rng,
-    SessionConfig,
-    audit,
-    default_payload,
-    generate_system_params,
-    run_session,
-    shipped_script,
-)
+import hashlib
+
+from fairex.arith import Rng
+from fairex.harness import audit, default_payload, run_session, shipped_script
+from fairex.keys import generate_system_params
+from fairex.protocol import Protocol, SessionConfig
 
 params = generate_system_params("toy", Rng.from_material(b"demo 03 keys"))
 payload = default_payload(Protocol.COMMON_MESSAGE)
@@ -35,7 +31,7 @@ def play(title: str, fault_name: str) -> None:
         protocol=Protocol.COMMON_MESSAGE,
         params=params,
         payload=payload,
-        seed=Rng.from_material(b"demo 03 session").seed,
+        seed=hashlib.sha256(b"demo 03 session").digest(),
     )
     result = run_session(cfg, shipped_script(fault_name))
     for record in result.transcript.records:

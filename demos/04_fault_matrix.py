@@ -7,17 +7,12 @@ single party or the channel does, the audit verdict stays fair: either
 both sides end up holding a verified item, or neither does.
 """
 
-from fairex import (
-    SHIPPED_FAULT_SCRIPTS,
-    Protocol,
-    Rng,
-    SessionConfig,
-    audit,
-    default_payload,
-    generate_system_params,
-    run_session,
-    shipped_script,
-)
+import hashlib
+
+from fairex.arith import Rng
+from fairex.harness import SHIPPED_FAULT_SCRIPTS, audit, default_payload, run_session, shipped_script
+from fairex.keys import generate_system_params
+from fairex.protocol import Protocol, SessionConfig
 
 params = generate_system_params("toy", Rng.from_material(b"demo 04"))
 
@@ -30,7 +25,7 @@ for name in SHIPPED_FAULT_SCRIPTS:
         protocol=protocol,
         params=params,
         payload=default_payload(protocol),
-        seed=Rng.from_material(b"demo 04 run").seed,
+        seed=hashlib.sha256(b"demo 04 run").digest(),
     )
     result = run_session(cfg, shipped_script(name))
     report = audit(result.transcript, params, protocol, cfg.payload)

@@ -10,40 +10,8 @@ blind decryption without ever learning the signature.
 
 The package is a library plus a simulated-network harness: deterministic
 party state machines, an in-process transport with fault injection, a
-transcript auditor, and a small CLI (`fairex`).  The package re-exports
-only the names the demos use; everything else is imported from its
-module, e.g. `fairex.protocol.Terms` or `fairex.cli.cli_main`.
+transcript auditor, and a small CLI (`fairex`).  The package root exports
+nothing: each name is imported from the module that defines it, e.g.
+`fairex.keys.generate_system_params` or `fairex.cli.cli_main`, so a
+command imports only the modules it uses.
 """
-
-from .arith import Rng, sample_range
-from .cembs import CembsContext, blind_commit, cembs_verify, encrypt_and_certify, sample_nonces
-from .elgamal import blind_half, elg_decrypt, elg_encrypt, unblind
-from .harness import SHIPPED_FAULT_SCRIPTS, audit, default_payload, run_session, shipped_script
-from .keys import generate_system_params
-from .protocol import Protocol, SessionConfig
-from .rsa import message_rep, rsa_sign, rsa_verify
-
-__all__ = [
-    "CembsContext",
-    "Protocol",
-    "Rng",
-    "SHIPPED_FAULT_SCRIPTS",
-    "SessionConfig",
-    "audit",
-    "blind_commit",
-    "blind_half",
-    "cembs_verify",
-    "default_payload",
-    "elg_decrypt",
-    "elg_encrypt",
-    "encrypt_and_certify",
-    "generate_system_params",
-    "message_rep",
-    "rsa_sign",
-    "rsa_verify",
-    "run_session",
-    "sample_nonces",
-    "sample_range",
-    "shipped_script",
-    "unblind",
-]

@@ -50,10 +50,6 @@ class Rng:
         """Build an Rng from arbitrary bytes by hashing them into a seed."""
         return cls(hashlib.sha256(material).digest())
 
-    @property
-    def seed(self) -> bytes:
-        return self._seed
-
     def child(self, label: bytes) -> "Rng":
         """Independent stream derived from this seed and a label."""
         return Rng(hashlib.sha256(self._seed + b"/" + label).digest())

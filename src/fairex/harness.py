@@ -153,14 +153,6 @@ def _corrupt(msg: WireMessage, index: int, mode: str) -> WireMessage:
     return replace(msg, fields=tuple(fields))
 
 
-@dataclass
-class _QueuedMessage:
-    deliver_at: int
-    sender: str
-    receiver: str
-    message: WireMessage
-
-
 class Transport:
     """Ordered in-process message queue; all faults are applied here.
 
@@ -172,7 +164,7 @@ class Transport:
     def __init__(self, fault: FaultScript | None = None):
         self.pending = list(fault.directives) if fault else []  # directives yet to fire
         self.transcript = Transcript()
-        self.queue: list[_QueuedMessage] = []  # in send order
+        self.queue: list[tuple[int, str, str, WireMessage]] = []  # (deliver_at, sender, receiver, msg)
         self.silenced: set[str] = set()
         self.forced_timeouts: list[str] = []
 
@@ -195,17 +187,17 @@ class Transport:
                 self.forced_timeouts.append(directive.args[0])
         if dropped or sender in self.silenced:
             return
-        self.queue.append(_QueuedMessage(tick + 1 + delay, sender, receiver, msg))
+        self.queue.append((tick + 1 + delay, sender, receiver, msg))
 
     def deliver(self, tick: int) -> tuple[list[tuple[str, str, WireMessage]], list[str]]:
         """Everything due at this tick, in order, plus forced-timeout roles."""
         # The queue is in send order and sorted is stable, so ties keep send order.
-        due = sorted((q for q in self.queue if q.deliver_at <= tick), key=lambda q: q.deliver_at)
-        for q in due:
-            self.queue.remove(q)
-            self.transcript.add(tick, q.sender, q.receiver, q.message)
+        due = sorted((q for q in self.queue if q[0] <= tick), key=lambda q: q[0])
+        self.queue = [q for q in self.queue if q[0] > tick]
+        for _, sender, receiver, msg in due:
+            self.transcript.add(tick, sender, receiver, msg)
         forced, self.forced_timeouts = self.forced_timeouts, []
-        return [(q.sender, q.receiver, q.message) for q in due], forced
+        return [q[1:] for q in due], forced
 
     @property
     def quiescent(self) -> bool:
@@ -237,7 +229,7 @@ def run_session(cfg: SessionConfig, fault: FaultScript | None = None) -> Session
         if transport.forced_timeouts:
             tick += 1
         else:
-            tick = max(tick + 1, min([q.deliver_at for q in transport.queue] + deadlines))
+            tick = max(tick + 1, min([q[0] for q in transport.queue] + deadlines))
         deliveries, forced = transport.deliver(tick)
         inbox: dict[str, list[WireMessage]] = {role: [] for role in ROLES}
         for sender, receiver, msg in deliveries:

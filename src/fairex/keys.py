@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import os
 import pickle
-import re
 import threading
 from collections.abc import Callable
 from dataclasses import dataclass, replace
@@ -473,7 +472,6 @@ _ROLE_FIELDS = {
     "STTP": ("P", "G", "SK", "PK", "P_cert"),
 }
 _CERT_FIELDS = ("p_cert", "q_cert", "P_cert")
-_HEX_VALUE = re.compile("[0-9a-fA-F]+")
 
 
 def _hex(x: int) -> str:
@@ -489,18 +487,21 @@ def _cert_hex(cert: Certificate) -> str:
     return out.hex()
 
 
-def _read_cert(value: str) -> Certificate:
-    """The certificate `_cert_hex` wrote; ValueError for anything else."""
+def _line(name: str, value: int | Certificate) -> str:
+    """The key-file line of one field, as `save_params` writes it and `load_params` requires it."""
+    return f"{name}={_cert_hex(value) if name in _CERT_FIELDS else _hex(value)}"
+
+
+def _read(name: str, value: str) -> int | Certificate:
+    """The value of a `_line`, read without checks: `load_params` writes it back to compare."""
     data = bytes.fromhex(value)
+    if name not in _CERT_FIELDS:
+        return int.from_bytes(data, "big")
     ints, pos = [], 1
     while pos < len(data):
         size = int.from_bytes(data[pos : pos + 2], "big")
+        ints.append(int.from_bytes(data[pos + 2 : pos + 2 + size], "big"))
         pos += 2 + size
-        if pos > len(data):
-            raise ValueError("truncated")
-        ints.append(int.from_bytes(data[pos - size : pos], "big"))
-    if not data or len(ints) != 2 * data[0]:
-        raise ValueError("wrong count")
     return tuple(zip(ints[::2], ints[1::2]))
 
 
@@ -522,24 +523,24 @@ def save_params(sp: SystemParams, path: str | Path) -> None:
             value = values[role][name]
             if value is None:
                 continue
-            lines.append(f"{name}={_cert_hex(value) if name in _CERT_FIELDS else _hex(value)}")
+            lines.append(_line(name, value))
     Path(path).write_bytes(("\n".join(lines) + "\n").encode())
 
 
 def load_params(path: str | Path) -> SystemParams:
-    """Parse a key file written by save_params.  Missing private fields load as None.
+    """Parse a key file that save_params wrote.  Missing private fields load as None.
 
-    A role or a field given twice, and a field its role does not have, are errors.
+    Lines split on "\n" only, and the last one must end in it.  A field loads
+    only if `_line` writes its value back unchanged, so upper case, leading
+    zeros, spaces, comments and blank lines are errors, as are a role or a
+    field given twice and a field its role does not have.  Each error names its line.
     """
     records: dict[str, dict] = {}
     role: str | None = None
-    text = read_text(path, ParameterError)
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ParameterError(f"{path}:{lineno}: expected field=value")
+    lines = read_text(path, ParameterError).split("\n")
+    if lines.pop():
+        raise ParameterError(f"{path}:{len(lines) + 1}: no line end")
+    for lineno, line in enumerate(lines, start=1):
         name, _, value = line.partition("=")
         if name == "role":
             if value not in _ROLE_FIELDS:
@@ -554,13 +555,12 @@ def load_params(path: str | Path) -> SystemParams:
             raise ParameterError(f"{path}:{lineno}: role {role} has no field {name!r}")
         if name in records[role]:
             raise ParameterError(f"{path}:{lineno}: field {name} repeated")
-        # int(value, 16) alone would also take a sign, "0x", "_" and spaces.
-        if not _HEX_VALUE.fullmatch(value):
-            raise ParameterError(f"{path}:{lineno}: bad hex value")
         try:
-            records[role][name] = _read_cert(value) if name in _CERT_FIELDS else int(value, 16)
-        except ValueError as exc:
-            raise ParameterError(f"{path}:{lineno}: bad certificate ({exc})") from None
+            records[role][name] = _read(name, value)
+            if _line(name, records[role][name]) != line:
+                raise ValueError
+        except ValueError:
+            raise ParameterError(f"{path}:{lineno}: not as save_params writes it") from None
     missing = set(_ROLE_FIELDS) - set(records)
     if missing:
         raise ParameterError(f"{path}: missing roles {sorted(missing)}")

@@ -1,8 +1,9 @@
 """Every demo script runs to completion and prints what it always printed.
 
-The demos import names from `fairex` directly, so a renamed or deleted
-export would otherwise break one silently.  Each demo is seeded, so its
-stdout is pinned by SHA-256; an API change must not change what it shows.
+The demos import each name from the module that defines it, so a renamed
+or deleted name would otherwise break one silently.  Each demo is seeded,
+so its stdout is pinned by SHA-256; an API change must not change what it
+shows.
 """
 
 import hashlib

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from fairex import harness
 from fairex.arith import Rng, int_from_bytes, int_to_bytes
+from fairex.elgamal import blind_half
 from fairex.errors import FaultScriptError
 from fairex.harness import (
     ACTIONS,
@@ -337,6 +338,62 @@ class TestAudit:
         for rec in to_sttp:
             assert rec.message.msg_type is MsgType.RECOVERY_REQUEST
             assert v_a not in [int_from_bytes(f) for f in rec.message.fields]
+
+
+def sttp_view(result, params) -> tuple[list[int], int]:
+    """What the arbiter knows after a recovery: every value delivered to it, in
+    delivery order, and the blind half h = W_A^SK_T it computes from the first."""
+    delivered = [
+        int_from_bytes(f) for rec in result.transcript.records if rec.receiver == "STTP" for f in rec.message.fields
+    ]
+    return delivered, blind_half(delivered[0], params.sttp_elg)
+
+
+class TestArbiterView:
+    """What the STTP can compute from its view (README, Limitations).
+
+    A recovery request hands it W_A and C = g^V_A mod n_A, and it computes
+    h = W_A^SK_T.  V_A = s_A * h mod P_T, so it can test any guess s of A's
+    signature: g^(s*h mod P_T) = C (mod n_A).  It never sees V_A itself.
+    """
+
+    @staticmethod
+    def recover(params, protocol):
+        """A drop-final session, the view it gives the STTP, A's signature s_A and V_A."""
+        cfg = SessionConfig(protocol=protocol, params=params, payload=default_payload(protocol), seed=bytes(32))
+        result = run_session(cfg, shipped_script("drop-final"))
+        s_a = rsa_sign(Terms(protocol, cfg.payload, params).a_rep, params.a_rsa)
+        assert result.states["B"].acquired == s_a
+        offer = next(r.message for r in result.transcript.records if r.message.msg_type is MsgType.CEMBS_OFFER)
+        return sttp_view(result, params), s_a, int_from_bytes(offer.fields[1])
+
+    @staticmethod
+    def passes(s, view, params) -> bool:
+        (_, c, *_), h = view
+        return pow(params.commit_base.g, s * h % params.sttp_elg.P, params.a_rsa.n) == c
+
+    @pytest.fixture(scope="class")
+    def zero_seed_toy(self):
+        return generate_system_params("toy", Rng(bytes(32)))
+
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_toy_view_narrows_s_a_to_21_candidates(self, zero_seed_toy, protocol):
+        view, s_a, _ = self.recover(zero_seed_toy, protocol)
+        n = zero_seed_toy.a_rsa.n
+        candidates = [s for s in range(1, n) if self.passes(s, view, zero_seed_toy)]
+        assert (n - 1, len(candidates)) == (47_896, 21) and s_a in candidates
+
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_paper_view_confirms_a_guess_of_s_a(self, certified_paper_key_set, protocol):
+        view, s_a, _ = self.recover(certified_paper_key_set, protocol)
+        assert self.passes(s_a, view, certified_paper_key_set)
+        assert not self.passes(s_a + 1, view, certified_paper_key_set)
+
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_no_delivered_value_is_v_a(self, zero_seed_toy, certified_paper_key_set, protocol):
+        for params in (zero_seed_toy, certified_paper_key_set):
+            (delivered, h), s_a, v_a = self.recover(params, protocol)
+            assert v_a == s_a * h % params.sttp_elg.P and v_a not in delivered
 
 
 class TestAuditLateDelivery:

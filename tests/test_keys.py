@@ -465,7 +465,7 @@ class TestKeyFileFuzz:
             "{}={}".format,
             st.sampled_from(FIELDS),
             st.one_of(st.sampled_from(["A", "B", "STTP", "C"]), st.text(max_size=8),
-                      st.integers(min_value=0).map("{:x}".format)),
+                      st.integers(min_value=0).map("{:x}".format), st.integers(min_value=0).map(keys._hex)),
         ),
     )
     # Certificates as `save_params` writes them, and cut short.
@@ -478,6 +478,7 @@ class TestKeyFileFuzz:
     FILE = st.one_of(
         st.binary(max_size=200),
         st.lists(LINE, max_size=20).map(lambda lines: "\n".join(lines).encode()),
+        st.lists(LINE, max_size=20).map(lambda lines: "".join(line + "\n" for line in lines).encode()),
     )
 
     @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -493,10 +494,11 @@ class TestKeyFileFuzz:
 
     # A toy key file with some values swapped for hostile ones: signs,
     # prefixes and separators int(_, 16) would take, zero, one, any
-    # toy-sized number, and certificates whole or cut.
+    # toy-sized number written as save_params writes it, and certificates
+    # whole or cut.
     HOSTILE = st.one_of(
         st.sampled_from(["-01", "0x05", "1_0", " 7", "+3", "00", "01"]),
-        st.integers(min_value=0, max_value=1 << 32).map("{:x}".format),
+        st.integers(min_value=0, max_value=1 << 32).map(keys._hex),
         CERT,
     )
 
@@ -510,7 +512,7 @@ class TestKeyFileFuzz:
             name = lines[index].partition("=")[0]
             if name != "role":
                 lines[index] = f"{name}={data.draw(self.HOSTILE)}"
-        path.write_text("\n".join(lines))
+        path.write_text("".join(line + "\n" for line in lines))
         try:
             loaded = load_params(path)
         except ParameterError:
@@ -559,6 +561,10 @@ class TestKeyFiles:
         n_line = next(line for line in lines if line.startswith("n="))
         assert int(n_line.split("=")[1], 16) == toy_params.a_rsa.n
 
+    def test_certificate_format_is_count_then_length_prefixed_magnitudes(self):
+        cert, value = ((2, 0x1234), (3, 5)), "02" + "000102" + "00021234" + "000103" + "000105"
+        assert keys._line("P_cert", cert) == f"P_cert={value}" and keys._read("P_cert", value) == cert
+
     def test_missing_role_rejected(self, tmp_path):
         path = tmp_path / "broken.txt"
         path.write_text("role=A\nn=0f\ne=03\n")
@@ -594,7 +600,31 @@ class TestKeyFiles:
     def test_int_syntax_beyond_hex_digits_rejected(self, tmp_path, value):
         path = tmp_path / "broken.txt"
         path.write_text(f"role=A\nn={value}\n")
-        with pytest.raises(ParameterError, match="bad hex value"):
+        with pytest.raises(ParameterError, match="broken.txt:2: not as save_params writes it"):
+            load_params(path)
+
+    # One change to the toy file save_params writes for `toy_params`, and the line it breaks.
+    UNWRITTEN = {
+        "line end \\r\\n": ("n=b9c9\n", "n=b9c9\r\n", 2),
+        "line end \\r": ("n=b9c9\n", "n=b9c9\r", 2),
+        "line end \\v": ("n=b9c9\n", "n=b9c9\v", 2),
+        "trailing space": ("e=1e19\n", "e=1e19 \n", 3),
+        "upper-case hex": ("n=b9c9\n", "n=B9C9\n", 2),
+        "leading zero byte": ("n=b9c9\n", "n=00b9c9\n", 2),
+        "comment line": ("role=A\n", "role=A\n# a comment\n", 2),
+        "blank line": ("role=A\n", "role=A\n\n", 2),
+        "no final line end": ("PK=6093c6\n", "PK=6093c6", 22),
+    }
+
+    @pytest.mark.parametrize("case", sorted(UNWRITTEN))
+    def test_lines_save_params_did_not_write_rejected(self, toy_params, tmp_path, case):
+        old, new, lineno = self.UNWRITTEN[case]
+        path = tmp_path / "keys.txt"
+        save_params(toy_params, path)
+        text = path.read_bytes().decode()
+        assert text.count(old) == 1 and load_params(path) == dataclasses.replace(toy_params, bit_profile=None)
+        path.write_bytes(text.replace(old, new).encode())
+        with pytest.raises(ParameterError, match=f"keys.txt:{lineno}: "):
             load_params(path)
 
 

@@ -24,10 +24,10 @@ signature = rsa_sign(rep, params.a_rsa)
 print(f"modulus n_A      = {params.a_rsa.n:#x}")
 print(f"representative   = {rep:#x}")
 print(f"signature        = {signature:#x}")
-print(f"verifies         = {rsa_verify(signature, rep, params.a_rsa.pub)}")
+print(f"verifies         = {rsa_verify(signature, rep, params.a_rsa)}")
 
 flipped = message_rep(b"pay the bearer 99 coins", params.a_rsa.n)
-print(f"other message    = {rsa_verify(signature, flipped, params.a_rsa.pub)}")
+print(f"other message    = {rsa_verify(signature, flipped, params.a_rsa)}")
 
 # ---------------------------------------------------------------------------
 # ElGamal: encrypt the signature under the arbiter's key and decrypt it.

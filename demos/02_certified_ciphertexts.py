@@ -44,7 +44,7 @@ print(f"commitment to wrong V  = {cembs_verify(W, wrong_c, c, r, ctx)}")
 # the claim "the plaintext is a signature on m".  Encrypting garbage
 # still certifies.
 garbage = 31337 % params.sttp_elg.P
-assert not rsa_verify(garbage, rep, params.a_rsa.pub)
+assert not rsa_verify(garbage, rep, params.a_rsa)
 g_W, g_V, g_c, g_r = encrypt_and_certify(garbage, ctx, *sample_nonces(params.sttp_elg.P, rng))
 g_commit = blind_commit(g_V, params.commit_base)
 print(f"garbage plaintext      = {cembs_verify(g_W, g_commit, g_c, g_r, ctx)}  (known limitation)")

@@ -74,10 +74,6 @@ class RsaKeyPair:
         # polynomial time (Coppersmith; Boneh-Durfee-Howgrave-Graham).
         return replace(self, d=None, p=None, q=None, p_cert=None, q_cert=None)
 
-    @property
-    def pub(self) -> tuple[int, int]:
-        return (self.n, self.e)
-
 
 @dataclass(frozen=True)
 class ElgKeyPair:

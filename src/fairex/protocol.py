@@ -131,11 +131,11 @@ class Terms:
                 isinstance(item, bytes)
                 and int_from_bytes(hashlib.sha256(item).digest()) == self.expected_hash
             )
-        return isinstance(item, int) and rsa_verify(item, self.b_rep, self.params.b_rsa.pub)
+        return isinstance(item, int) and rsa_verify(item, self.b_rep, self.params.b_rsa)
 
     def valid_for_B(self, item: int | bytes | None) -> bool:
         """Is item A's signature on a_rep?"""
-        return isinstance(item, int) and rsa_verify(item, self.a_rep, self.params.a_rsa.pub)
+        return isinstance(item, int) and rsa_verify(item, self.a_rep, self.params.a_rsa)
 
 
 def _int_fields(msg: WireMessage) -> list[int]:

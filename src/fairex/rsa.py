@@ -2,12 +2,15 @@
 
 No padding scheme: s = m^d mod n, check m == s^e mod n.  Arbitrary byte
 strings are mapped below the modulus by hashing (SHA-256, big-endian,
-reduced mod n).
+reduced mod n).  A key that carries its factors signs and checks mod p
+and mod q (Quisquater-Couvreur); the answers are those of the mod-n
+formulas.
 """
 
 from __future__ import annotations
 
 import hashlib
+from math import gcd
 
 from .arith import int_from_bytes, mod_exp, mod_inv
 from .errors import DomainError, ParameterError
@@ -40,9 +43,17 @@ def rsa_sign(rep: int, key: RsaKeyPair) -> int:
     return s_q + h * q
 
 
-def rsa_verify(s: int, rep: int, pub: tuple[int, int]) -> bool:
-    """Check s^e mod n == rep.  Malformed inputs verify as False, never raise."""
-    n, e = pub
+def rsa_verify(s: int, rep: int, key: RsaKeyPair) -> bool:
+    """Check s^e mod n == rep.  Malformed inputs verify as False, never raise.
+
+    When the key carries coprime factors p, q > 1 with p*q == n, the check
+    runs as s^e == rep mod p and mod q: by the CRT the same answer, for
+    any p and q, prime or not, since e is not reduced.  A public key, or
+    factors that fail that test, check mod n directly.
+    """
+    n, e, p, q = key.n, key.e, key.p, key.q
     if n < 2 or s < 0 or s >= n or rep < 0 or rep >= n:
         return False
-    return mod_exp(s, e, n) == rep
+    if p is None or q is None or min(p, q) < 2 or p * q != n or gcd(p, q) != 1:
+        return mod_exp(s, e, n) == rep
+    return mod_exp(s % p, e, p) == rep % p and mod_exp(s % q, e, q) == rep % q

@@ -139,11 +139,12 @@ class Transcript:
 
     @classmethod
     def from_text(cls, text: str) -> "Transcript":
-        """Load every non-blank line, each exactly as to_text writes it."""
+        """Load a text exactly as to_text writes it: each line a record ended by "\n"."""
         transcript = cls()
-        for lineno, line in enumerate(text.split("\n"), start=1):
-            if not line.strip():
-                continue
+        lines = text.split("\n")
+        if lines.pop():
+            raise TranscriptError(f"line {len(lines) + 1}: no line end")
+        for lineno, line in enumerate(lines, start=1):
             parts = line.split("\t")
             if len(parts) != 4:
                 raise TranscriptError(f"line {lineno}: expected 4 tab-separated columns")

@@ -78,7 +78,7 @@ def test_01_rsa_round_trip_exhaustive():
         key = RsaKeyPair(n=55, e=3, d=27, p=5, q=11)
         for m in range(55):
             signature = rsa_sign(m, key)
-            assert rsa_verify(signature, m, key.pub)
+            assert rsa_verify(signature, m, key)
             valid = [s for s in range(55) if pow(s, key.e, key.n) == m]
             assert valid == [signature]
 
@@ -176,10 +176,10 @@ def test_06_linked_files_linkage(toy_params):
         s_a = int_from_bytes(finals[0].fields[0])
         n_a = toy_params.a_rsa.n
         good_rep = message_rep(link_messages(file_a, file_b)[0], n_a)
-        assert rsa_verify(s_a, good_rep, toy_params.a_rsa.pub)
+        assert rsa_verify(s_a, good_rep, toy_params.a_rsa)
         flipped = file_b[:-1] + bytes([file_b[-1] ^ 0x01])
         bad_rep = message_rep(link_messages(file_a, flipped)[0], n_a)
-        assert not rsa_verify(s_a, bad_rep, toy_params.a_rsa.pub)
+        assert not rsa_verify(s_a, bad_rep, toy_params.a_rsa)
 
 
 def test_07_data_for_signature(toy_params):
@@ -191,7 +191,7 @@ def test_07_data_for_signature(toy_params):
         assert rsa_verify(
             result.states["B"].acquired,
             message_rep(data, toy_params.a_rsa.n),
-            toy_params.a_rsa.pub,
+            toy_params.a_rsa,
         )
         garbage = run_session(cfg, shipped_script("a-garbage-data"))
         assert garbage.states["A"].verdict == "aborted"
@@ -246,7 +246,7 @@ def test_10_certificate_binding_gap(toy_params):
         ctx = CembsContext.a_side(params)
         not_a_signature = 31337 % params.sttp_elg.P
         message = message_rep(default_payload(Protocol.COMMON_MESSAGE), params.a_rsa.n)
-        assert not rsa_verify(not_a_signature, message, params.a_rsa.pub)
+        assert not rsa_verify(not_a_signature, message, params.a_rsa)
         w, u = sample_nonces(params.sttp_elg.P, rng(b"gap"))
         W, V, c, r = encrypt_and_certify(not_a_signature, ctx, w, u)
         assert cembs_verify(W, blind_commit(V, params.commit_base), c, r, ctx)

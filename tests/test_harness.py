@@ -23,7 +23,7 @@ from fairex.harness import (
     shipped_script,
 )
 from fairex.keys import generate_system_params
-from fairex.protocol import ClientB, Protocol, SessionConfig, Terms
+from fairex.protocol import ClientB, Protocol, SessionConfig, Terms, data_as_int
 from fairex.rsa import rsa_sign, rsa_verify
 from fairex.wire import ARITY, ROLES, MsgType, Transcript, WireMessage
 
@@ -239,7 +239,7 @@ class TestFaultMatrix:
         result = run_session(cfg, shipped_script("a-silent-step3"))
         assert result.states["A"].verdict == "success"
         assert result.states["B"].verdict == "recovered"
-        assert rsa_verify(result.states["B"].acquired, cfg.terms.a_rep, params.a_rsa.pub)
+        assert rsa_verify(result.states["B"].acquired, cfg.terms.a_rep, params.a_rsa)
 
     def test_bad_countersig_leaves_a_aborted_with_no_final_signature(self, params):
         cfg = make_cfg(params)
@@ -349,18 +349,28 @@ def sttp_view(result, params) -> tuple[list[int], int]:
     return delivered, blind_half(delivered[0], params.sttp_elg)
 
 
+def legendre(x: int, P: int) -> int:
+    """The Legendre symbol of x mod the prime P, by Euler's criterion."""
+    return {1: 1, P - 1: -1}.get(pow(x, (P - 1) // 2, P), 0)
+
+
 class TestArbiterView:
     """What the STTP can compute from its view (README, Limitations).
 
     A recovery request hands it W_A and C = g^V_A mod n_A, and it computes
     h = W_A^SK_T.  V_A = s_A * h mod P_T, so it can test any guess s of A's
     signature: g^(s*h mod P_T) = C (mod n_A).  It never sees V_A itself.
+
+    The request also carries B's item x as (W_B, V_B) = (G_A^w, x * PK_A^w)
+    mod P_A, and raw ElGamal keeps the Legendre symbol L: L(V_B) = L(x) *
+    L(PK_A)^w.  Keygen makes G_A a non-residue, so L(W_B) = (-1)^w gives
+    the parity of w and with it L(x).
     """
 
     @staticmethod
-    def recover(params, protocol):
+    def recover(params, protocol, seed=bytes(32)):
         """A drop-final session, the view it gives the STTP, A's signature s_A and V_A."""
-        cfg = SessionConfig(protocol=protocol, params=params, payload=default_payload(protocol), seed=bytes(32))
+        cfg = SessionConfig(protocol=protocol, params=params, payload=default_payload(protocol), seed=seed)
         result = run_session(cfg, shipped_script("drop-final"))
         s_a = rsa_sign(Terms(protocol, cfg.payload, params).a_rep, params.a_rsa)
         assert result.states["B"].acquired == s_a
@@ -394,6 +404,28 @@ class TestArbiterView:
         for params in (zero_seed_toy, certified_paper_key_set):
             (delivered, h), s_a, v_a = self.recover(params, protocol)
             assert v_a == s_a * h % params.sttp_elg.P and v_a not in delivered
+
+    @staticmethod
+    def b_item(params, protocol) -> int:
+        """B's item as B encrypts it: s_B, or the data as an int in data-for-sig."""
+        payload = default_payload(protocol)
+        if protocol is Protocol.DATA_FOR_SIGNATURE:
+            return data_as_int(payload)
+        return rsa_sign(Terms(protocol, payload, params).b_rep, params.b_rsa)
+
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_view_gives_the_quadratic_character_of_b_item(self, zero_seed_toy, certified_paper_key_set, protocol):
+        characters = set()
+        for params, seeds in ((zero_seed_toy, range(12)), (certified_paper_key_set, range(1))):
+            P, G, PK = params.a_elg.pub
+            assert legendre(G, P) == -1
+            x = legendre(self.b_item(params, protocol), P)
+            for seed in seeds:
+                (delivered, _), _, _ = self.recover(params, protocol, bytes([seed]) * 32)
+                W_b, V_b = delivered[4:6]
+                assert legendre(V_b, P) * (legendre(PK, P) if legendre(W_b, P) == -1 else 1) == x
+                characters.add((legendre(W_b, P), legendre(V_b, P)))
+        assert len(characters) > 1
 
 
 class TestAuditLateDelivery:

@@ -230,7 +230,7 @@ class TestSttpSteps:
         forward = next(m for r, m in out if m.msg_type is MsgType.FORWARD_CIPHERTEXT)
         a.step(forward, now=11)
         assert a.state.verdict == "recovered"
-        assert rsa_verify(a.state.acquired, cfg.terms.b_rep, params.b_rsa.pub)
+        assert rsa_verify(a.state.acquired, cfg.terms.b_rep, params.b_rsa)
 
     def test_tampered_offer_certificate_is_rejected(self, params):
         cfg = make_cfg(params)

@@ -1,7 +1,10 @@
 import hashlib
+from math import gcd
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
+import fairex.rsa
 from fairex.arith import Rng
 from fairex.errors import DomainError, ParameterError
 from fairex.keys import PROFILES, RsaKeyPair, _gen_rsa
@@ -57,12 +60,13 @@ class TestCrtSign:
 
 class TestVerify:
     def test_vectors(self):
-        assert rsa_verify(18, 2, TOY.pub)
-        assert not rsa_verify(17, 2, TOY.pub)  # 17^3 mod 55 = 18 != 2
+        for key in (TOY, TOY.public()):
+            assert rsa_verify(18, 2, key)
+            assert not rsa_verify(17, 2, key)  # 17^3 mod 55 = 18 != 2
 
     def test_round_trip_all_residues(self):
         for m in range(55):
-            assert rsa_verify(rsa_sign(m, TOY), m, TOY.pub)
+            assert rsa_verify(rsa_sign(m, TOY), m, TOY)
 
     def test_exactly_one_valid_signature_per_message(self):
         # Brute force over every residue: cubing mod 55 is a bijection.
@@ -71,9 +75,57 @@ class TestVerify:
             assert valid == [rsa_sign(m, TOY)]
 
     def test_malformed_inputs_return_false(self):
-        assert not rsa_verify(-1, 2, TOY.pub)
-        assert not rsa_verify(60, 2, TOY.pub)
-        assert not rsa_verify(18, 60, TOY.pub)
+        for key in (TOY, TOY.public()):
+            assert not rsa_verify(-1, 2, key)
+            assert not rsa_verify(60, 2, key)
+            assert not rsa_verify(18, 60, key)
+
+
+def answers(key: RsaKeyPair) -> list[bool]:
+    return [rsa_verify(s, rep, key) for s in range(key.n) for rep in range(key.n)]
+
+
+class TestCrtVerify:
+    """A key with its factors checks mod p and mod q; the verdict is the mod-n one."""
+
+    def test_every_pair_matches_the_public_key(self):
+        assert answers(TOY) == answers(TOY.public())
+        assert answers(TOY).count(True) == 55
+
+    def test_checks_run_mod_the_factors(self, monkeypatch):
+        moduli = []
+        real = fairex.rsa.mod_exp
+        monkeypatch.setattr(fairex.rsa, "mod_exp", lambda b, e, m: moduli.append(m) or real(b, e, m))
+        assert rsa_verify(18, 2, TOY) and rsa_verify(18, 2, TOY.public())
+        assert moduli == [5, 11, 55]
+
+    @given(st.integers(2, 60), st.integers(2, 60), st.integers(0, 300), st.data())
+    def test_coprime_factors_need_not_be_prime(self, p, q, e, data):
+        assume(gcd(p, q) == 1)
+        n = p * q
+        s, rep = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        assert rsa_verify(s, rep, RsaKeyPair(n=n, e=e, p=p, q=q)) == (pow(s, e, n) == rep)
+
+    @pytest.mark.parametrize(
+        "key",
+        [
+            RsaKeyPair(n=55, e=3, p=5, q=7),
+            RsaKeyPair(n=49, e=5, p=7, q=7),
+            RsaKeyPair(n=55, e=3, p=1, q=55),
+            RsaKeyPair(n=55, e=3, p=5),
+            RsaKeyPair(n=55, e=3, q=11),
+        ],
+        ids=["product-not-n", "equal-factors", "unit-factor", "no-q", "no-p"],
+    )
+    def test_hostile_factors_check_mod_n(self, key):
+        assert answers(key) == answers(key.public())
+
+    def test_paper_key_matches_the_public_key(self, paper_key_set):
+        key = paper_key_set.a_rsa
+        rep = message_rep(b"paper check", key.n)
+        s = rsa_sign(rep, key)
+        assert [rsa_verify(s, rep, key), rsa_verify(s + 1, rep, key)] == [True, False]
+        assert [rsa_verify(s, rep, key.public()), rsa_verify(s + 1, rep, key.public())] == [True, False]
 
 
 class TestMessageRep:

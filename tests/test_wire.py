@@ -119,6 +119,24 @@ class TestTranscript:
         with pytest.raises(TranscriptError, match=r"^line 1: "):
             Transcript.from_text(line + "\n")
 
+    # Texts around make()'s two lines ({0}, {1}), each with the line its error names.
+    UNWRITTEN_TEXTS = {
+        "inserted whitespace line": ("{0}\n \v\r\n{1}\n", 2),
+        "inserted blank line": ("{0}\n\n{1}\n", 2),
+        "trailing blank line": ("{0}\n{1}\n\n", 3),
+        "lone newline": ("\n", 1),
+        "no final newline": ("{0}\n{1}", 2),
+    }
+
+    @pytest.mark.parametrize("form", sorted(UNWRITTEN_TEXTS))
+    def test_every_line_is_a_record_ended_by_newline(self, form):
+        text, lineno = self.UNWRITTEN_TEXTS[form]
+        with pytest.raises(TranscriptError, match=rf"^line {lineno}: "):
+            Transcript.from_text(text.format(*self.make().to_text().splitlines()))
+
+    def test_empty_text_is_an_empty_transcript(self):
+        assert Transcript.from_text("").records == []
+
 
 class TestParserFuzz:
     MESSAGE = st.one_of(
@@ -154,13 +172,14 @@ class TestParserFuzz:
         ),
     )
 
-    @given(st.lists(LINE, max_size=6).map("\n".join))
-    def test_from_text_raises_only_transcript_error(self, text):
+    @given(st.lists(LINE, max_size=6), st.booleans())
+    def test_from_text_raises_only_transcript_error(self, lines, line_ends):
+        text = "".join(line + "\n" for line in lines) if line_ends else "\n".join(lines)
         try:
             transcript = Transcript.from_text(text)
         except TranscriptError:
             return
-        assert Transcript.from_text(transcript.to_text()).records == transcript.records
+        assert transcript.to_text() == text
         assert transcript.to_text().splitlines() == [line for line in text.splitlines() if line.strip()]
 
     def test_non_utf8_transcript_file(self, tmp_path):

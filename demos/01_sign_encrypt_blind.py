@@ -32,9 +32,9 @@ print(f"other message    = {rsa_verify(signature, flipped, params.a_rsa)}")
 # ---------------------------------------------------------------------------
 # ElGamal: encrypt the signature under the arbiter's key and decrypt it.
 # ---------------------------------------------------------------------------
-group = params.sttp_elg.pub  # (P, G, PK)
-nonce = sample_range(1, group[0] - 1, rng)
-W, V = elg_encrypt(signature, group, nonce)
+key = params.sttp_elg
+nonce = sample_range(1, key.P - 1, rng)
+W, V = elg_encrypt(signature, key, nonce)
 print(f"\nciphertext       = (W={W:#x}, V={V:#x})")
 print(f"decrypts back    = {elg_decrypt(W, V, params.sttp_elg) == signature}")
 
@@ -43,7 +43,7 @@ print(f"decrypts back    = {elg_decrypt(W, V, params.sttp_elg) == signature}")
 # V finishes the decryption, and the key holder never sees the plaintext.
 # ---------------------------------------------------------------------------
 half = blind_half(W, params.sttp_elg)
-recovered = unblind(V, half, group[0])
+recovered = unblind(V, half, key.P)
 print(f"\nblind half       = {half:#x}   (computed from W alone)")
 print(f"unblinded value  = {recovered:#x}")
 print(f"matches original = {recovered == signature}")

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 from .arith import Rng, fixed_base_exp, int_from_bytes, int_to_bytes, mod_exp, sample_range
 from .errors import ParameterError
-from .keys import CommitBase, SystemParams
+from .keys import CommitBase, ElgKeyPair, SystemParams
 from .elgamal import elg_encrypt
 
 CHALLENGE_BYTES = 32
@@ -63,16 +63,16 @@ class CembsContext:
     """
 
     commit_base: CommitBase
-    group: tuple[int, int, int]  # (P, G, PK)
+    group: ElgKeyPair  # only P, G and PK are read
     side_tag: int
 
     @classmethod
     def a_side(cls, params: SystemParams) -> "CembsContext":
-        return cls(commit_base=params.commit_base, group=params.sttp_elg.pub, side_tag=A_SIDE_TAG)
+        return cls(commit_base=params.commit_base, group=params.sttp_elg, side_tag=A_SIDE_TAG)
 
     @classmethod
     def b_side(cls, params: SystemParams) -> "CembsContext":
-        return cls(commit_base=params.commit_base, group=params.a_elg.pub, side_tag=B_SIDE_TAG)
+        return cls(commit_base=params.commit_base, group=params.a_elg, side_tag=B_SIDE_TAG)
 
 
 def sample_nonces(P: int, rng: Rng) -> tuple[int, int]:
@@ -107,7 +107,7 @@ def encrypt_and_certify(value: int, ctx: CembsContext, w: int, u: int) -> tuple[
     The certificate binds (W, C) only; nothing ties the encrypted value
     to a particular signature equation (see README, Limitations).
     """
-    P, G, PK = ctx.group
+    P, G, PK = ctx.group.P, ctx.group.G, ctx.group.PK
     if not 1 <= w <= P - 2:
         raise ParameterError(f"nonce w must be in [1, {P - 2}]")
     if u.bit_length() != NONCE_U_BITS:
@@ -122,7 +122,7 @@ def encrypt_and_certify(value: int, ctx: CembsContext, w: int, u: int) -> tuple[
 
 def cembs_verify(W: int, C: int, c: int, r: int, ctx: CembsContext) -> bool:
     """Check a certificate (c, r) against (W, C) alone.  Malformed inputs fail, never raise."""
-    P, G, PK = ctx.group
+    P, G, PK = ctx.group.P, ctx.group.G, ctx.group.PK
     if not 0 < W < P or not 0 < C < ctx.commit_base.n_ref:
         return False
     if not 0 <= r < P - 1 or not 0 <= c < 1 << (8 * CHALLENGE_BYTES):

@@ -14,9 +14,9 @@ from .errors import EmbeddingError, NotInvertibleError, ParameterError
 from .keys import ElgKeyPair
 
 
-def elg_encrypt(m: int, pub: tuple[int, int, int], w: int) -> tuple[int, int]:
+def elg_encrypt(m: int, key: ElgKeyPair, w: int) -> tuple[int, int]:
     """(W, V) = (G^w mod P, m * PK^w mod P) for plaintext m in (0, P)."""
-    P, G, PK = pub
+    P, G, PK = key.P, key.G, key.PK
     if not 0 < m < P:
         raise EmbeddingError(f"plaintext must be in (0, {P}), got {m}")
     if not 1 <= w <= P - 2:

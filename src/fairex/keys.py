@@ -55,6 +55,10 @@ _FORK_MIN_BITS = 128
 # (a, q) per level, largest q first; see `_certified`.
 Certificate = tuple[tuple[int, int], ...]
 
+# (n, cert) -> primality verdict of recent validations; see `validate_params`.
+_MAX_PROOFS = 6 * 16
+_PROOFS: dict[tuple[int, Certificate | None], bool] = {}
+
 
 @dataclass(frozen=True)
 class RsaKeyPair:
@@ -87,10 +91,6 @@ class ElgKeyPair:
 
     def public(self) -> "ElgKeyPair":
         return replace(self, SK=None)
-
-    @property
-    def pub(self) -> tuple[int, int, int]:
-        return (self.P, self.G, self.PK)
 
 
 @dataclass(frozen=True)
@@ -355,9 +355,22 @@ def validate_params(sp: SystemParams) -> list[str]:
     without gets 40 Miller-Rabin rounds through `_primality`.  No check
     reads the bit profile, so the result is cached per parameter set with
     the profile stripped: a set that was generated and then loaded back
-    from a key file runs its primality checks once.
+    from a key file runs its primality checks once.  Each call keeps the
+    verdicts, newest last, for `proved_prime` (`rsa.rsa_verify` reduces e
+    mod p - 1 for a proved p), up to six claims for each cached set.
     """
-    return list(_violations(replace(sp, bit_profile=None)))
+    global _PROOFS
+    violations, verdicts = _violations(replace(sp, bit_profile=None))
+    # Rebound, never changed in place, so a reader in another thread sees
+    # an old store or a new one; a racing writer can only drop verdicts.
+    older = [item for item in _PROOFS.items() if item not in verdicts]
+    _PROOFS = dict((older + list(verdicts))[-_MAX_PROOFS:])
+    return list(violations)
+
+
+def proved_prime(n: int, cert: Certificate | None) -> bool:
+    """Whether a validation in this process proved n prime, by `cert` or, if None, by Miller-Rabin."""
+    return _PROOFS.get((n, cert), False)
 
 
 def _usable_cpus() -> int:
@@ -436,7 +449,7 @@ def _primality(numbers: set[int]) -> dict[int, bool]:
 
 
 @lru_cache(maxsize=16)
-def _violations(sp: SystemParams) -> tuple[str, ...]:
+def _violations(sp: SystemParams) -> tuple[tuple[str, ...], tuple]:
     out: list[str] = []
     claims = {(sp.a_elg.P, sp.a_elg.P_cert), (sp.sttp_elg.P, sp.sttp_elg.P_cert)}
     for key in (sp.a_rsa, sp.b_rsa):
@@ -457,7 +470,7 @@ def _violations(sp: SystemParams) -> tuple[str, ...]:
         out.append("plaintext embedding (n_A >= P_T)")
     if sp.b_rsa.n >= sp.a_elg.P:
         out.append("plaintext embedding (n_B >= P_A)")
-    return tuple(out)
+    return tuple(out), tuple(prime.items())
 
 
 # --- key files: one `field=hex` record per line, grouped by role ----------

@@ -224,7 +224,7 @@ class ClientA(_Party):
         if incoming is None:
             if self.state.phase != "start":
                 return self._violation(incoming, "spurious kickoff")
-            w, u = sample_nonces(self.a_ctx.group[0], self.rng)
+            w, u = sample_nonces(self.a_ctx.group.P, self.rng)
             offer = encrypt_and_certify(self.signature, self.a_ctx, w, u)
             self.state.phase = "wait_step2"
             self.deadline = now + self.cfg.timeout
@@ -336,7 +336,7 @@ class ClientB(_Party):
     def _recover(self, now: int) -> list:
         """Escalate: certify own ciphertext under A's key and ask the STTP."""
         value = data_as_int(self.item) if isinstance(self.item, bytes) else self.item
-        w, u = sample_nonces(self.b_ctx.group[0], self.rng)
+        w, u = sample_nonces(self.b_ctx.group.P, self.rng)
         reply = encrypt_and_certify(value, self.b_ctx, w, u)
         self.state.phase = "wait_sttp"
         self.deadline = now + self.cfg.timeout

@@ -89,7 +89,7 @@ def test_02_elgamal_round_trip_and_blind_equivalence():
         cases = 0
         for m in range(1, 23):
             for w in range(1, 22):
-                W, V = elg_encrypt(m, key.pub, w)
+                W, V = elg_encrypt(m, key, w)
                 direct = elg_decrypt(W, V, key)
                 split = unblind(V, blind_half(W, key), key.P)
                 assert direct == split == m

@@ -83,7 +83,7 @@ class TestGenerateVerify:
 
     def test_tampered_response_rejected(self, toy_params):
         ctx, (W, _), commitment, (c, r) = make_certified(toy_params, b"hello", rng(b"n4"))
-        P = ctx.group[0]
+        P = ctx.group.P
         assert not cembs_verify(W, commitment, c, (r + 1) % (P - 1), ctx)
 
     def test_commitment_from_wrong_v_rejected(self, toy_params):
@@ -94,7 +94,7 @@ class TestGenerateVerify:
 
     def test_out_of_range_inputs_fail_quietly(self, toy_params):
         ctx, (W, _), commitment, (c, r) = make_certified(toy_params, b"hello", rng(b"n6"))
-        P = ctx.group[0]
+        P = ctx.group.P
         assert not cembs_verify(0, commitment, c, r, ctx)
         assert not cembs_verify(P, commitment, c, r, ctx)
         assert not cembs_verify(W, 0, c, r, ctx)
@@ -105,7 +105,7 @@ class TestGenerateVerify:
         ctx_a = CembsContext.a_side(toy_params)
         ctx_b = CembsContext.b_side(toy_params)
         sig = rsa_sign(message_rep(b"x", toy_params.b_rsa.n), toy_params.b_rsa)
-        W, V, c, r = encrypt_and_certify(sig, ctx_b, *sample_nonces(ctx_b.group[0], rng(b"n7")))
+        W, V, c, r = encrypt_and_certify(sig, ctx_b, *sample_nonces(ctx_b.group.P, rng(b"n7")))
         commitment = blind_commit(V, toy_params.commit_base)
         assert cembs_verify(W, commitment, c, r, ctx_b)
         assert not cembs_verify(W, commitment, c, r, ctx_a)
@@ -156,7 +156,7 @@ class TestCertifyPower:
     )
     def test_table_form_matches_a_to_the_pk(self, toy_params, paper_key_set, u, w_seed, paper, side):
         ctx = side(paper_key_set if paper else toy_params)
-        P, G, PK = ctx.group
+        P, G, PK = ctx.group.P, ctx.group.G, ctx.group.PK
         a = fixed_base_exp(G, u, P)
         big_a = mod_exp(a, PK, P)
         assert fixed_base_exp(G, u * PK % (P - 1), P) == big_a

@@ -12,20 +12,20 @@ KEY = ElgKeyPair(P=23, G=5, PK=8, SK=6)
 
 class TestEncrypt:
     def test_vector(self):
-        assert elg_encrypt(10, KEY.pub, w=3) == (10, 14)  # 5^3 = 125 = 10 mod 23; 10*8^3 = 10*6 = 14 mod 23
+        assert elg_encrypt(10, KEY, w=3) == (10, 14)  # 5^3 = 125 = 10 mod 23; 10*8^3 = 10*6 = 14 mod 23
 
     def test_unit_nonce_collapses_to_key_material(self):
-        assert elg_encrypt(1, KEY.pub, w=1) == (KEY.G, KEY.PK)
+        assert elg_encrypt(1, KEY, w=1) == (KEY.G, KEY.PK)
 
     def test_plaintext_out_of_range(self):
         for bad in (0, 23, 24):
             with pytest.raises(EmbeddingError):
-                elg_encrypt(bad, KEY.pub, w=3)
+                elg_encrypt(bad, KEY, w=3)
 
     def test_nonce_out_of_range(self):
         for bad in (0, 22, 23):
             with pytest.raises(ParameterError):
-                elg_encrypt(10, KEY.pub, w=bad)
+                elg_encrypt(10, KEY, w=bad)
 
 
 class TestDecrypt:
@@ -67,7 +67,7 @@ class TestRoundTripExhaustive:
         cases = 0
         for m in range(1, 23):
             for w in range(1, 22):
-                W, V = elg_encrypt(m, KEY.pub, w)
+                W, V = elg_encrypt(m, KEY, w)
                 assert elg_decrypt(W, V, KEY) == m
                 assert unblind(V, blind_half(W, KEY), KEY.P) == m
                 cases += 1

@@ -417,7 +417,7 @@ class TestArbiterView:
     def test_view_gives_the_quadratic_character_of_b_item(self, zero_seed_toy, certified_paper_key_set, protocol):
         characters = set()
         for params, seeds in ((zero_seed_toy, range(12)), (certified_paper_key_set, range(1))):
-            P, G, PK = params.a_elg.pub
+            P, G, PK = params.a_elg.P, params.a_elg.G, params.a_elg.PK
             assert legendre(G, P) == -1
             x = legendre(self.b_item(params, protocol), P)
             for seed in seeds:

@@ -190,6 +190,18 @@ class TestValidateParamsCache:
             [a.p, a.q, b.p, b.q, toy_params.a_elg.P, toy_params.sttp_elg.P]
         )
 
+    def test_proof_store_stays_bounded(self, toy_params, monkeypatch):
+        # Validate uncached, so the paper sets other tests validated stay in the cache.
+        monkeypatch.setattr(keys, "_violations", keys._violations.__wrapped__)
+        monkeypatch.setattr(keys, "_PROOFS", {})
+        moduli = range(toy_params.sttp_elg.P, toy_params.sttp_elg.P + 2 * keys._MAX_PROOFS, 2)
+        for P in moduli:
+            validate_params(dataclasses.replace(toy_params, sttp_elg=dataclasses.replace(toy_params.sttp_elg, P=P)))
+        assert len(keys._PROOFS) == keys._MAX_PROOFS
+        assert (moduli[0], None) not in keys._PROOFS
+        assert keys.proved_prime(toy_params.a_rsa.p, None) and keys.proved_prime(toy_params.a_elg.P, None)
+        assert [keys.proved_prime(P, None) for P in moduli[-5:]] == [is_probable_prime(P) for P in moduli[-5:]]
+
     def test_broken_set_rejected_after_a_valid_one(self, toy_params):
         cfg = SessionConfig(Protocol.COMMON_MESSAGE, toy_params, b"terms", seed=bytes(32))
         build_parties(cfg)
@@ -251,6 +263,19 @@ class TestBatchedPrimality:
             "STTP: modulus not prime",
             "STTP: key consistency (PK != G^SK mod P)",
         ]
+
+    def test_forked_validation_keeps_its_proofs(self, toy_params, many_cpus, monkeypatch):
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        monkeypatch.setattr(keys, "_FORK_MIN_BITS", 8)
+        monkeypatch.setattr(keys, "_PROOFS", {})
+        monkeypatch.setattr(keys, "_violations", keys._violations.__wrapped__)
+        assert validate_params(toy_params) == []
+        sp = toy_params
+        assert len(forks) == 2
+        assert all(keys.proved_prime(n, None) for n in (sp.a_rsa.p, sp.a_rsa.q, sp.b_rsa.p, sp.b_rsa.q))
+        assert keys.proved_prime(sp.a_elg.P, None) and keys.proved_prime(sp.sttp_elg.P, None)
+        assert not keys.proved_prime(sp.a_rsa.n, None)
 
     def test_toy_sets_never_fork(self, many_cpus, monkeypatch):
         def no_fork():

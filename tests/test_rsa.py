@@ -1,13 +1,15 @@
 import hashlib
+from dataclasses import replace
 from math import gcd
 
 import pytest
 from hypothesis import assume, given, strategies as st
 
 import fairex.rsa
+from fairex import keys
 from fairex.arith import Rng
 from fairex.errors import DomainError, ParameterError
-from fairex.keys import PROFILES, RsaKeyPair, _gen_rsa
+from fairex.keys import PROFILES, RsaKeyPair, _gen_rsa, generate_system_params, validate_params
 from fairex.rsa import message_rep, rsa_sign, rsa_verify
 
 # n = 55 = 5*11, phi = 40, e = 3, d = 27 (3*27 = 81 = 2*40 + 1)
@@ -126,6 +128,73 @@ class TestCrtVerify:
         s = rsa_sign(rep, key)
         assert [rsa_verify(s, rep, key), rsa_verify(s + 1, rep, key)] == [True, False]
         assert [rsa_verify(s, rep, key.public()), rsa_verify(s + 1, rep, key.public())] == [True, False]
+
+
+class TestReducedVerify:
+    """Once validation proves both factors prime, a check reduces e mod p - 1 and q - 1."""
+
+    @pytest.fixture
+    def toy_set(self):
+        return generate_system_params("toy", Rng.from_material(b"test_rsa reduced"))
+
+    @pytest.fixture
+    def proofs(self, monkeypatch):
+        # An empty store: only what this test validates counts as proved.
+        monkeypatch.setattr(keys, "_PROOFS", {})
+
+    @pytest.fixture
+    def exponents(self, monkeypatch):
+        seen = []
+        real = fairex.rsa.mod_exp
+        monkeypatch.setattr(fairex.rsa, "mod_exp", lambda b, e, m: seen.append((e, m)) or real(b, e, m))
+        return seen
+
+    def test_validated_factors_reduce_e(self, toy_set, proofs, exponents):
+        key = toy_set.a_rsa
+        rep = message_rep(b"reduced", key.n)
+        s = pow(rep, key.d, key.n)
+        assert rsa_verify(s, rep, key)
+        assert exponents == [(key.e, key.p), (key.e, key.q)]
+        exponents.clear()
+        assert validate_params(toy_set) == []
+        assert rsa_verify(s, rep, key)
+        assert [m for _, m in exponents] == [key.p, key.q]
+        assert all(e < m - 1 for e, m in exponents)
+
+    def test_every_signature_matches_mod_n(self, toy_set, proofs):
+        key = toy_set.b_rsa
+        assert validate_params(toy_set) == []
+        assert keys.proved_prime(key.p, key.p_cert) and keys.proved_prime(key.q, key.q_cert)
+        for s in range(key.n):  # s = p and s = q among them, where one half is 0 == 0
+            rep = pow(s, key.e, key.n)
+            assert [rsa_verify(s, rep, key), rsa_verify(s, rep + 1, key)] == [True, False]
+
+    def test_zero_exponent_keeps_the_full_e(self, toy_set, proofs):
+        key = replace(toy_set.a_rsa, e=0)
+        assert validate_params(toy_set) == []
+        assert rsa_verify(key.p, 1, key)  # p^0 == 1, where p^(p - 1) == 0 mod p
+
+    @pytest.mark.parametrize("p, q", [(15, 7), (7, 15)])
+    def test_composite_factor_keeps_the_full_e(self, toy_set, proofs, exponents, p, q):
+        hostile = RsaKeyPair(n=105, e=23, p=p, q=q)
+        assert "client B: rsa factor not prime" in validate_params(replace(toy_set, b_rsa=hostile))
+        assert rsa_verify(2, pow(2, 23, 105), hostile)
+        assert exponents == [(23, p), (23, q)]
+        assert pow(2, (23 - 1) % 14 + 1, 15) != pow(2, 23, 15)  # reducing mod 15 - 1 would be wrong
+        assert answers(hostile) == answers(hostile.public())
+
+    def test_paper_key_answers_before_and_after_validation(self, certified_paper_key_set, proofs, exponents):
+        key = certified_paper_key_set.a_rsa
+        rep = message_rep(b"paper check", key.n)
+        s = pow(rep, key.d, key.n)
+        before = [rsa_verify(s, rep, key), rsa_verify(s + 1, rep, key)]
+        assert exponents[0] == (key.e, key.p)
+        assert validate_params(certified_paper_key_set) == []
+        assert keys.proved_prime(key.p, key.p_cert) and not keys.proved_prime(key.p, None)
+        exponents.clear()
+        assert [rsa_verify(s, rep, key), rsa_verify(s + 1, rep, key)] == before == [True, False]
+        assert exponents[0] == ((key.e - 1) % (key.p - 1) + 1, key.p)
+        assert exponents[0][0].bit_length() <= 512 < key.e.bit_length()
 
 
 class TestMessageRep:

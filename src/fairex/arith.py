@@ -4,12 +4,19 @@ Scalars are plain Python ints, always non-negative.  The byte encoding
 used everywhere in this package is the minimal big-endian magnitude:
 no leading zero bytes, and the empty string encodes zero.  Hash inputs
 and wire fields carry it behind a length prefix, so no fixed width or
-padding is needed.
+padding is needed.  `pair` runs two independent jobs at once, one of them
+in a helper process that is forked once and kept.
 """
 
 from __future__ import annotations
 
+import atexit
 import hashlib
+import os
+import pickle
+import select
+import threading
+import time
 from functools import cache, lru_cache
 from math import gcd
 
@@ -223,3 +230,98 @@ def is_probable_prime(n: int, rng: Rng | None = None) -> bool:
             return False
     return True
 
+
+def _usable_cpus() -> int:
+    # A child forked while another thread holds a lock (in hashlib, say) could wait on it forever.
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+PAIR_MIN_BITS = 256  # keeps toy sizes out; 128-bit pairs already gained: BENCH_pair_helper.json "break_even"
+_solo_pairs = 24  # such pairs run here before the helper: a CLI child's 1-16 would not repay a fork
+_OWNER = os.getpid()  # the one process that forks the helper and hands it jobs
+_helper: tuple | None = None  # (pid, request pipe, reply pipe) while it runs
+_busy = 0  # 1 while a pair waits on the helper, 2 while it owes a reply that came too late
+
+
+def _spawn_helper() -> None:
+    """Fork the helper: it answers each pickled (job, args) with the pickled result, until EOF or a raise."""
+    global _helper
+    request_r, request_w = map(open, os.pipe(), ("rb", "wb"), (-1, 0))
+    reply_r, reply_w = map(open, os.pipe(), ("rb", "wb"), (-1, 0))
+    _helper = 0, request_w, reply_r  # the fork hook closes these in the child; a refused fork drops the rest
+    pid = os.fork()
+    if pid == 0:
+        try:
+            while True:
+                end = time.perf_counter() + 0.002  # poll 2 ms first, so the CPU stays awake between pairs
+                while time.perf_counter() < end and not select.select([request_r], [], [], 0)[0]:
+                    pass
+                job, args = pickle.load(request_r)
+                reply_w.write(pickle.dumps(job(*args)))
+        finally:
+            os._exit(0)
+    request_r.close()
+    reply_w.close()
+    _helper = pid, request_w, reply_r
+
+
+@atexit.register
+def _retire() -> None:
+    """Close the helper's pipes, so it exits, and reap it; a forked child only closes its copies."""
+    global _helper, _busy
+    if _helper is not None:
+        (pid, *pipes), _helper, _busy = _helper, None, 0
+        for pipe in pipes:
+            pipe.close()
+        if pid and os.getpid() == _OWNER:
+            os.waitpid(pid, 0)
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_retire)
+
+
+def _reply(timeout: float) -> tuple | None:
+    """(result,) of the helper's next reply if it is in by `timeout`, else None; () if it failed."""
+    end = time.perf_counter() + timeout
+    while not select.select([_helper[2]], [], [], 0)[0]:  # polled: a CPU left to sleep wakes late
+        if time.perf_counter() >= end:
+            return None
+    try:
+        return (pickle.load(_helper[2]),)
+    except (EOFError, OSError, pickle.UnpicklingError):
+        _retire()
+        return ()
+
+
+def pair(first: tuple, second: tuple, bits: int) -> tuple:
+    """(f(*f_args), g(*g_args)) for first = (f, f_args) and second = (g, g_args): the same result or error.
+
+    g runs in the helper, pickled by reference, when `bits` >= PAIR_MIN_BITS after `_solo_pairs` such
+    pairs, in the importing process, with two CPUs and no other thread; else here after f, as it does
+    if the helper fails (it is retired) or is late (so the helper's CPU is busy: 8 more pairs run here).
+    """
+    global _busy, _solo_pairs
+    (f, f_args), (g, g_args) = first, second
+    _solo_pairs -= bits >= PAIR_MIN_BITS
+    if _busy == 2 and _reply(0) is not None:  # the late reply came in, and is dropped
+        _busy = 0
+    if _busy or _solo_pairs >= 0 or bits < PAIR_MIN_BITS or os.getpid() != _OWNER or _usable_cpus() < 2:
+        return f(*f_args), g(*g_args)
+    try:
+        request = pickle.dumps(second)
+        if _helper is None:
+            _spawn_helper()
+        _helper[1].write(request)
+    except (pickle.PicklingError, AttributeError, TypeError, OSError):  # a closure, no fork, a dead helper
+        _retire()
+        return f(*f_args), g(*g_args)
+    _busy, start = 1, time.perf_counter()
+    try:
+        result = f(*f_args)
+    finally:
+        reply = _reply(time.perf_counter() - start)  # g had as long as f; if late, it and 8 pairs run here
+        _busy, _solo_pairs = (0, _solo_pairs) if reply is not None else (2, 8)
+    return result, reply[0] if reply else g(*g_args)

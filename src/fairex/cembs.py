@@ -42,7 +42,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-from .arith import Rng, fixed_base_exp, int_from_bytes, int_to_bytes, mod_exp, sample_range
+from .arith import Rng, fixed_base_exp, int_from_bytes, int_to_bytes, mod_exp, pair, sample_range
 from .errors import ParameterError
 from .keys import CommitBase, ElgKeyPair, SystemParams
 from .elgamal import elg_encrypt
@@ -114,8 +114,7 @@ def encrypt_and_certify(value: int, ctx: CembsContext, w: int, u: int) -> tuple[
         raise ParameterError(f"nonce u must be exactly {NONCE_U_BITS} bits")
     W, V = elg_encrypt(value, ctx.group, w)
     commitment = blind_commit(V, ctx.commit_base)
-    a = fixed_base_exp(G, u, P)
-    big_a = fixed_base_exp(G, u * PK % (P - 1), P)  # a^PK = G^(u*PK), as G^(P-1) = 1
+    big_a, a = pair((fixed_base_exp, (G, u * PK % (P - 1), P)), (fixed_base_exp, (G, u, P)), P.bit_length())
     c = hash_challenge(ctx.side_tag, [ctx.commit_base.g, W, commitment, a, big_a])
     return W, V, c, (u - c * w) % (P - 1)
 
@@ -127,5 +126,6 @@ def cembs_verify(W: int, C: int, c: int, r: int, ctx: CembsContext) -> bool:
         return False
     if not 0 <= r < P - 1 or not 0 <= c < 1 << (8 * CHALLENGE_BYTES):
         return False
-    a = fixed_base_exp(G, r, P) * mod_exp(W, c, P) % P
+    w_c, g_r = pair((mod_exp, (W, c, P)), (fixed_base_exp, (G, r, P)), P.bit_length())
+    a = g_r * w_c % P
     return c == hash_challenge(ctx.side_tag, [ctx.commit_base.g, W, C, a, mod_exp(a, PK, P)])

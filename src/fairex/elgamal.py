@@ -9,7 +9,7 @@ nothing about the plaintext.
 
 from __future__ import annotations
 
-from .arith import fixed_base_exp, mod_exp, mod_inv
+from .arith import fixed_base_exp, mod_exp, mod_inv, pair
 from .errors import EmbeddingError, NotInvertibleError, ParameterError
 from .keys import ElgKeyPair
 
@@ -21,18 +21,15 @@ def elg_encrypt(m: int, key: ElgKeyPair, w: int) -> tuple[int, int]:
         raise EmbeddingError(f"plaintext must be in (0, {P}), got {m}")
     if not 1 <= w <= P - 2:
         raise ParameterError(f"nonce must be in [1, {P - 2}]")
-    return fixed_base_exp(G, w, P), m * fixed_base_exp(PK, w, P) % P
+    W, mask = pair((fixed_base_exp, (G, w, P)), (fixed_base_exp, (PK, w, P)), P.bit_length())
+    return W, m * mask % P
 
 
 def elg_decrypt(W: int, V: int, key: ElgKeyPair) -> int:
     """m = V * (W^SK)^-1 mod P."""
     if key.SK is None:
         raise ParameterError("decryption requires the private exponent")
-    half = mod_exp(W, key.SK, key.P)
-    try:
-        return V * mod_inv(half, key.P) % key.P
-    except NotInvertibleError as exc:
-        raise EmbeddingError("malformed ciphertext: W^SK not invertible") from exc
+    return unblind(V, mod_exp(W, key.SK, key.P), key.P)
 
 
 def blind_half(W: int, key: ElgKeyPair) -> int:

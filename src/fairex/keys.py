@@ -10,9 +10,9 @@ Two named size profiles ship: "paper" (512-bit RSA primes, 1024-bit
 ElGamal moduli) and "toy" (8-bit primes, 24-bit moduli) for exhaustive
 desk-scale tests.
 
-Above toy size, keygen uses up to two CPUs and validation every usable
-one.  One helper, `_fan_out`, forks every child behind one size gate and
-runs again in the caller any job whose child fails.  Each party's keys
+Above toy size, keygen uses up to two CPUs and validation every usable one
+(`arith._usable_cpus`).  `_fan_out` forks a child per job behind one size gate
+and runs again in the caller any job whose child fails.  Each party's keys
 come from its own stream, so the bytes are the same on any number of CPUs.
 
 Certified keygen (`fairex keygen`) builds each prime with a Pocklington
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import os
 import pickle
-import threading
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -35,6 +34,7 @@ from .arith import (
     TRIAL_BOUND,
     Rng,
     _trial_division,
+    _usable_cpus,
     int_to_bytes,
     is_probable_prime,
     mod_exp,
@@ -373,21 +373,8 @@ def proved_prime(n: int, cert: Certificate | None) -> bool:
     return _PROOFS.get((n, cert), False)
 
 
-def _usable_cpus() -> int:
-    # A child forked while another thread holds a lock (in hashlib, say)
-    # could wait on it forever, so a threaded process tests in-process.
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _spawn(work: Callable[[], bytes]) -> tuple[int, int] | None:
-    """Fork a child that writes work() to a pipe; None if the fork fails.
-
-    Its one caller, `_fan_out`, holds the one fork gate and the one fallback.
-    """
+    """Fork a child that writes work() to a pipe; None if the fork fails (`_fan_out` falls back)."""
     r, w = os.pipe()
     try:
         pid = os.fork()

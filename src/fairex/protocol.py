@@ -28,7 +28,7 @@ import enum
 import hashlib
 from dataclasses import dataclass, field
 
-from .arith import Rng, int_from_bytes, int_to_bytes
+from .arith import Rng, int_from_bytes, int_to_bytes, pair
 from .cembs import CembsContext, blind_commit, cembs_verify, encrypt_and_certify, sample_nonces
 from .elgamal import blind_half, elg_decrypt, unblind
 from .errors import EmbeddingError, ParameterError, SetupError
@@ -359,8 +359,9 @@ class Sttp(_Party):
         if incoming.msg_type is not MsgType.RECOVERY_REQUEST:
             return self._violation(incoming)
         w_a, c_blind, c_a, r_a, w_b, v_b, c_b, r_b = _int_fields(incoming)
-        offer_ok = cembs_verify(w_a, c_blind, c_a, r_a, self.a_ctx)
-        reply_ok = cembs_verify(w_b, blind_commit(v_b, self.b_ctx.commit_base), c_b, r_b, self.b_ctx)
+        offer = (cembs_verify, (w_a, c_blind, c_a, r_a, self.a_ctx))
+        reply = (cembs_verify, (w_b, blind_commit(v_b, self.b_ctx.commit_base), c_b, r_b, self.b_ctx))
+        offer_ok, reply_ok = pair(offer, reply, self.a_ctx.group.P.bit_length())
         if not (offer_ok and reply_ok):
             self.state.violations.append(
                 f"rejected recovery request (offer cert {'ok' if offer_ok else 'bad'}, "

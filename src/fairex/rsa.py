@@ -3,9 +3,9 @@
 No padding scheme: s = m^d mod n, check m == s^e mod n.  Arbitrary byte
 strings are mapped below the modulus by hashing (SHA-256, big-endian,
 reduced mod n).  A key that carries its factors signs and checks mod p
-and mod q (Quisquater-Couvreur, 1982), with e reduced mod p - 1 and q - 1
-once `keys.validate_params` has proved them prime; the answers are those
-of the mod-n formulas.
+and mod q (Quisquater-Couvreur, 1982), the two halves as one `arith.pair`,
+with e reduced mod p - 1 and q - 1 once `keys.validate_params` has proved
+them prime; the answers are those of the mod-n formulas.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 from math import gcd
 
-from .arith import int_from_bytes, mod_exp, mod_inv
+from .arith import int_from_bytes, mod_exp, mod_inv, pair
 from .errors import DomainError, ParameterError
 from .keys import RsaKeyPair, proved_prime
 
@@ -38,8 +38,7 @@ def rsa_sign(rep: int, key: RsaKeyPair) -> int:
     p, q = key.p, key.q
     if p is None or q is None:
         return mod_exp(rep, key.d, key.n)
-    s_p = mod_exp(rep, key.d % (p - 1), p)
-    s_q = mod_exp(rep, key.d % (q - 1), q)
+    s_p, s_q = pair(*[(mod_exp, (rep, key.d % (r - 1), r)) for r in (p, q)], p.bit_length())
     h = (s_p - s_q) * mod_inv(q, p) % p
     return s_q + h * q
 
@@ -61,4 +60,4 @@ def rsa_verify(s: int, rep: int, key: RsaKeyPair) -> bool:
     e_p = e_q = e
     if e > 0 and proved_prime(p, key.p_cert) and proved_prime(q, key.q_cert):
         e_p, e_q = (e - 1) % (p - 1) + 1, (e - 1) % (q - 1) + 1
-    return mod_exp(s % p, e_p, p) == rep % p and mod_exp(s % q, e_q, q) == rep % q
+    return pair((mod_exp, (s % p, e_p, p)), (mod_exp, (s % q, e_q, q)), p.bit_length()) == (rep % p, rep % q)

@@ -1,7 +1,19 @@
 import pytest
 
+from fairex import arith
 from fairex.arith import Rng, mod_exp
 from fairex.keys import generate_system_params, save_params
+
+
+@pytest.fixture(autouse=True)
+def retired_pair_helper():
+    """Retire `arith.pair`'s helper after each test.
+
+    The next test that pairs forks a fresh one, which sees that test's
+    monkeypatches, and no test finds a child of another test still running.
+    """
+    yield
+    arith._retire()
 
 
 @pytest.fixture(scope="session")

@@ -19,6 +19,7 @@ import hashlib
 
 import pytest
 
+from fairex import arith
 from fairex.arith import Rng
 from fairex.harness import SHIPPED_FAULT_SCRIPTS, audit, default_payload, run_session, shipped_script
 from fairex.keys import generate_system_params
@@ -103,6 +104,16 @@ def test_session_bytes_unchanged(params, protocol, script):
 @pytest.mark.parametrize("protocol", list(Protocol), ids=lambda p: p.value)
 def test_paper_session_bytes_unchanged(paper_params, protocol, script):
     assert session_digest(paper_params, protocol, script) == PAPER_EXPECTED[protocol.value, script]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_paper_session_bytes_unchanged_with_and_without_pair_helper(paper_params, monkeypatch, cpus):
+    # On 2 CPUs `arith.pair` hands half its jobs to its helper process; on 1 it runs both.
+    monkeypatch.setattr(arith, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(arith, "_solo_pairs", 0)
+    for (protocol, script), expected in PAPER_EXPECTED.items():
+        assert session_digest(paper_params, Protocol(protocol), script) == expected
+    assert (arith._helper is not None) == (cpus > 1)
 
 
 def test_vector_bytes_unchanged():

@@ -1,6 +1,7 @@
 import dataclasses
 import os
 import threading
+from functools import lru_cache
 from math import gcd
 
 import pytest
@@ -163,7 +164,7 @@ class TestValidateParamsCache:
         assert primality_tests == []
 
     def test_certified_paper_set_round_trips_without_miller_rabin(
-        self, certified_paper_key_set, tmp_path, primality_tests
+        self, certified_paper_key_set, tmp_path, primality_tests, monkeypatch
     ):
         sp = certified_paper_key_set
         assert sp.a_rsa.p.bit_length() == sp.b_rsa.q.bit_length() == 512
@@ -174,7 +175,8 @@ class TestValidateParamsCache:
         save_params(sp, path)
         loaded = load_params(path)
         assert loaded == dataclasses.replace(sp, bit_profile=None)
-        keys._violations.cache_clear()
+        # Validate uncached, so the sets other tests validated stay in the cache.
+        monkeypatch.setattr(keys, "_violations", keys._violations.__wrapped__)
         assert validate_params(loaded) == []
         assert primality_tests == []
 
@@ -331,7 +333,8 @@ class TestForkedKeygen:
     def test_same_set_and_file_on_one_and_three_cpus(
         self, monkeypatch, tmp_path, made_here, spawned, certified=False
     ):
-        keys._violations.cache_clear()
+        # A cache of this test's own, so the sets other tests validated stay in the shared one.
+        monkeypatch.setattr(keys, "_violations", lru_cache(maxsize=16)(keys._violations.__wrapped__))
         one = self.generate(monkeypatch, 1, certified=certified)
         assert spawned == [] and sorted(made_here) == ["_gen_elg"] * 2 + ["_gen_rsa"] * 2
         assert (one.sttp_elg.P_cert is not None) == (one.b_rsa.q_cert is not None) == certified
@@ -376,7 +379,7 @@ class TestForkedKeygen:
         monkeypatch.setattr(os, "pipe", recorded_pipe)
         monkeypatch.setattr(os, "close", lambda fd: closed.append(fd) or close(fd))
         monkeypatch.setattr(os, "fork", refused_fork)
-        keys._violations.cache_clear()
+        monkeypatch.setattr(keys, "_violations", keys._violations.__wrapped__)
         assert self.generate(monkeypatch, 3, b"refused forks") == one
         numbers = {one.a_elg.P, one.sttp_elg.P, one.a_rsa.n, one.a_rsa.p, one.b_rsa.q, 3 * one.a_elg.P}
         assert keys._primality(numbers) == {n: is_probable_prime(n) for n in numbers}

@@ -5,7 +5,8 @@ used everywhere in this package is the minimal big-endian magnitude:
 no leading zero bytes, and the empty string encodes zero.  Hash inputs
 and wire fields carry it behind a length prefix, so no fixed width or
 padding is needed.  `pair` runs two independent jobs at once, one of them
-in a helper process that is forked once and kept.
+in a helper process that is forked once and kept; it is the package's one
+way to use a second CPU, for modexps, keygen and primality checks alike.
 """
 
 from __future__ import annotations
@@ -238,7 +239,7 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-PAIR_MIN_BITS = 256  # keeps toy sizes out; 128-bit pairs already gained: BENCH_pair_helper.json "break_even"
+PAIR_MIN_BITS = 256  # the one size gate (keygen's too) keeps toy sizes out: BENCH_pair_helper.json "break_even"
 _solo_pairs = 24  # such pairs run here before the helper: a CLI child's 1-16 would not repay a fork
 _OWNER = os.getpid()  # the one process that forks the helper and hands it jobs
 _helper: tuple | None = None  # (pid, request pipe, reply pipe) while it runs
@@ -250,20 +251,19 @@ def _spawn_helper() -> None:
     global _helper
     request_r, request_w = map(open, os.pipe(), ("rb", "wb"), (-1, 0))
     reply_r, reply_w = map(open, os.pipe(), ("rb", "wb"), (-1, 0))
-    _helper = 0, request_w, reply_r  # the fork hook closes these in the child; a refused fork drops the rest
-    pid = os.fork()
-    if pid == 0:
-        try:
-            while True:
-                end = time.perf_counter() + 0.002  # poll 2 ms first, so the CPU stays awake between pairs
-                while time.perf_counter() < end and not select.select([request_r], [], [], 0)[0]:
-                    pass
-                job, args = pickle.load(request_r)
-                reply_w.write(pickle.dumps(job(*args)))
-        finally:
-            os._exit(0)
-    request_r.close()
-    reply_w.close()
+    _helper = 0, request_w, reply_r  # the fork hook closes these in the child; `_retire` if the fork is refused
+    with request_r, reply_w:  # the helper's ends, closed here once it has them or the fork is refused
+        pid = os.fork()
+        if pid == 0:
+            try:
+                while True:
+                    end = time.perf_counter() + 0.002  # poll 2 ms first, so the CPU stays awake between pairs
+                    while time.perf_counter() < end and not select.select([request_r], [], [], 0)[0]:
+                        pass
+                    job, args = pickle.load(request_r)
+                    reply_w.write(pickle.dumps(job(*args)))
+            finally:
+                os._exit(0)
     _helper = pid, request_w, reply_r
 
 
@@ -283,10 +283,10 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_retire)
 
 
-def _reply(timeout: float) -> tuple | None:
-    """(result,) of the helper's next reply if it is in by `timeout`, else None; () if it failed."""
-    end = time.perf_counter() + timeout
-    while not select.select([_helper[2]], [], [], 0)[0]:  # polled: a CPU left to sleep wakes late
+def _reply(timeout: float | None) -> tuple | None:
+    """(result,) of the helper's next reply if in by `timeout` (None: blocks), else None; () if it failed."""
+    end = time.perf_counter() + (timeout or 0)  # polled: a CPU left to sleep wakes late
+    while not select.select([_helper[2]], [], [], None if timeout is None else 0)[0]:
         if time.perf_counter() >= end:
             return None
     try:
@@ -296,19 +296,22 @@ def _reply(timeout: float) -> tuple | None:
         return ()
 
 
-def pair(first: tuple, second: tuple, bits: int) -> tuple:
+def pair(first: tuple, second: tuple, bits: int, *, wait: bool = False) -> tuple:
     """(f(*f_args), g(*g_args)) for first = (f, f_args) and second = (g, g_args): the same result or error.
 
     g runs in the helper, pickled by reference, when `bits` >= PAIR_MIN_BITS after `_solo_pairs` such
     pairs, in the importing process, with two CPUs and no other thread; else here after f, as it does
     if the helper fails (it is retired) or is late (so the helper's CPU is busy: 8 more pairs run here).
+    A pair that may `wait` (keygen, validation) skips the `_solo_pairs` gate and does not count toward
+    it, and is never late: it blocks until g's reply comes, so neither of its jobs runs twice.
     """
     global _busy, _solo_pairs
     (f, f_args), (g, g_args) = first, second
-    _solo_pairs -= bits >= PAIR_MIN_BITS
+    _solo_pairs -= bits >= PAIR_MIN_BITS and not wait
     if _busy == 2 and _reply(0) is not None:  # the late reply came in, and is dropped
         _busy = 0
-    if _busy or _solo_pairs >= 0 or bits < PAIR_MIN_BITS or os.getpid() != _OWNER or _usable_cpus() < 2:
+    if (_busy or _solo_pairs >= 0 and not wait or bits < PAIR_MIN_BITS
+            or os.getpid() != _OWNER or _usable_cpus() < 2):
         return f(*f_args), g(*g_args)
     try:
         request = pickle.dumps(second)
@@ -322,6 +325,6 @@ def pair(first: tuple, second: tuple, bits: int) -> tuple:
     try:
         result = f(*f_args)
     finally:
-        reply = _reply(time.perf_counter() - start)  # g had as long as f; if late, it and 8 pairs run here
+        reply = _reply(None if wait else time.perf_counter() - start)  # late if g takes longer than f
         _busy, _solo_pairs = (0, _solo_pairs) if reply is not None else (2, 8)
     return result, reply[0] if reply else g(*g_args)

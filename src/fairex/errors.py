@@ -1,5 +1,7 @@
-"""Exception hierarchy shared by all fairex modules."""
+"""Exception hierarchy shared by all fairex modules, and their whole-file reads and writes."""
 
+import os
+import threading
 from pathlib import Path
 
 
@@ -48,3 +50,13 @@ def read_text(path: str | Path, error: type[FairexError]) -> str:
         return Path(path).read_bytes().decode()
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not a text file ({exc.reason} at byte {exc.start})") from None
+
+
+def write_whole(path: str | Path, data: bytes) -> None:
+    """Write a new file beside `path` and rename it onto `path`: readers see the old bytes or the new."""
+    temp = Path(f"{path}.{os.getpid()}-{threading.get_ident()}.tmp")
+    try:
+        temp.write_bytes(data)
+        os.replace(temp, path)
+    finally:
+        temp.unlink(missing_ok=True)

@@ -10,10 +10,10 @@ Two named size profiles ship: "paper" (512-bit RSA primes, 1024-bit
 ElGamal moduli) and "toy" (8-bit primes, 24-bit moduli) for exhaustive
 desk-scale tests.
 
-Above toy size, keygen uses up to two CPUs and validation every usable one
-(`arith._usable_cpus`).  `_fan_out` forks a child per job behind one size gate
-and runs again in the caller any job whose child fails.  Each party's keys
-come from its own stream, so the bytes are the same on any number of CPUs.
+Above toy size, keygen and validation hand one job of each pair to
+`arith.pair`'s helper and wait for it; a job the helper cannot finish runs
+in the caller.  Each party's keys come from its own stream, so the bytes
+are the same on one CPU and on two.
 
 Certified keygen (`fairex keygen`) builds each prime with a Pocklington
 certificate, a chain of (a, q) pairs that validation checks in about one
@@ -22,9 +22,6 @@ modexp per level; a prime without one gets 40 Miller-Rabin rounds.
 
 from __future__ import annotations
 
-import os
-import pickle
-from collections.abc import Callable
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import gcd, isqrt
@@ -34,23 +31,17 @@ from .arith import (
     TRIAL_BOUND,
     Rng,
     _trial_division,
-    _usable_cpus,
     int_to_bytes,
     is_probable_prime,
     mod_exp,
+    pair,
     sample_range,
     small_primes_to_100k,
 )
-from .errors import ParameterError, SetupError, read_text
+from .errors import ParameterError, SetupError, read_text, write_whole
 
 # Candidates tried before a generation step is declared failed.
 _MAX_RETRIES = 100_000
-
-# Keygen and validation fork only when their largest number has at least
-# this many bits: 40 Miller-Rabin rounds on a 128-bit prime take about
-# 2.4 ms, more than a fork, a short pipe read and a waitpid (about 1.6 ms)
-# cost.  Toy sets (24-bit moduli) never fork.
-_FORK_MIN_BITS = 128
 
 # (a, q) per level, largest q first; see `_certified`.
 Certificate = tuple[tuple[int, int], ...]
@@ -286,10 +277,10 @@ def generate_system_params(profile: BitProfile | str, rng: Rng, *, certified: bo
     P_A lies above both n_A and n_B, so B's signatures embed under A's
     ElGamal key, and P_T above n_A.  Per-party child streams keep each
     party's keys independent of how many samples the others consumed, so
-    identical seeds give identical parameter sets run after run.  So a
-    child can make B's RSA key while A's is made here, then the STTP's
-    ElGamal key (needs n_A) while A's (needs n_A and n_B) and the
-    commitment base are made here: the same set on any number of CPUs.
+    identical seeds give identical parameter sets run after run.  So the
+    helper of `arith.pair` can make B's RSA key while A's is made here,
+    then the STTP's ElGamal key (needs n_A) while A's (needs n_A and n_B)
+    and the commitment base are made here: the same set on one CPU or two.
     """
     if isinstance(profile, str):
         try:
@@ -298,14 +289,14 @@ def generate_system_params(profile: BitProfile | str, rng: Rng, *, certified: bo
             raise ParameterError(f"unknown profile {profile!r}") from None
     rng_a, rng_b, rng_t = rng.child(b"client-a"), rng.child(b"client-b"), rng.child(b"sttp")
     bits = profile.elg_bits
-    a_rsa, b_rsa = _fan_out([
-        lambda: _gen_rsa(profile, rng_a, certified), lambda: _gen_rsa(profile, rng_b, certified)
-    ], bits)
+    a_rsa, b_rsa = pair(
+        (_gen_rsa, (profile, rng_a, certified)), (_gen_rsa, (profile, rng_b, certified)), bits, wait=True
+    )
     floor_a = max(a_rsa.n, b_rsa.n)
-    (a_elg, base), sttp_elg = _fan_out([
-        lambda: (_gen_elg(profile, rng_a, floor_a, certified), _gen_commit_base(a_rsa.n, rng_a)),
-        lambda: _gen_elg(profile, rng_t, a_rsa.n, certified),
-    ], bits)
+    (a_elg, base), sttp_elg = pair(
+        (lambda: (_gen_elg(profile, rng_a, floor_a, certified), _gen_commit_base(a_rsa.n, rng_a)), ()),
+        (_gen_elg, (profile, rng_t, a_rsa.n, certified)), bits, wait=True,
+    )
     params = SystemParams(
         a_rsa=a_rsa, b_rsa=b_rsa, a_elg=a_elg, sttp_elg=sttp_elg, commit_base=base, bit_profile=profile
     )
@@ -373,66 +364,18 @@ def proved_prime(n: int, cert: Certificate | None) -> bool:
     return _PROOFS.get((n, cert), False)
 
 
-def _spawn(work: Callable[[], bytes]) -> tuple[int, int] | None:
-    """Fork a child that writes work() to a pipe; None if the fork fails (`_fan_out` falls back)."""
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        return None
-    if pid == 0:
-        status = 1
-        try:
-            os.close(r)
-            with open(w, "wb") as pipe:
-                pipe.write(work())
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(w)
-    return pid, r
-
-
-def _reap(child: tuple[int, int] | None) -> bytes:
-    """What the child wrote, or b"" when there is no child or it did not exit cleanly."""
-    if child is None:
-        return b""
-    pid, r = child
-    with open(r, "rb") as pipe:
-        reply = pipe.read()
-    _, status = os.waitpid(pid, 0)
-    return reply if status == 0 else b""
-
-
-def _fan_out(jobs: list[Callable], bits: int) -> list:
-    """[job() for job in jobs]: jobs[0] here, each other job in a forked child if `bits` merits it.
-
-    A child pickles its result into its pipe.  A job whose child was refused,
-    died or raised runs again here, on state the child left untouched, so it
-    gives the same result or the same error.  No child outlives the call.
-    """
-    fork = bits >= _FORK_MIN_BITS and _usable_cpus() > 1
-    children = [_spawn(lambda job=job: pickle.dumps(job())) if fork else None for job in jobs[1:]]
-    try:
-        results = [jobs[0]()]
-    finally:
-        replies = [_reap(child) for child in children]
-    # Unpickling is safe: the only writer on each pipe is this process's own forked child.
-    return results + [pickle.loads(reply) if reply else job() for job, reply in zip(jobs[1:], replies)]
+def _probable_primes(group: list[int]) -> list[bool]:
+    return list(map(is_probable_prime, group))
 
 
 def _primality(numbers: set[int]) -> dict[int, bool]:
-    """is_probable_prime of each number; largest first, round-robin into one `_fan_out` job per CPU."""
+    """is_probable_prime of each number; largest first, round-robin into the two jobs of one pair."""
     if not numbers:
         return {}
     ordered = sorted(numbers, reverse=True)
-    k = min(_usable_cpus(), len(ordered))
-    groups = [ordered[i::k] for i in range(k)]
-    jobs = [lambda g=g: list(map(is_probable_prime, g)) for g in groups]
-    verdicts = _fan_out(jobs, ordered[0].bit_length())
-    return {n: v for group, vs in zip(groups, verdicts) for n, v in zip(group, vs)}
+    first, second, bits = ordered[::2], ordered[1::2], ordered[0].bit_length()
+    verdicts = pair((_probable_primes, (first,)), (_probable_primes, (second,)), bits, wait=True)
+    return dict(zip(first + second, verdicts[0] + verdicts[1]))
 
 
 @lru_cache(maxsize=16)
@@ -520,7 +463,7 @@ def save_params(sp: SystemParams, path: str | Path) -> None:
             if value is None:
                 continue
             lines.append(_line(name, value))
-    Path(path).write_bytes(("\n".join(lines) + "\n").encode())
+    write_whole(path, ("\n".join(lines) + "\n").encode())
 
 
 def load_params(path: str | Path) -> SystemParams:

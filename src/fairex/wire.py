@@ -17,7 +17,7 @@ import enum
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import TranscriptError, WireError, read_text
+from .errors import TranscriptError, WireError, read_text, write_whole
 
 SESSION_ID_BYTES = 16
 
@@ -135,7 +135,7 @@ class Transcript:
         return "".join(rec.line + "\n" for rec in self.records)
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_bytes(self.to_text().encode())
+        write_whole(path, self.to_text().encode())
 
     @classmethod
     def from_text(cls, text: str) -> "Transcript":

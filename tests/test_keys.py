@@ -1,13 +1,15 @@
 import dataclasses
 import os
+import select
 import threading
 from functools import lru_cache
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from fairex import keys
+from fairex import arith, keys
 from fairex.arith import TRIAL_BOUND, Rng, is_probable_prime, mod_exp
 from fairex.errors import ParameterError, SetupError
 from fairex.keys import (
@@ -213,13 +215,39 @@ class TestValidateParamsCache:
             build_parties(dataclasses.replace(cfg, params=broken))
 
 
+SMALL = BitProfile(128, 256)  # the smallest keys whose keygen and checks reach `arith.pair`'s helper
+
+
+def _late_in_helper(fd: int) -> bytes:
+    """b"" here; in the helper, b"late" once `fd` can be read (or after 10 s): its reply comes on cue."""
+    if os.getpid() == arith._OWNER:
+        return b""
+    select.select([fd], [], [], 10)
+    return b"late"
+
+
+@pytest.fixture(scope="module")
+def small_set():
+    return generate_system_params(SMALL, rng(b"small set"))
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Every fork this test makes, from no helper on: the one it forks sees the test's patches."""
+    arith._retire()
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
 class TestBatchedPrimality:
     """`_primality` gives `is_probable_prime`'s verdicts, whoever computes them."""
 
     @pytest.fixture
-    def many_cpus(self, monkeypatch):
-        # Fork even on a 1-CPU host, so the children's path always runs.
-        monkeypatch.setattr(keys, "_usable_cpus", lambda: 3)
+    def many_cpus(self, monkeypatch, forks):
+        # Use the helper even on a 1-CPU host, so its path always runs.
+        monkeypatch.setattr(arith, "_usable_cpus", lambda: 3)
+        return forks
 
     @pytest.fixture(scope="class")
     def paper_numbers(self, paper_key_set):
@@ -237,21 +265,21 @@ class TestBatchedPrimality:
         expected = {n: is_probable_prime(n) for n in paper_numbers}
         assert keys._primality(paper_numbers) == expected
         assert list(expected.values()).count(False) == 5
+        assert len(many_cpus) == 1 and arith._helper is not None
 
     def test_silent_child_falls_back_to_the_caller(self, paper_numbers, many_cpus, monkeypatch):
-        parent, tested, forks = os.getpid(), [], []
-        fork = os.fork
-        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        tested = []
 
-        def parent_only(n, *args, **kwargs):
-            if os.getpid() != parent:
-                raise RuntimeError("child dies before writing a verdict")
+        def owner_only(n, *args, **kwargs):
+            if os.getpid() != arith._OWNER:
+                raise RuntimeError("the helper dies before writing a verdict")
             tested.append(n)
             return is_probable_prime(n, *args, **kwargs)
 
-        monkeypatch.setattr(keys, "is_probable_prime", parent_only)
+        monkeypatch.setattr(keys, "is_probable_prime", owner_only)
         assert keys._primality(paper_numbers) == {n: is_probable_prime(n) for n in paper_numbers}
-        assert len(forks) == 2 and sorted(tested) == sorted(paper_numbers)
+        assert len(many_cpus) == 1 and sorted(tested) == sorted(paper_numbers)
+        assert arith._helper is None  # retired once it died
 
     def test_composite_modulus_reported_in_place(self, paper_key_set, many_cpus):
         sp = paper_key_set
@@ -266,15 +294,12 @@ class TestBatchedPrimality:
             "STTP: key consistency (PK != G^SK mod P)",
         ]
 
-    def test_forked_validation_keeps_its_proofs(self, toy_params, many_cpus, monkeypatch):
-        forks, fork = [], os.fork
-        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-        monkeypatch.setattr(keys, "_FORK_MIN_BITS", 8)
+    def test_forked_validation_keeps_its_proofs(self, small_set, many_cpus, monkeypatch):
         monkeypatch.setattr(keys, "_PROOFS", {})
         monkeypatch.setattr(keys, "_violations", keys._violations.__wrapped__)
-        assert validate_params(toy_params) == []
-        sp = toy_params
-        assert len(forks) == 2
+        assert validate_params(small_set) == []
+        sp = small_set
+        assert len(many_cpus) == 1
         assert all(keys.proved_prime(n, None) for n in (sp.a_rsa.p, sp.a_rsa.q, sp.b_rsa.p, sp.b_rsa.q))
         assert keys.proved_prime(sp.a_elg.P, None) and keys.proved_prime(sp.sttp_elg.P, None)
         assert not keys.proved_prime(sp.a_rsa.n, None)
@@ -287,12 +312,16 @@ class TestBatchedPrimality:
         params = generate_system_params("toy", rng(b"never forks"))
         assert validate_params(params) == []
 
-    def test_threaded_process_does_not_fork(self):
+    def test_threaded_process_does_not_fork(self, small_set, monkeypatch):
+        sp = small_set
+        numbers = {sp.a_elg.P, sp.sttp_elg.P, sp.a_rsa.n, sp.a_rsa.p, sp.b_rsa.q}
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked in a threaded process"))
         release = threading.Event()
         worker = threading.Thread(target=release.wait)
         worker.start()
         try:
-            assert keys._usable_cpus() == 1
+            assert keys._primality(numbers) == {n: is_probable_prime(n) for n in numbers}
         finally:
             release.set()
             worker.join(timeout=10)
@@ -300,73 +329,78 @@ class TestBatchedPrimality:
 
 
 class TestForkedKeygen:
-    """Keygen with forked children makes the set that one CPU makes, whatever the children do."""
-
-    PROFILE = BitProfile(64, 128)  # just above _FORK_MIN_BITS
+    """Keygen with `arith.pair`'s helper makes the set that one CPU makes, whatever the helper does."""
 
     @pytest.fixture
     def made_here(self, monkeypatch):
-        """The keys the test process itself makes, by kind; a child's calls do not show."""
-        made, parent = [], os.getpid()
+        """The sizes of the primes keygen makes in this process; the helper's go to its copy of the list."""
+        made, gen_prime = [], keys._gen_prime
 
-        def recorded(name, real):
-            def gen(*args, **kwargs):
-                if os.getpid() == parent:
-                    made.append(name)
-                return real(*args, **kwargs)
-            return gen
+        def recorded(bits, *args):
+            made.append(bits)
+            return gen_prime(bits, *args)
 
-        for name in ("_gen_rsa", "_gen_elg"):
-            monkeypatch.setattr(keys, name, recorded(name, getattr(keys, name)))
+        monkeypatch.setattr(keys, "_gen_prime", recorded)
         return made
 
     @pytest.fixture
-    def spawned(self, monkeypatch):
-        calls, spawn = [], keys._spawn
-        monkeypatch.setattr(keys, "_spawn", lambda work: calls.append(work) or spawn(work))
-        return calls
+    def own_cache(self, monkeypatch):
+        """A validation cache of the test's own, so the sets other tests validated stay in the shared one."""
+        monkeypatch.setattr(keys, "_violations", lru_cache(maxsize=16)(keys._violations.__wrapped__))
 
     def generate(self, monkeypatch, cpus: int, tag: bytes = b"forked keygen", certified: bool = False):
-        monkeypatch.setattr(keys, "_usable_cpus", lambda: cpus)
-        return generate_system_params(self.PROFILE, rng(tag), certified=certified)
+        monkeypatch.setattr(arith, "_usable_cpus", lambda: cpus)
+        return generate_system_params(SMALL, rng(tag), certified=certified)
 
     def test_same_set_and_file_on_one_and_three_cpus(
-        self, monkeypatch, tmp_path, made_here, spawned, certified=False
+        self, monkeypatch, tmp_path, made_here, forks, own_cache, certified=False
     ):
-        # A cache of this test's own, so the sets other tests validated stay in the shared one.
-        monkeypatch.setattr(keys, "_violations", lru_cache(maxsize=16)(keys._violations.__wrapped__))
         one = self.generate(monkeypatch, 1, certified=certified)
-        assert spawned == [] and sorted(made_here) == ["_gen_elg"] * 2 + ["_gen_rsa"] * 2
+        assert forks == [] and sorted(made_here) == [128] * 4 + [256] * 2
         assert (one.sttp_elg.P_cert is not None) == (one.b_rsa.q_cert is not None) == certified
         made_here.clear()
         # The 1-CPU run left this set's validation in the cache, so the
-        # only forks of the 3-CPU run are keygen's two.
+        # 3-CPU run pairs only keygen's jobs: B's and the STTP's keys are made in the helper.
         three = self.generate(monkeypatch, 3, certified=certified)
-        assert len(spawned) == 2 and made_here == ["_gen_rsa", "_gen_elg"]
+        assert len(forks) == 1 and sorted(made_here) == [128, 128, 256]
         assert three == one
         save_params(one, tmp_path / "one.txt")
         save_params(three, tmp_path / "three.txt")
-        assert (tmp_path / "three.txt").read_text() == (tmp_path / "one.txt").read_text()
+        assert (tmp_path / "three.txt").read_bytes() == (tmp_path / "one.txt").read_bytes()
 
     def test_same_certified_set_and_file_on_one_and_three_cpus(
-        self, monkeypatch, tmp_path, made_here, spawned
+        self, monkeypatch, tmp_path, made_here, forks, own_cache
     ):
-        self.test_same_set_and_file_on_one_and_three_cpus(monkeypatch, tmp_path, made_here, spawned, True)
+        self.test_same_set_and_file_on_one_and_three_cpus(monkeypatch, tmp_path, made_here, forks, own_cache, True)
 
-    def test_children_that_die_leave_the_work_to_the_parent(self, monkeypatch, made_here, certified=False):
+    def test_children_that_die_leave_the_work_to_the_parent(
+        self, monkeypatch, tmp_path, made_here, forks, own_cache, certified=False
+    ):
         one = self.generate(monkeypatch, 1, b"dying children", certified)
         made_here.clear()
-        spawn = keys._spawn
-        monkeypatch.setattr(keys, "_spawn", lambda work: spawn(lambda: os._exit(1)))
-        assert self.generate(monkeypatch, 3, b"dying children", certified) == one
-        assert sorted(made_here) == ["_gen_elg"] * 2 + ["_gen_rsa"] * 2
+        gen_prime = keys._gen_prime
+        monkeypatch.setattr(
+            keys, "_gen_prime", lambda *args: gen_prime(*args) if os.getpid() == arith._OWNER else os._exit(1)
+        )
+        three = self.generate(monkeypatch, 3, b"dying children", certified)
+        # Each keygen pair forks a helper that dies mid-job, so every key is made here.
+        assert len(forks) == 2 and arith._helper is None
+        assert sorted(made_here) == [128] * 4 + [256] * 2
+        save_params(one, tmp_path / "one.txt")
+        save_params(three, tmp_path / "three.txt")
+        assert three == one and (tmp_path / "three.txt").read_bytes() == (tmp_path / "one.txt").read_bytes()
 
-    def test_certified_children_that_die_leave_the_work_to_the_parent(self, monkeypatch, made_here):
-        self.test_children_that_die_leave_the_work_to_the_parent(monkeypatch, made_here, True)
+    def test_certified_children_that_die_leave_the_work_to_the_parent(
+        self, monkeypatch, tmp_path, made_here, forks, own_cache
+    ):
+        self.test_children_that_die_leave_the_work_to_the_parent(
+            monkeypatch, tmp_path, made_here, forks, own_cache, True
+        )
 
+    @pytest.mark.filterwarnings("error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning")
     def test_refused_fork_leaves_the_work_to_the_parent(self, monkeypatch):
         one = self.generate(monkeypatch, 1, b"refused forks")
-        opened, closed, pipe, close = [], [], os.pipe, os.close
+        opened, pipe = [], os.pipe
 
         def recorded_pipe():
             ends = pipe()
@@ -376,26 +410,57 @@ class TestForkedKeygen:
         def refused_fork():
             raise OSError("fork refused")
 
+        def is_open(fd: int) -> bool:
+            try:
+                os.fstat(fd)
+            except OSError:
+                return False
+            return True
+
         monkeypatch.setattr(os, "pipe", recorded_pipe)
-        monkeypatch.setattr(os, "close", lambda fd: closed.append(fd) or close(fd))
         monkeypatch.setattr(os, "fork", refused_fork)
         monkeypatch.setattr(keys, "_violations", keys._violations.__wrapped__)
         assert self.generate(monkeypatch, 3, b"refused forks") == one
         numbers = {one.a_elg.P, one.sttp_elg.P, one.a_rsa.n, one.a_rsa.p, one.b_rsa.q, 3 * one.a_elg.P}
         assert keys._primality(numbers) == {n: is_probable_prime(n) for n in numbers}
-        # Keygen's two jobs, validation's two groups and the last call's two.
-        assert len(opened) == 12 and set(opened) <= set(closed)
+        # Two pipes for each of keygen's two pairs, validation's pair and the last call's.
+        assert len(opened) == 16 and not any(map(is_open, opened))
 
-    def test_failing_search_raises_the_same_error(self, monkeypatch, spawned):
+    def test_failing_search_raises_the_same_error(self, monkeypatch, forks):
         monkeypatch.setattr(keys, "_MAX_RETRIES", 0)
         with pytest.raises(SetupError) as one:
             self.generate(monkeypatch, 1)
         with pytest.raises(SetupError) as three:
             self.generate(monkeypatch, 3)
-        assert spawned and str(three.value) == str(one.value)
-        # The caller's job raised, yet its child was reaped: none is left.
+        assert forks and str(three.value) == str(one.value)
+        # The caller's job raised once the helper's had: the helper was reaped, and none is left.
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    def test_waiting_pairs_never_take_a_late_pair_s_reply(self, monkeypatch, made_here, forks, own_cache):
+        one = self.generate(monkeypatch, 1, b"late reply")
+        numbers = {one.a_elg.P, one.sttp_elg.P, one.a_rsa.n, one.a_rsa.p, one.b_rsa.q}
+        verdicts = keys._primality(numbers)
+        monkeypatch.setattr(keys, "_violations", keys._violations.__wrapped__)  # so each set-up validates
+        monkeypatch.setattr(arith, "_solo_pairs", 0)
+        monkeypatch.setattr(arith, "_usable_cpus", lambda: 3)
+        r, w = os.pipe()
+        try:
+            assert arith.pair((abs, (-1,)), (_late_in_helper, (r,)), arith.PAIR_MIN_BITS) == (1, b"")
+            assert arith._busy == 2  # the helper owes a reply: keygen and validation run here
+            made_here.clear()
+            assert self.generate(monkeypatch, 3, b"late reply") == one
+            assert keys._primality(numbers) == verdicts
+            assert sorted(made_here) == [128] * 4 + [256] * 2
+            os.write(w, b"x")  # the late reply comes, and is left unread
+            assert select.select([arith._helper[2]], [], [], 10)[0] and arith._busy == 2
+            made_here.clear()
+            assert self.generate(monkeypatch, 3, b"late reply") == one
+            assert keys._primality(numbers) == verdicts
+            assert sorted(made_here) == [128, 128, 256] and arith._busy == 0 and len(forks) == 1
+        finally:
+            os.close(r)
+            os.close(w)
 
 
 def _qnr(P: int) -> int:
@@ -555,6 +620,31 @@ class TestKeyFileFuzz:
 
 
 class TestKeyFiles:
+    @pytest.mark.parametrize("step", ["write", "replace"])
+    def test_failed_save_keeps_the_old_file(self, toy_params, tmp_path, monkeypatch, step):
+        path = tmp_path / "keys.txt"
+        path.write_bytes(b"old bytes\n")
+        write = Path.write_bytes
+
+        def half_written(self, data):
+            write(self, data[: len(data) // 2])
+            raise OSError("disk full")
+
+        def refused(src, dst):
+            raise OSError("replace refused")
+
+        with monkeypatch.context() as patch:
+            if step == "write":
+                patch.setattr(Path, "write_bytes", half_written)
+            else:
+                patch.setattr(os, "replace", refused)
+            with pytest.raises(OSError):
+                save_params(toy_params, path)
+        assert path.read_bytes() == b"old bytes\n" and list(tmp_path.iterdir()) == [path]
+        save_params(toy_params, path)
+        assert load_params(path) == dataclasses.replace(toy_params, bit_profile=None)
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_round_trip(self, toy_params, tmp_path):
         path = tmp_path / "keys.txt"
         save_params(toy_params, path)

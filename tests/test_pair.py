@@ -177,15 +177,16 @@ class TestPairHelper:
         assert two_cpus == [] and arith._helper is None
 
     def test_exiting_process_leaves_no_helper_running(self):
-        code = (
-            "from fairex import arith\n"
-            "arith._usable_cpus, arith._solo_pairs = lambda: 2, 0\n"
+        pairs = (
+            "arith._solo_pairs = 0\n"
             f"assert arith.pair((abs, (-1,)), (arith.mod_exp, (3, 5, {P})), {BITS}) == (1, 243)\n"
-            "print(arith._helper[0])\n"
         )
+        keygen = "keys.generate_system_params(keys.BitProfile(128, 256), arith.Rng(bytes(32)))\n"
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-        assert out.returncode == 0, out.stderr
-        with pytest.raises(ProcessLookupError):
-            os.kill(int(out.stdout), 0)
+        for work in (pairs, keygen):
+            code = f"from fairex import arith, keys\narith._usable_cpus = lambda: 2\n{work}print(arith._helper[0])\n"
+            out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+            assert out.returncode == 0, out.stderr
+            with pytest.raises(ProcessLookupError):
+                os.kill(int(out.stdout), 0)

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -68,6 +70,19 @@ class TestTranscript:
         path = tmp_path / "transcript.txt"
         t.save(path)
         assert path.read_bytes() == t.to_text().encode()
+
+    def test_failed_save_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "transcript.txt"
+        path.write_bytes(b"old bytes\n")
+
+        def refused(src, dst):
+            raise OSError("replace refused")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "replace", refused)
+            with pytest.raises(OSError, match="replace refused"):
+                self.make().save(path)
+        assert path.read_bytes() == b"old bytes\n" and list(tmp_path.iterdir()) == [path]
 
     @pytest.mark.parametrize("newline", ["\r", "\r\n"])
     def test_file_with_other_line_ends_rejected(self, tmp_path, newline):

@@ -58,5 +58,9 @@ def write_whole(path: str | Path, data: bytes) -> None:
     try:
         temp.write_bytes(data)
         os.replace(temp, path)
+    except OSError as exc:
+        if exc.filename is None:
+            raise
+        raise OSError(exc.errno, exc.strerror, str(path)) from None  # the target, not the temporary file
     finally:
         temp.unlink(missing_ok=True)

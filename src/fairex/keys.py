@@ -347,8 +347,8 @@ def validate_params(sp: SystemParams) -> list[str]:
     reads the bit profile, so the result is cached per parameter set with
     the profile stripped: a set that was generated and then loaded back
     from a key file runs its primality checks once.  Each call keeps the
-    verdicts, newest last, for `proved_prime` (`rsa.rsa_verify` reduces e
-    mod p - 1 for a proved p), up to six claims for each cached set.
+    verdicts, newest last, for `proved_prime` (which `rsa.rsa_verify`
+    reads), up to six claims for each cached set.
     """
     global _PROOFS
     violations, verdicts = _violations(replace(sp, bit_profile=None))

@@ -15,6 +15,7 @@ from pathlib import Path
 
 from .arith import Rng
 from .cembs import CembsContext, blind_commit, cembs_verify, encrypt_and_certify, sample_nonces
+from .errors import write_whole
 from .keys import _hex, generate_system_params
 from .rsa import message_rep, rsa_sign
 
@@ -66,8 +67,7 @@ def generate_vectors_text() -> str:
 
 
 def generate_vectors(out_dir: str | Path) -> Path:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / FILE_NAME
-    path.write_bytes(generate_vectors_text().encode())
+    path = Path(out_dir) / FILE_NAME
+    path.parent.mkdir(parents=True, exist_ok=True)
+    write_whole(path, generate_vectors_text().encode())
     return path

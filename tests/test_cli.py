@@ -54,6 +54,17 @@ class TestKeygen:
         rc = cli_main(["keygen", "--profile", "toy", "--seed", "xyz", "--out", str(tmp_path / "k")])
         assert rc == 2
 
+    @pytest.mark.parametrize("target", ["missing-dir/keys.txt", "keys.txt"])
+    def test_unwritable_target_is_named_and_nothing_is_left(self, tmp_path, capsys, monkeypatch, target):
+        monkeypatch.chdir(tmp_path)
+        if target == "keys.txt":
+            (tmp_path / target).mkdir()  # the temporary file is written, then cannot replace a directory
+        rc = cli_main(["keygen", "--profile", "toy", "--seed", "c0ffee", "--out", target])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: [Errno ") and err.endswith(f": '{target}'\n") and ".tmp" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ([target] if target == "keys.txt" else [])
+
 
 class TestRun:
     def test_fault_free_is_fair(self, keyfile, tmp_path, capsys):
@@ -313,7 +324,8 @@ class TestVectors:
     def test_cli_writes_the_file(self, tmp_path):
         rc = cli_main(["vectors", "--out", str(tmp_path)])
         assert rc == 0
-        assert (tmp_path / FILE_NAME).exists()
+        assert [p.name for p in tmp_path.iterdir()] == [FILE_NAME]
+        assert (tmp_path / FILE_NAME).read_bytes() == GOLDEN.read_bytes()
 
     def test_output_matches_golden_file(self):
         assert generate_vectors_text() == GOLDEN.read_text()

@@ -530,3 +530,24 @@ class TestStall:
         assert result.transcript.records[-1].tick == 1000000003
         assert result.transcript.records[-1].message.msg_type is MsgType.FINAL_SIGNATURE
         assert result.states["B"].verdict == "recovered"
+
+
+class TestShortTimeout:
+    """A round trip takes 2 ticks, so at timeout 1 every wait ends before its answer (README, `--timeout`)."""
+
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_timeout_one_sends_a_clean_run_to_the_arbiter(self, params, protocol):
+        cfg = make_cfg(params, protocol, timeout=1)
+        result = run_session(cfg)
+        a, b = result.states["A"], result.states["B"]
+        assert (a.verdict, b.verdict) == ("recovered", "late")
+        assert "arbiter unreachable" in b.violations
+        report = audit(result.transcript, params, protocol, cfg.payload)
+        assert report.sttp_involved and report.fair and not result.stalled
+
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_timeout_two_stays_optimistic(self, params, protocol):
+        cfg = make_cfg(params, protocol, timeout=2)
+        result = run_session(cfg)
+        assert (result.states["A"].verdict, result.states["B"].verdict) == ("success", "success")
+        assert not audit(result.transcript, params, protocol, cfg.payload).sttp_involved

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fairex.arith import Rng, int_from_bytes, int_to_bytes
+from fairex.cembs import encrypt_and_certify, sample_nonces
 from fairex.errors import ParameterError, SetupError
+from fairex.harness import audit
 from fairex.keys import generate_system_params
 from fairex.protocol import (
     ClientA,
@@ -21,7 +23,7 @@ from fairex.protocol import (
     link_messages,
 )
 from fairex.rsa import rsa_sign, rsa_verify
-from fairex.wire import ARITY, ROLES, MsgType, WireMessage
+from fairex.wire import ARITY, ROLES, MsgType, Transcript, WireMessage
 
 
 SID = bytes(16)
@@ -350,6 +352,36 @@ class TestReplayGap:
         # so session Y's blind half completes session X's recovery.
         b.step(out[0][1], now=11)
         assert b.state.verdict == "recovered"
+
+
+class TestDishonestB:
+    """Known gap (README, Limitations): B keeps its reply and escrows garbage under A's key.
+
+    The certificate does not bind the plaintext, so the arbiter answers:
+    B recovers s_A and A is forwarded garbage.  The audit with the private
+    keys calls the run unfair; the public-key audit credits A with the
+    certified forward and calls it fair.
+    """
+
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_public_audit_calls_the_unfair_run_fair(self, params, protocol):
+        cfg = make_cfg(params, protocol=protocol, payload=b"ok")
+        a, b, sttp = fresh_parties(cfg)
+        out, offer = run_offer_through_b(cfg, a, b)
+        assert len(out) == 1  # B's reply, which it never sends
+        transcript = Transcript()
+        transcript.add(1, "A", "B", offer)
+        garbage = encrypt_and_certify(2, b.b_ctx, *sample_nonces(b.b_ctx.group.P, rng(b"garbage")))
+        request = b._msg(MsgType.RECOVERY_REQUEST, *b.offer, *garbage)
+        transcript.add(2, "B", "STTP", request)
+        for receiver, reply in sttp.step(request, now=2):
+            transcript.add(3, "STTP", receiver, reply)
+            {"A": a, "B": b}[receiver].step(reply, now=3)
+        assert b.state.acquired == a.signature and a.state.acquired is None
+        private = audit(transcript, params, protocol, cfg.payload)
+        public = audit(transcript, params.public(), protocol, cfg.payload)
+        assert (private.fair, private.a_acquired_valid, private.b_acquired_valid) == (False, False, True)
+        assert (public.fair, public.a_acquired_valid, public.b_acquired_valid) == (True, True, True)
 
 
 # Honest runs, as (role, what it is handed): "kick" starts A, "msg" is the

@@ -131,7 +131,12 @@ class TestCrtVerify:
 
 
 class TestReducedVerify:
-    """Once validation proves both factors prime, a check reduces e mod p - 1 and q - 1."""
+    """Once validation proves both factors prime, a key holder's check is reduced to a comparison.
+
+    e*d == 1 mod p - 1 and q - 1 makes x^e and x^d inverse maps mod n, so
+    s^e == rep exactly when s == rsa_sign(rep), and signatures are kept
+    per process: a check of one this process made costs no modexp.
+    """
 
     @pytest.fixture
     def toy_set(self):
@@ -143,13 +148,18 @@ class TestReducedVerify:
         monkeypatch.setattr(keys, "_PROOFS", {})
 
     @pytest.fixture
+    def signatures(self):
+        # No signature made before this test counts as made.
+        fairex.rsa._signature.cache_clear()
+
+    @pytest.fixture
     def exponents(self, monkeypatch):
         seen = []
         real = fairex.rsa.mod_exp
         monkeypatch.setattr(fairex.rsa, "mod_exp", lambda b, e, m: seen.append((e, m)) or real(b, e, m))
         return seen
 
-    def test_validated_factors_reduce_e(self, toy_set, proofs, exponents):
+    def test_validated_key_compares_with_its_own_signature(self, toy_set, proofs, signatures, exponents):
         key = toy_set.a_rsa
         rep = message_rep(b"reduced", key.n)
         s = pow(rep, key.d, key.n)
@@ -157,9 +167,14 @@ class TestReducedVerify:
         assert exponents == [(key.e, key.p), (key.e, key.q)]
         exponents.clear()
         assert validate_params(toy_set) == []
-        assert rsa_verify(s, rep, key)
-        assert [m for _, m in exponents] == [key.p, key.q]
-        assert all(e < m - 1 for e, m in exponents)
+        assert [rsa_verify(s, rep, key), rsa_verify(s - 1, rep, key)] == [True, False]
+        assert exponents == [(key.d % (key.p - 1), key.p), (key.d % (key.q - 1), key.q)]  # one sign
+        exponents.clear()
+        other = message_rep(b"signed first", key.n)
+        signature = rsa_sign(other, key)
+        exponents.clear()
+        assert [rsa_verify(signature, other, key), rsa_verify(s, other, key)] == [True, False]
+        assert exponents == []
 
     def test_every_signature_matches_mod_n(self, toy_set, proofs):
         key = toy_set.b_rsa
@@ -183,18 +198,29 @@ class TestReducedVerify:
         assert pow(2, (23 - 1) % 14 + 1, 15) != pow(2, 23, 15)  # reducing mod 15 - 1 would be wrong
         assert answers(hostile) == answers(hostile.public())
 
-    def test_paper_key_answers_before_and_after_validation(self, certified_paper_key_set, proofs, exponents):
+    def test_exponent_that_does_not_invert_e_keeps_the_full_e(self, toy_set, proofs, signatures, exponents):
+        wrong = replace(TOY, d=TOY.d + 1)
+        assert "client B: rsa exponents not inverse" in validate_params(replace(toy_set, b_rsa=wrong))
+        assert keys.proved_prime(wrong.p, None) and keys.proved_prime(wrong.q, None)
+        assert rsa_verify(18, 2, wrong) and rsa_sign(2, wrong) != 18  # a comparison would say False
+        assert exponents[:2] == [(3, 5), (3, 11)]
+        assert answers(wrong) == answers(wrong.public())
+
+    def test_paper_key_answers_before_and_after_validation(
+        self, certified_paper_key_set, proofs, signatures, exponents
+    ):
         key = certified_paper_key_set.a_rsa
         rep = message_rep(b"paper check", key.n)
         s = pow(rep, key.d, key.n)
         before = [rsa_verify(s, rep, key), rsa_verify(s + 1, rep, key)]
-        assert exponents[0] == (key.e, key.p)
+        assert exponents[:2] == [(key.e, key.p), (key.e, key.q)]
         assert validate_params(certified_paper_key_set) == []
         assert keys.proved_prime(key.p, key.p_cert) and not keys.proved_prime(key.p, None)
         exponents.clear()
         assert [rsa_verify(s, rep, key), rsa_verify(s + 1, rep, key)] == before == [True, False]
-        assert exponents[0] == ((key.e - 1) % (key.p - 1) + 1, key.p)
-        assert exponents[0][0].bit_length() <= 512 < key.e.bit_length()
+        assert exponents == [(key.d % (key.p - 1), key.p), (key.d % (key.q - 1), key.q)]  # one sign
+        exponents.clear()
+        assert rsa_verify(s, rep, key) and exponents == []
 
 
 class TestMessageRep:

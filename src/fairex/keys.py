@@ -46,9 +46,9 @@ _MAX_RETRIES = 100_000
 # (a, q) per level, largest q first; see `_certified`.
 Certificate = tuple[tuple[int, int], ...]
 
-# (n, cert) -> primality verdict of recent validations; see `validate_params`.
-_MAX_PROOFS = 6 * 16
-_PROOFS: dict[tuple[int, Certificate | None], bool] = {}
+# RSA key pairs that recent validations found sound, newest last (an ordered set); see `validate_params`.
+_MAX_SOUND = 2 * 16
+_SOUND: dict[RsaKeyPair, None] = {}
 
 
 @dataclass(frozen=True)
@@ -306,7 +306,9 @@ def generate_system_params(profile: BitProfile | str, rng: Rng, *, certified: bo
     return params
 
 
-def _check_rsa(key: RsaKeyPair, who: str, prime: dict[tuple, bool], out: list[str]) -> None:
+def _check_rsa(key: RsaKeyPair, who: str, prime: dict[tuple, bool], out: list[str]) -> bool:
+    """Append what is wrong with `key` to `out`; return whether it is sound: d, p, q given, nothing wrong."""
+    found = len(out)
     if key.p is not None and key.q is not None:
         if key.p == key.q:
             out.append(f"{who}: rsa primes equal")
@@ -321,6 +323,7 @@ def _check_rsa(key: RsaKeyPair, who: str, prime: dict[tuple, bool], out: list[st
             out.append(f"{who}: rsa exponents not inverse")
     elif key.n < 4 or key.e < 2:
         out.append(f"{who}: rsa public key out of range")
+    return len(out) == found and None not in (key.d, key.p, key.q)
 
 
 def _check_elg(key: ElgKeyPair, who: str, prime: dict[tuple, bool], out: list[str]) -> None:
@@ -347,21 +350,20 @@ def validate_params(sp: SystemParams) -> list[str]:
     reads the bit profile, so the result is cached per parameter set with
     the profile stripped: a set that was generated and then loaded back
     from a key file runs its primality checks once.  Each call keeps the
-    verdicts, newest last, for `proved_prime` (which `rsa.rsa_verify`
-    reads), up to six claims for each cached set.
+    RSA key pairs it found sound, newest last, for `sound_rsa` (which
+    `rsa` reads), up to two for each cached set.
     """
-    global _PROOFS
-    violations, verdicts = _violations(replace(sp, bit_profile=None))
+    global _SOUND
+    violations, sound = _violations(replace(sp, bit_profile=None))
     # Rebound, never changed in place, so a reader in another thread sees
-    # an old store or a new one; a racing writer can only drop verdicts.
-    older = [item for item in _PROOFS.items() if item not in verdicts]
-    _PROOFS = dict((older + list(verdicts))[-_MAX_PROOFS:])
+    # an old store or a new one; a racing writer can only drop keys.
+    _SOUND = dict.fromkeys([*(key for key in _SOUND if key not in sound), *sound][-_MAX_SOUND:])
     return list(violations)
 
 
-def proved_prime(n: int, cert: Certificate | None) -> bool:
-    """Whether a validation in this process proved n prime, by `cert` or, if None, by Miller-Rabin."""
-    return _PROOFS.get((n, cert), False)
+def sound_rsa(key: RsaKeyPair) -> bool:
+    """Whether this process validated `key` as sound: p != q proved prime, n = p*q, e*d == 1 mod phi."""
+    return key in _SOUND
 
 
 def _probable_primes(group: list[int]) -> list[bool]:
@@ -379,7 +381,7 @@ def _primality(numbers: set[int]) -> dict[int, bool]:
 
 
 @lru_cache(maxsize=16)
-def _violations(sp: SystemParams) -> tuple[tuple[str, ...], tuple]:
+def _violations(sp: SystemParams) -> tuple[tuple[str, ...], tuple[RsaKeyPair, ...]]:
     out: list[str] = []
     claims = {(sp.a_elg.P, sp.a_elg.P_cert), (sp.sttp_elg.P, sp.sttp_elg.P_cert)}
     for key in (sp.a_rsa, sp.b_rsa):
@@ -387,8 +389,8 @@ def _violations(sp: SystemParams) -> tuple[tuple[str, ...], tuple]:
             claims |= {(key.p, key.p_cert), (key.q, key.q_cert)}
     tested = _primality({n for n, cert in claims if cert is None})
     prime = {(n, cert): tested[n] if cert is None else _certified(n, cert) for n, cert in claims}
-    _check_rsa(sp.a_rsa, "client A", prime, out)
-    _check_rsa(sp.b_rsa, "client B", prime, out)
+    rsa = {"client A": sp.a_rsa, "client B": sp.b_rsa}
+    sound = tuple(key for who, key in rsa.items() if _check_rsa(key, who, prime, out))
     _check_elg(sp.a_elg, "client A", prime, out)
     _check_elg(sp.sttp_elg, "STTP", prime, out)
     base = sp.commit_base
@@ -400,7 +402,7 @@ def _violations(sp: SystemParams) -> tuple[tuple[str, ...], tuple]:
         out.append("plaintext embedding (n_A >= P_T)")
     if sp.b_rsa.n >= sp.a_elg.P:
         out.append("plaintext embedding (n_B >= P_A)")
-    return tuple(out), tuple(prime.items())
+    return tuple(out), sound
 
 
 # --- key files: one `field=hex` record per line, grouped by role ----------

@@ -197,14 +197,19 @@ class TestValidateParamsCache:
     def test_proof_store_stays_bounded(self, toy_params, monkeypatch):
         # Validate uncached, so the paper sets other tests validated stay in the cache.
         monkeypatch.setattr(keys, "_violations", keys._violations.__wrapped__)
-        monkeypatch.setattr(keys, "_PROOFS", {})
-        moduli = range(toy_params.sttp_elg.P, toy_params.sttp_elg.P + 2 * keys._MAX_PROOFS, 2)
-        for P in moduli:
-            validate_params(dataclasses.replace(toy_params, sttp_elg=dataclasses.replace(toy_params.sttp_elg, P=P)))
-        assert len(keys._PROOFS) == keys._MAX_PROOFS
-        assert (moduli[0], None) not in keys._PROOFS
-        assert keys.proved_prime(toy_params.a_rsa.p, None) and keys.proved_prime(toy_params.a_elg.P, None)
-        assert [keys.proved_prime(P, None) for P in moduli[-5:]] == [is_probable_prime(P) for P in moduli[-5:]]
+        monkeypatch.setattr(keys, "_SOUND", {})
+        b = toy_params.b_rsa
+        phi = (b.p - 1) * (b.q - 1)
+        variants = [dataclasses.replace(b, d=b.d + k * phi) for k in range(keys._MAX_SOUND)]  # all sound
+        for key in variants:
+            assert validate_params(dataclasses.replace(toy_params, b_rsa=key)) == []
+        assert len(keys._SOUND) == keys._MAX_SOUND
+        assert keys.sound_rsa(toy_params.a_rsa) and not keys.sound_rsa(variants[0])
+        assert all(map(keys.sound_rsa, variants[-5:]))
+        wrong = dataclasses.replace(b, d=b.d + 1)
+        problems = validate_params(dataclasses.replace(toy_params, b_rsa=wrong))
+        assert problems == ["client B: rsa exponents not inverse"]
+        assert not keys.sound_rsa(wrong) and list(keys._SOUND)[-1] == toy_params.a_rsa
 
     def test_broken_set_rejected_after_a_valid_one(self, toy_params):
         cfg = SessionConfig(Protocol.COMMON_MESSAGE, toy_params, b"terms", seed=bytes(32))
@@ -261,13 +266,18 @@ class TestBatchedPrimality:
             sp.a_rsa.n, r * s, r, 3 * sp.a_elg.P, 1, 0,
         }
 
-    def test_paper_verdicts_match_a_plain_loop(self, paper_numbers, many_cpus):
-        expected = {n: is_probable_prime(n) for n in paper_numbers}
-        assert keys._primality(paper_numbers) == expected
-        assert list(expected.values()).count(False) == 5
+    @pytest.fixture(scope="class")
+    def plain_verdicts(self, paper_numbers):
+        return {n: is_probable_prime(n) for n in paper_numbers}
+
+    def test_paper_verdicts_match_a_plain_loop(self, paper_numbers, plain_verdicts, many_cpus):
+        assert keys._primality(paper_numbers) == plain_verdicts
+        assert list(plain_verdicts.values()).count(False) == 5
         assert len(many_cpus) == 1 and arith._helper is not None
 
-    def test_silent_child_falls_back_to_the_caller(self, paper_numbers, many_cpus, monkeypatch):
+    def test_silent_child_falls_back_to_the_caller(
+        self, paper_numbers, plain_verdicts, many_cpus, monkeypatch
+    ):
         tested = []
 
         def owner_only(n, *args, **kwargs):
@@ -277,7 +287,7 @@ class TestBatchedPrimality:
             return is_probable_prime(n, *args, **kwargs)
 
         monkeypatch.setattr(keys, "is_probable_prime", owner_only)
-        assert keys._primality(paper_numbers) == {n: is_probable_prime(n) for n in paper_numbers}
+        assert keys._primality(paper_numbers) == plain_verdicts
         assert len(many_cpus) == 1 and sorted(tested) == sorted(paper_numbers)
         assert arith._helper is None  # retired once it died
 
@@ -295,14 +305,13 @@ class TestBatchedPrimality:
         ]
 
     def test_forked_validation_keeps_its_proofs(self, small_set, many_cpus, monkeypatch):
-        monkeypatch.setattr(keys, "_PROOFS", {})
+        monkeypatch.setattr(keys, "_SOUND", {})
         monkeypatch.setattr(keys, "_violations", keys._violations.__wrapped__)
         assert validate_params(small_set) == []
         sp = small_set
         assert len(many_cpus) == 1
-        assert all(keys.proved_prime(n, None) for n in (sp.a_rsa.p, sp.a_rsa.q, sp.b_rsa.p, sp.b_rsa.q))
-        assert keys.proved_prime(sp.a_elg.P, None) and keys.proved_prime(sp.sttp_elg.P, None)
-        assert not keys.proved_prime(sp.a_rsa.n, None)
+        assert list(keys._SOUND) == [sp.a_rsa, sp.b_rsa]
+        assert not keys.sound_rsa(sp.a_rsa.public())
 
     def test_toy_sets_never_fork(self, many_cpus, monkeypatch):
         def no_fork():

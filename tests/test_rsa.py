@@ -38,18 +38,35 @@ class TestSign:
 
 
 class TestCrtSign:
-    def test_toy_key_matches_plain_exponentiation(self):
+    """A key that validation found sound signs by the CRT, with the same s as rep^d mod n."""
+
+    @pytest.fixture
+    def sound(self):
+        toy_set = generate_system_params("toy", Rng.from_material(b"test_rsa crt sign"))
+
+        def sound(key: RsaKeyPair) -> RsaKeyPair:
+            """`key`, found sound as B's key, with no signature kept from before."""
+            assert validate_params(replace(toy_set, b_rsa=key)) == [] and keys.sound_rsa(key)
+            fairex.rsa._signature.cache_clear()
+            return key
+
+        return sound
+
+    def test_toy_key_matches_plain_exponentiation(self, sound):
+        sound(TOY)
         for m in range(55):
             assert rsa_sign(m, TOY) == pow(m, TOY.d, TOY.n)
 
-    def test_generated_toy_keys_match_plain_exponentiation(self):
+    def test_generated_toy_keys_match_plain_exponentiation(self, sound):
         for i in range(20):
-            key = _gen_rsa(PROFILES["toy"], Rng.from_material(b"test_rsa toy %d" % i))
+            key = sound(_gen_rsa(PROFILES["toy"], Rng.from_material(b"test_rsa toy %d" % i)))
             for rep in (0, 1, key.p, key.q, key.n - 1, *range(2, key.n, 97)):
                 assert rsa_sign(rep, key) == pow(rep, key.d, key.n)
 
     def test_paper_key_matches_plain_exponentiation(self, paper_key_set):
         key = paper_key_set.b_rsa
+        assert validate_params(paper_key_set) == [] and keys.sound_rsa(key)
+        fairex.rsa._signature.cache_clear()
         draws = Rng.from_material(b"test_rsa paper reps")
         for rep in (0, 1, key.p, key.q, key.n - 1, *(draws.below(key.n) for _ in range(20))):
             assert rsa_sign(rep, key) == pow(rep, key.d, key.n)
@@ -82,24 +99,24 @@ class TestVerify:
             assert not rsa_verify(60, 2, key)
             assert not rsa_verify(18, 60, key)
 
+    @pytest.mark.parametrize(
+        "key", [RsaKeyPair(n=55, e=-1), RsaKeyPair(n=55, e=-1, p=5, q=11)], ids=["public", "factors"]
+    )
+    def test_negative_exponent_verifies_as_false(self, key):
+        assert rsa_verify(2, 28, key) is False  # though pow(2, -1, 55) == 28
+        assert not any(answers(key))
+
 
 def answers(key: RsaKeyPair) -> list[bool]:
     return [rsa_verify(s, rep, key) for s in range(key.n) for rep in range(key.n)]
 
 
 class TestCrtVerify:
-    """A key with its factors checks mod p and mod q; the verdict is the mod-n one."""
+    """A key with its factors that no validation found sound checks mod n, as its public key does."""
 
     def test_every_pair_matches_the_public_key(self):
         assert answers(TOY) == answers(TOY.public())
         assert answers(TOY).count(True) == 55
-
-    def test_checks_run_mod_the_factors(self, monkeypatch):
-        moduli = []
-        real = fairex.rsa.mod_exp
-        monkeypatch.setattr(fairex.rsa, "mod_exp", lambda b, e, m: moduli.append(m) or real(b, e, m))
-        assert rsa_verify(18, 2, TOY) and rsa_verify(18, 2, TOY.public())
-        assert moduli == [5, 11, 55]
 
     @given(st.integers(2, 60), st.integers(2, 60), st.integers(0, 300), st.data())
     def test_coprime_factors_need_not_be_prime(self, p, q, e, data):
@@ -131,11 +148,12 @@ class TestCrtVerify:
 
 
 class TestReducedVerify:
-    """Once validation proves both factors prime, a key holder's check is reduced to a comparison.
+    """Once validation finds a key sound, its holder's check is reduced to a comparison.
 
     e*d == 1 mod p - 1 and q - 1 makes x^e and x^d inverse maps mod n, so
     s^e == rep exactly when s == rsa_sign(rep), and signatures are kept
-    per process: a check of one this process made costs no modexp.
+    per process: a check of one this process made costs no modexp.  Any
+    other key signs and checks mod n.
     """
 
     @pytest.fixture
@@ -144,8 +162,8 @@ class TestReducedVerify:
 
     @pytest.fixture
     def proofs(self, monkeypatch):
-        # An empty store: only what this test validates counts as proved.
-        monkeypatch.setattr(keys, "_PROOFS", {})
+        # An empty store: only what this test validates counts as sound.
+        monkeypatch.setattr(keys, "_SOUND", {})
 
     @pytest.fixture
     def signatures(self):
@@ -164,7 +182,7 @@ class TestReducedVerify:
         rep = message_rep(b"reduced", key.n)
         s = pow(rep, key.d, key.n)
         assert rsa_verify(s, rep, key)
-        assert exponents == [(key.e, key.p), (key.e, key.q)]
+        assert exponents == [(key.e, key.n)]
         exponents.clear()
         assert validate_params(toy_set) == []
         assert [rsa_verify(s, rep, key), rsa_verify(s - 1, rep, key)] == [True, False]
@@ -179,14 +197,14 @@ class TestReducedVerify:
     def test_every_signature_matches_mod_n(self, toy_set, proofs):
         key = toy_set.b_rsa
         assert validate_params(toy_set) == []
-        assert keys.proved_prime(key.p, key.p_cert) and keys.proved_prime(key.q, key.q_cert)
+        assert keys.sound_rsa(key)
         for s in range(key.n):  # s = p and s = q among them, where one half is 0 == 0
             rep = pow(s, key.e, key.n)
             assert [rsa_verify(s, rep, key), rsa_verify(s, rep + 1, key)] == [True, False]
 
     def test_zero_exponent_keeps_the_full_e(self, toy_set, proofs):
         key = replace(toy_set.a_rsa, e=0)
-        assert validate_params(toy_set) == []
+        assert validate_params(toy_set) == [] and not keys.sound_rsa(key)
         assert rsa_verify(key.p, 1, key)  # p^0 == 1, where p^(p - 1) == 0 mod p
 
     @pytest.mark.parametrize("p, q", [(15, 7), (7, 15)])
@@ -194,16 +212,28 @@ class TestReducedVerify:
         hostile = RsaKeyPair(n=105, e=23, p=p, q=q)
         assert "client B: rsa factor not prime" in validate_params(replace(toy_set, b_rsa=hostile))
         assert rsa_verify(2, pow(2, 23, 105), hostile)
-        assert exponents == [(23, p), (23, q)]
-        assert pow(2, (23 - 1) % 14 + 1, 15) != pow(2, 23, 15)  # reducing mod 15 - 1 would be wrong
+        assert exponents == [(23, 105)]
         assert answers(hostile) == answers(hostile.public())
+
+    def test_composite_factors_sign_mod_n(self, toy_set, proofs, signatures):
+        hostile = RsaKeyPair(n=105, e=23, d=47, p=15, q=7)
+        assert rsa_sign(2, hostile) == pow(2, 47, 105) == 53  # a CRT with p = 15 gives 32
+        assert "client B: rsa factor not prime" in validate_params(replace(toy_set, b_rsa=hostile))
+        fairex.rsa._signature.cache_clear()
+        assert not keys.sound_rsa(hostile) and rsa_sign(2, hostile) == 53
+
+    def test_factor_two_signs_and_checks_mod_n(self, toy_set, proofs, signatures):
+        key = RsaKeyPair(n=22, e=3, d=7, p=2, q=11)
+        assert validate_params(replace(toy_set, b_rsa=key)) == [] and keys.sound_rsa(key)
+        assert [rsa_sign(m, key) for m in range(22)] == [pow(m, 7, 22) for m in range(22)]  # d % (2 - 1) == 0
+        assert answers(key) == answers(key.public())
 
     def test_exponent_that_does_not_invert_e_keeps_the_full_e(self, toy_set, proofs, signatures, exponents):
         wrong = replace(TOY, d=TOY.d + 1)
         assert "client B: rsa exponents not inverse" in validate_params(replace(toy_set, b_rsa=wrong))
-        assert keys.proved_prime(wrong.p, None) and keys.proved_prime(wrong.q, None)
+        assert not keys.sound_rsa(wrong)
         assert rsa_verify(18, 2, wrong) and rsa_sign(2, wrong) != 18  # a comparison would say False
-        assert exponents[:2] == [(3, 5), (3, 11)]
+        assert exponents[:2] == [(3, 55), (wrong.d, 55)]
         assert answers(wrong) == answers(wrong.public())
 
     def test_paper_key_answers_before_and_after_validation(
@@ -213,9 +243,9 @@ class TestReducedVerify:
         rep = message_rep(b"paper check", key.n)
         s = pow(rep, key.d, key.n)
         before = [rsa_verify(s, rep, key), rsa_verify(s + 1, rep, key)]
-        assert exponents[:2] == [(key.e, key.p), (key.e, key.q)]
+        assert exponents[:2] == [(key.e, key.n)] * 2
         assert validate_params(certified_paper_key_set) == []
-        assert keys.proved_prime(key.p, key.p_cert) and not keys.proved_prime(key.p, None)
+        assert keys.sound_rsa(key) and not keys.sound_rsa(replace(key, p_cert=None))
         exponents.clear()
         assert [rsa_verify(s, rep, key), rsa_verify(s + 1, rep, key)] == before == [True, False]
         assert exponents == [(key.d % (key.p - 1), key.p), (key.d % (key.q - 1), key.q)]  # one sign

@@ -12,7 +12,7 @@ recovery-request, blind-half-reply, forward-ciphertext), and <action> is
     corrupt_field INDEX MODE     mangle one field (mode: bitflip | zero)
     delay TICKS                  hold the matching message back
     silence_party ROLE           swallow everything ROLE sends from here on
-    force_timeout ROLE           make ROLE's wait deadline expire now
+    force_timeout ROLE           time ROLE out at the next tick, after that tick's messages to the role
 
 `ACTIONS` holds this grammar.  Counts (ticks, indexes, delays) are ASCII
 decimal digits.  A `corrupt_field` index past its message type's arity
@@ -154,25 +154,26 @@ def _corrupt(msg: WireMessage, index: int, mode: str) -> WireMessage:
 
 
 class Transport:
-    """Ordered in-process message queue; all faults are applied here.
+    """Ordered in-process queue of messages and forced timeouts; all faults are applied here.
 
-    Messages sent at tick t arrive at t+1 (plus any injected delay);
-    within a tick, deliveries happen in send order, so a run is a pure
-    function of (config, seed, fault script).
+    Messages sent at tick t arrive at t+1 (plus any injected delay); a
+    forced timeout lands at the next tick, after that tick's messages to
+    the role.  Within a tick, deliveries happen in send order, so a run
+    is a pure function of (config, seed, fault script).
     """
 
     def __init__(self, fault: FaultScript | None = None):
         self.pending = list(fault.directives) if fault else []  # directives yet to fire
         self.transcript = Transcript()
-        self.queue: list[tuple[int, str, str, WireMessage]] = []  # (deliver_at, sender, receiver, msg)
+        self.queue: list[tuple[int, str, str, WireMessage | Timeout]] = []  # (deliver_at, sender, receiver, event)
         self.silenced: set[str] = set()
-        self.forced_timeouts: list[str] = []
 
     def send(self, tick: int, sender: str, receiver: str, msg: WireMessage) -> None:
         if sender in self.silenced:
             return
         dropped = False
         delay = 0
+        timeouts = []
         for directive in [d for d in self.pending if d.matches(tick, msg)]:
             self.pending.remove(directive)
             if directive.action == "drop":
@@ -184,24 +185,23 @@ class Transport:
             elif directive.action == "silence_party":
                 self.silenced.add(directive.args[0])
             elif directive.action == "force_timeout":
-                self.forced_timeouts.append(directive.args[0])
-        if dropped or sender in self.silenced:
-            return
-        self.queue.append((tick + 1 + delay, sender, receiver, msg))
+                timeouts.append((tick + 1, sender, directive.args[0], Timeout()))
+        if not dropped and sender not in self.silenced:
+            self.queue.append((tick + 1 + delay, sender, receiver, msg))
+        self.queue += timeouts
 
-    def deliver(self, tick: int) -> tuple[list[tuple[str, str, WireMessage]], list[str]]:
-        """Everything due at this tick, in order, plus forced-timeout roles."""
+    def deliver(self, tick: int) -> list[tuple[str, str, WireMessage | Timeout]]:
+        """Everything due at this tick, in send order; the transcript records only messages.
+
+        A forced `Timeout` lands at the next tick, after that tick's messages to the role.
+        """
         # The queue is in send order and sorted is stable, so ties keep send order.
         due = sorted((q for q in self.queue if q[0] <= tick), key=lambda q: q[0])
         self.queue = [q for q in self.queue if q[0] > tick]
-        for _, sender, receiver, msg in due:
-            self.transcript.add(tick, sender, receiver, msg)
-        forced, self.forced_timeouts = self.forced_timeouts, []
-        return [q[1:] for q in due], forced
-
-    @property
-    def quiescent(self) -> bool:
-        return not self.queue and not self.forced_timeouts
+        for _, sender, receiver, event in due:
+            if isinstance(event, WireMessage):
+                self.transcript.add(tick, sender, receiver, event)
+        return [q[1:] for q in due]
 
 
 @dataclass
@@ -214,8 +214,10 @@ class SessionResult:
 def run_session(cfg: SessionConfig, fault: FaultScript | None = None) -> SessionResult:
     """Drive all three machines to quiescence under a fault script.
 
-    A opens at tick 0; after that only ticks where a delivery, a deadline
-    or a forced timeout is due are visited, since any other tick does nothing.
+    A opens at tick 0; after that only ticks where a delivery or a deadline
+    is due are visited, since any other tick does nothing.  Each role steps
+    that tick's messages, then one `Timeout` if a forced one arrived or its
+    deadline has passed with no message.
     """
     parties = build_parties(cfg)
     transport = Transport(fault=fault)
@@ -224,27 +226,23 @@ def run_session(cfg: SessionConfig, fault: FaultScript | None = None) -> Session
     tick = 0
     for _ in range(TICK_LIMIT):
         deadlines = [p.deadline for p in parties.values() if p.deadline is not None]
-        if transport.quiescent and not deadlines:
+        if not transport.queue and not deadlines:
             break
-        if transport.forced_timeouts:
-            tick += 1
-        else:
-            tick = max(tick + 1, min([q[0] for q in transport.queue] + deadlines))
-        deliveries, forced = transport.deliver(tick)
-        inbox: dict[str, list[WireMessage]] = {role: [] for role in ROLES}
-        for sender, receiver, msg in deliveries:
-            inbox[receiver].append(msg)
+        tick = max(tick + 1, min([q[0] for q in transport.queue] + deadlines))
+        due = transport.deliver(tick)
         for role in ROLES:
             party = parties[role]
+            inbox = [e for _, to, e in due if to == role and isinstance(e, WireMessage)]
+            forced = any(to == role and isinstance(e, Timeout) for _, to, e in due)
             outgoing = []
-            for msg in inbox[role]:
+            for msg in inbox:
                 outgoing += party.step(msg, now=tick)
-            timed_out = party.deadline is not None and tick >= party.deadline and not inbox[role]
-            if role in forced or timed_out:
+            timed_out = party.deadline is not None and tick >= party.deadline and not inbox
+            if forced or timed_out:
                 outgoing += party.step(Timeout(), now=tick)
             for receiver, msg in outgoing:
                 transport.send(tick, role, receiver, msg)
-    stalled = not transport.quiescent or any(p.deadline is not None for p in parties.values())
+    stalled = bool(transport.queue) or any(p.deadline is not None for p in parties.values())
     return SessionResult(
         transcript=transport.transcript,
         states={role: parties[role].state for role in ROLES},

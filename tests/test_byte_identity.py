@@ -10,9 +10,9 @@ those that changes an output byte fails here.
 
 Toy keys have 24-bit moduli, so a fixed-base table for them holds only
 five powers.  One paper-profile key set (1024-bit moduli, 205 powers per
-table) is therefore pinned too, on the fault-free and the dispute path of
-each protocol; its digests were recorded before fixed-base
-exponentiation went in.
+table), conftest's shared `paper_key_set`, is therefore pinned too, on the
+fault-free and the dispute path of each protocol; its digests were
+recorded before fixed-base exponentiation went in.
 """
 
 import hashlib
@@ -73,11 +73,6 @@ def params():
     return generate_system_params("toy", Rng.from_material(b"test_byte_identity params"))
 
 
-@pytest.fixture(scope="module")
-def paper_params():
-    return generate_system_params("paper", Rng.from_material(b"test_byte_identity paper params"))
-
-
 def session_digest(params, protocol: Protocol, script: str) -> str:
     payload = default_payload(protocol)
     cfg = SessionConfig(protocol=protocol, params=params, payload=payload, seed=SESSION_SEED)
@@ -102,17 +97,17 @@ def test_session_bytes_unchanged(params, protocol, script):
 
 @pytest.mark.parametrize("script", ["none", "drop-final"])
 @pytest.mark.parametrize("protocol", list(Protocol), ids=lambda p: p.value)
-def test_paper_session_bytes_unchanged(paper_params, protocol, script):
-    assert session_digest(paper_params, protocol, script) == PAPER_EXPECTED[protocol.value, script]
+def test_paper_session_bytes_unchanged(paper_key_set, protocol, script):
+    assert session_digest(paper_key_set, protocol, script) == PAPER_EXPECTED[protocol.value, script]
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
-def test_paper_session_bytes_unchanged_with_and_without_pair_helper(paper_params, monkeypatch, cpus):
+def test_paper_session_bytes_unchanged_with_and_without_pair_helper(paper_key_set, monkeypatch, cpus):
     # On 2 CPUs `arith.pair` hands half its jobs to its helper process; on 1 it runs both.
     monkeypatch.setattr(arith, "_usable_cpus", lambda: cpus)
     monkeypatch.setattr(arith, "_solo_pairs", 0)
     for (protocol, script), expected in PAPER_EXPECTED.items():
-        assert session_digest(paper_params, Protocol(protocol), script) == expected
+        assert session_digest(paper_key_set, Protocol(protocol), script) == expected
     assert (arith._helper is not None) == (cpus > 1)
 
 

@@ -23,7 +23,7 @@ from fairex.harness import (
     shipped_script,
 )
 from fairex.keys import generate_system_params
-from fairex.protocol import ClientB, Protocol, SessionConfig, Terms, data_as_int
+from fairex.protocol import ClientB, Protocol, SessionConfig, Terms, Timeout, data_as_int
 from fairex.rsa import rsa_sign, rsa_verify
 from fairex.wire import ARITY, ROLES, MsgType, Transcript, WireMessage
 
@@ -47,6 +47,11 @@ def make_cfg(params, protocol=Protocol.COMMON_MESSAGE, **kw):
         seed=rng(b"seed").random_bytes(32),
         **kw,
     )
+
+
+@pytest.fixture(scope="module")
+def zero_seed_toy():
+    return generate_system_params("toy", Rng(bytes(32)))
 
 
 def final_sig(value: bytes = b"\x07") -> WireMessage:
@@ -135,25 +140,25 @@ class TestTransport:
         t = Transport()
         t.send(0, "A", "B", final_sig(b"\x01"))
         t.send(0, "A", "B", final_sig(b"\x02"))
-        delivered, _ = t.deliver(1)
+        delivered = t.deliver(1)
         assert [m.fields[0] for _, _, m in delivered] == [b"\x01", b"\x02"]
 
     def test_drop_directive(self):
         t = Transport(fault=FaultScript.parse("final-signature drop"))
         t.send(0, "A", "B", final_sig())
-        assert t.deliver(1) == ([], [])
+        assert t.deliver(1) == []
 
     def test_directive_fires_exactly_once(self):
         t = Transport(fault=FaultScript.parse("final-signature drop"))
         t.send(0, "A", "B", final_sig(b"\x01"))
         t.send(0, "A", "B", final_sig(b"\x02"))
-        delivered, _ = t.deliver(1)
+        delivered = t.deliver(1)
         assert [m.fields[0] for _, _, m in delivered] == [b"\x02"]
 
     def test_corrupt_field_bitflip(self):
         t = Transport(fault=FaultScript.parse("final-signature corrupt_field 0 bitflip"))
         t.send(0, "A", "B", final_sig(b"\x07"))
-        delivered, _ = t.deliver(1)
+        delivered = t.deliver(1)
         assert delivered[0][2].fields[0] == b"\x06"
 
     def test_corrupt_index_out_of_range(self):
@@ -164,9 +169,9 @@ class TestTransport:
     def test_delay_holds_message_back(self):
         t = Transport(fault=FaultScript.parse("final-signature delay 3"))
         t.send(0, "A", "B", final_sig())
-        assert t.deliver(1) == ([], [])
-        assert t.deliver(3) == ([], [])
-        delivered, _ = t.deliver(4)
+        assert t.deliver(1) == []
+        assert t.deliver(3) == []
+        delivered = t.deliver(4)
         assert len(delivered) == 1
 
     def test_silence_swallows_from_match_onward(self):
@@ -175,15 +180,18 @@ class TestTransport:
         t.send(1, "A", "B", final_sig())
         t.send(2, "A", "B", WireMessage(MsgType.COUNTER_SIGNATURE, SID, (b"\x02",)))
         t.send(2, "B", "A", WireMessage(MsgType.COUNTER_SIGNATURE, SID, (b"\x03",)))
-        delivered, _ = t.deliver(10)
+        delivered = t.deliver(10)
         assert [(s, m.fields[0]) for s, _, m in delivered] == [("A", b"\x01"), ("B", b"\x03")]
 
     def test_force_timeout_surfaces_role(self):
         t = Transport(fault=FaultScript.parse("final-signature force_timeout B"))
         t.send(0, "A", "B", final_sig())
-        delivered, forced = t.deliver(1)
-        assert forced == ["B"]
-        assert len(delivered) == 1
+        delivered = t.deliver(1)
+        assert [(receiver, type(event)) for _, receiver, event in delivered] == [
+            ("B", WireMessage),
+            ("B", Timeout),
+        ]
+        assert [r.message for r in t.transcript.records] == [final_sig()]
 
     def test_transcript_records_deliveries_only(self):
         t = Transport(fault=FaultScript.parse("final-signature drop"))
@@ -191,6 +199,36 @@ class TestTransport:
         t.send(0, "B", "A", WireMessage(MsgType.COUNTER_SIGNATURE, SID, (b"\x01",)))
         t.deliver(1)
         assert [r.message.msg_type for r in t.transcript.records] == [MsgType.COUNTER_SIGNATURE]
+
+
+class TestForcedTimeoutOrder:
+    """A role steps a tick's messages first, then the forced `Timeout` that arrives with them."""
+
+    @pytest.mark.parametrize("protocol", list(Protocol), ids=lambda p: p.value)
+    def test_offer_then_timeout_replies_then_escalates(self, zero_seed_toy, protocol):
+        cfg = SessionConfig(protocol, zero_seed_toy, default_payload(protocol), seed=bytes(32))
+        result = run_session(cfg, FaultScript.parse("cembs-offer force_timeout B"))
+        reply = MsgType.DATA_PAYLOAD if protocol is Protocol.DATA_FOR_SIGNATURE else MsgType.COUNTER_SIGNATURE
+        b_sends = [(r.tick, r.message.msg_type) for r in result.transcript.records if r.sender == "B"]
+        assert b_sends == [(2, reply), (2, MsgType.RECOVERY_REQUEST)]
+        a, b = result.states["A"], result.states["B"]
+        assert (a.verdict, b.verdict) == ("success", "recovered")
+        assert b.violations == ["out-of-phase message: FINAL_SIGNATURE in phase wait_sttp"]
+        assert audit(result.transcript, zero_seed_toy, protocol, cfg.payload).sttp_involved
+        assert not result.stalled
+
+    @pytest.mark.parametrize(
+        "script",
+        ["final-signature force_timeout B", "final-signature force_timeout B\n" * 2, "2 force_timeout B"],
+        ids=["by-type", "twice", "by-tick"],
+    )
+    @pytest.mark.parametrize("protocol", list(Protocol), ids=lambda p: p.value)
+    def test_final_signature_then_timeout_ends_optimistic(self, zero_seed_toy, protocol, script):
+        cfg = SessionConfig(protocol, zero_seed_toy, default_payload(protocol), seed=bytes(32))
+        result = run_session(cfg, FaultScript.parse(script))
+        assert (result.states["A"].verdict, result.states["B"].verdict) == ("success", "success")
+        assert not audit(result.transcript, zero_seed_toy, protocol, cfg.payload).sttp_involved
+        assert not result.stalled
 
 
 class TestTickMatch:
@@ -381,10 +419,6 @@ class TestArbiterView:
     def passes(s, view, params) -> bool:
         (_, c, *_), h = view
         return pow(params.commit_base.g, s * h % params.sttp_elg.P, params.a_rsa.n) == c
-
-    @pytest.fixture(scope="class")
-    def zero_seed_toy(self):
-        return generate_system_params("toy", Rng(bytes(32)))
 
     @pytest.mark.parametrize("protocol", list(Protocol))
     def test_toy_view_narrows_s_a_to_21_candidates(self, zero_seed_toy, protocol):

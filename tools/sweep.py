@@ -1,0 +1,72 @@
+"""Depth-2 fault sweep: every ordered pair of directives, every protocol, two timeouts.
+
+Runs all ordered pairs of 155 directives (the test suite's 148 from
+`every_directive()`, plus tick matches and directives that fire late or
+repeat a role) under the three protocols at timeouts 1 and 8: 144,150
+sessions on toy keys from `Rng(bytes(32))`, session seed `bytes(32)`.
+It prints one line: the session count, the stalled sessions, the
+sessions whose private audit disagrees with what the parties hold, and
+a SHA-256 over each session's script, transcript, every party's phase,
+verdict, held item and violations, its stall flag and its audit.  Two
+trees print the same line when they run every one of these sessions
+the same way.  It takes about 85 s on one core of a 2-CPU Xeon host.
+
+    python3 tools/sweep.py
+"""
+
+import hashlib
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+
+from fairex.arith import Rng  # noqa: E402
+from fairex.harness import FaultScript, audit, default_payload, live_flags, run_session  # noqa: E402
+from fairex.keys import generate_system_params  # noqa: E402
+from fairex.protocol import Protocol, SessionConfig  # noqa: E402
+from fairex.wire import ROLES  # noqa: E402
+from test_harness import every_directive  # noqa: E402
+
+EXTRA_DIRECTIVES = [
+    "1 drop",
+    "2 corrupt_field 0 bitflip",
+    "3 delay 4",
+    "9 force_timeout B",
+    "0 force_timeout A",
+    "1 force_timeout B",
+    "2 force_timeout STTP",
+]
+TIMEOUTS = (1, 8)
+
+
+def main() -> None:
+    params = generate_system_params("toy", Rng(bytes(32)))
+    directives = every_directive() + EXTRA_DIRECTIVES
+    digest = hashlib.sha256()
+    sessions = stalls = disagreements = 0
+    for protocol in Protocol:
+        payload = default_payload(protocol)
+        for timeout in TIMEOUTS:
+            cfg = SessionConfig(protocol, params, payload, seed=bytes(32), timeout=timeout)
+            for first in directives:
+                for second in directives:
+                    script = f"{first}\n{second}\n"
+                    result = run_session(cfg, FaultScript.parse(script))
+                    report = audit(result.transcript, params, protocol, payload)
+                    sessions += 1
+                    stalls += result.stalled
+                    disagreements += report != live_flags(result)
+                    digest.update(repr((protocol.value, timeout, script)).encode())
+                    digest.update(result.transcript.to_text().encode())
+                    for role in ROLES:
+                        state = result.states[role]
+                        digest.update(
+                            repr((role, state.phase, state.verdict, state.acquired, state.violations)).encode()
+                        )
+                    digest.update(repr((result.stalled, report)).encode())
+    print(f"sessions {sessions} stalls {stalls} disagreements {disagreements} digest {digest.hexdigest()}")
+
+
+if __name__ == "__main__":
+    main()

@@ -4,14 +4,21 @@ A ciphertext is two ints, (W, V) = (G^w, m * PK^w) mod P, in the order
 the wire carries them.  The key holder can be handed only W and return
 W^SK; whoever holds V then finishes the decryption with
 m = V * (W^SK)^-1 mod P.  The key holder never sees V, so it learns
-nothing about the plaintext.
+nothing about the plaintext.  Under a `keys.sound` key, a decryption of
+a W this process encrypted reads W^SK back as PK^w: validation checked
+PK == G^SK mod P, so they are equal.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
 from .arith import fixed_base_exp, mod_exp, mod_inv, pair
 from .errors import EmbeddingError, NotInvertibleError, ParameterError
-from .keys import ElgKeyPair
+from .keys import ElgKeyPair, remember, sound
+
+# (W, P, G, PK) -> PK^w mod P of the ciphertexts this process made under a sound key, newest last.
+_MASKS: OrderedDict[tuple[int, int, int, int], int] = OrderedDict()
 
 
 def elg_encrypt(m: int, key: ElgKeyPair, w: int) -> tuple[int, int]:
@@ -22,23 +29,23 @@ def elg_encrypt(m: int, key: ElgKeyPair, w: int) -> tuple[int, int]:
     if not 1 <= w <= P - 2:
         raise ParameterError(f"nonce must be in [1, {P - 2}]")
     W, mask = pair((fixed_base_exp, (G, w, P)), (fixed_base_exp, (PK, w, P)), P.bit_length())
+    remember(_MASKS, (W, P, G, PK), mask, key)
     return W, m * mask % P
 
 
 def elg_decrypt(W: int, V: int, key: ElgKeyPair) -> int:
-    """m = V * (W^SK)^-1 mod P."""
-    if key.SK is None:
-        raise ParameterError("decryption requires the private exponent")
-    return unblind(V, mod_exp(W, key.SK, key.P), key.P)
+    """m = V * (W^SK)^-1 mod P, for W in (0, P)."""
+    return unblind(V, blind_half(W, key), key.P)
 
 
 def blind_half(W: int, key: ElgKeyPair) -> int:
     """The key holder's share of a decryption, W^SK mod P.  Takes only W, never V."""
     if key.SK is None:
-        raise ParameterError("blind decryption requires the private exponent")
+        raise ParameterError("decryption requires the private exponent")
     if not 0 < W < key.P:
         raise ParameterError(f"W must be in (0, {key.P})")
-    return mod_exp(W, key.SK, key.P)
+    # A kept PK^w is never 0.
+    return sound(key) and _MASKS.get((W, key.P, key.G, key.PK)) or mod_exp(W, key.SK, key.P)
 
 
 def unblind(V: int, half: int, P: int) -> int:

@@ -141,9 +141,7 @@ def shipped_script(name: str) -> FaultScript:
 
 def _corrupt(msg: WireMessage, index: int, mode: str) -> WireMessage:
     if index >= len(msg.fields):
-        raise FaultScriptError(
-            f"corrupt_field index {index} out of range for {msg.msg_type.name}"
-        )
+        raise FaultScriptError(f"{msg.msg_type.wire_name} has no field {index}")
     fields = list(msg.fields)
     if mode == "bitflip":
         data = fields[index]

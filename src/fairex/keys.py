@@ -22,6 +22,8 @@ modexp per level; a prime without one gets 40 Miller-Rabin rounds.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import gcd, isqrt
@@ -46,9 +48,11 @@ _MAX_RETRIES = 100_000
 # (a, q) per level, largest q first; see `_certified`.
 Certificate = tuple[tuple[int, int], ...]
 
-# RSA key pairs that recent validations found sound, newest last (an ordered set); see `validate_params`.
-_MAX_SOUND = 2 * 16
-_SOUND: dict[RsaKeyPair, None] = {}
+# Key pairs that recent validations found sound, newest last (an ordered set); see `validate_params`.
+_MAX_SOUND = 4 * 16
+_SOUND: dict[RsaKeyPair | ElgKeyPair, None] = {}
+KNOWN_POWERS = 64  # entries in each store of powers made under sound keys (`cembs._POWERS`, `elgamal._MASKS`)
+_REMEMBERING = threading.Lock()  # held while a store of powers changes
 
 
 @dataclass(frozen=True)
@@ -326,7 +330,9 @@ def _check_rsa(key: RsaKeyPair, who: str, prime: dict[tuple, bool], out: list[st
     return len(out) == found and None not in (key.d, key.p, key.q)
 
 
-def _check_elg(key: ElgKeyPair, who: str, prime: dict[tuple, bool], out: list[str]) -> None:
+def _check_elg(key: ElgKeyPair, who: str, prime: dict[tuple, bool], out: list[str]) -> bool:
+    """Append what is wrong with `key` to `out`; return whether it is sound: SK given, nothing wrong."""
+    found = len(out)
     if not prime[key.P, key.P_cert]:
         out.append(f"{who}: modulus not prime")
     if not 1 < key.G < key.P:
@@ -338,6 +344,7 @@ def _check_elg(key: ElgKeyPair, who: str, prime: dict[tuple, bool], out: list[st
             out.append(f"{who}: key consistency (PK != G^SK mod P)")
     if not 0 < key.PK < key.P:
         out.append(f"{who}: public element out of range")
+    return len(out) == found and key.SK is not None
 
 
 def validate_params(sp: SystemParams) -> list[str]:
@@ -350,20 +357,30 @@ def validate_params(sp: SystemParams) -> list[str]:
     reads the bit profile, so the result is cached per parameter set with
     the profile stripped: a set that was generated and then loaded back
     from a key file runs its primality checks once.  Each call keeps the
-    RSA key pairs it found sound, newest last, for `sound_rsa` (which
-    `rsa` reads), up to two for each cached set.
+    key pairs it found sound, newest last, for `sound` (which `rsa`,
+    `elgamal` and `remember` read), up to four for each cached set.
     """
     global _SOUND
-    violations, sound = _violations(replace(sp, bit_profile=None))
+    violations, sound_keys = _violations(replace(sp, bit_profile=None))
     # Rebound, never changed in place, so a reader in another thread sees
     # an old store or a new one; a racing writer can only drop keys.
-    _SOUND = dict.fromkeys([*(key for key in _SOUND if key not in sound), *sound][-_MAX_SOUND:])
+    _SOUND = dict.fromkeys([*(key for key in _SOUND if key not in sound_keys), *sound_keys][-_MAX_SOUND:])
     return list(violations)
 
 
-def sound_rsa(key: RsaKeyPair) -> bool:
-    """Whether this process validated `key` as sound: p != q proved prime, n = p*q, e*d == 1 mod phi."""
+def sound(key: RsaKeyPair | ElgKeyPair) -> bool:
+    """Whether this process validated `key` and found it sound (see `_check_rsa`, `_check_elg`)."""
     return key in _SOUND
+
+
+def remember(store: OrderedDict, index: tuple, power: int, made_under: ElgKeyPair) -> None:
+    """Keep index -> power last in `store`, at most KNOWN_POWERS, if `made_under` is sound.  A reader
+    takes no lock: its get is one call into C, so it may miss a power but never misreads one."""
+    if sound(made_under):
+        with _REMEMBERING:
+            store[index] = power
+            if len(store) > KNOWN_POWERS:
+                store.popitem(last=False)
 
 
 def _probable_primes(group: list[int]) -> list[bool]:
@@ -381,7 +398,7 @@ def _primality(numbers: set[int]) -> dict[int, bool]:
 
 
 @lru_cache(maxsize=16)
-def _violations(sp: SystemParams) -> tuple[tuple[str, ...], tuple[RsaKeyPair, ...]]:
+def _violations(sp: SystemParams) -> tuple[tuple[str, ...], tuple[RsaKeyPair | ElgKeyPair, ...]]:
     out: list[str] = []
     claims = {(sp.a_elg.P, sp.a_elg.P_cert), (sp.sttp_elg.P, sp.sttp_elg.P_cert)}
     for key in (sp.a_rsa, sp.b_rsa):
@@ -389,10 +406,9 @@ def _violations(sp: SystemParams) -> tuple[tuple[str, ...], tuple[RsaKeyPair, ..
             claims |= {(key.p, key.p_cert), (key.q, key.q_cert)}
     tested = _primality({n for n, cert in claims if cert is None})
     prime = {(n, cert): tested[n] if cert is None else _certified(n, cert) for n, cert in claims}
-    rsa = {"client A": sp.a_rsa, "client B": sp.b_rsa}
-    sound = tuple(key for who, key in rsa.items() if _check_rsa(key, who, prime, out))
-    _check_elg(sp.a_elg, "client A", prime, out)
-    _check_elg(sp.sttp_elg, "STTP", prime, out)
+    checks = [(_check_rsa, "client A", sp.a_rsa), (_check_rsa, "client B", sp.b_rsa),
+              (_check_elg, "client A", sp.a_elg), (_check_elg, "STTP", sp.sttp_elg)]
+    sound_keys = tuple(key for check, who, key in checks if check(key, who, prime, out))
     base = sp.commit_base
     if base.n_ref != sp.a_rsa.n:
         out.append("commit base: wrong modulus")
@@ -402,7 +418,7 @@ def _violations(sp: SystemParams) -> tuple[tuple[str, ...], tuple[RsaKeyPair, ..
         out.append("plaintext embedding (n_A >= P_T)")
     if sp.b_rsa.n >= sp.a_elg.P:
         out.append("plaintext embedding (n_B >= P_A)")
-    return tuple(out), sound
+    return tuple(out), sound_keys
 
 
 # --- key files: one `field=hex` record per line, grouped by role ----------

@@ -3,7 +3,7 @@
 No padding scheme: s = m^d mod n, check m == s^e mod n.  Arbitrary byte
 strings are mapped below the modulus by hashing (SHA-256, big-endian,
 reduced mod n).  A key is used in one of two ways, chosen by
-`keys.sound_rsa`: once `keys.validate_params` has found it sound, it signs
+`keys.sound`: once `keys.validate_params` has found it sound, it signs
 mod p and mod q (the CRT, the two halves as one `arith.pair`) and a check
 compares with the key's own signature, kept per process; any other key
 signs and checks mod n.  Answers are the mod-n ones either way.
@@ -16,7 +16,7 @@ from functools import lru_cache
 
 from .arith import int_from_bytes, mod_exp, mod_inv, pair
 from .errors import DomainError, ParameterError
-from .keys import RsaKeyPair, sound_rsa
+from .keys import RsaKeyPair, sound
 
 
 def message_rep(raw: bytes, n: int) -> int:
@@ -27,7 +27,7 @@ def message_rep(raw: bytes, n: int) -> int:
 def rsa_sign(rep: int, key: RsaKeyPair) -> int:
     """s = rep^d mod n.  Deterministic: the same representative always signs the same.
 
-    A sound key (`keys.sound_rsa`) exponentiates mod p and mod q and
+    A sound key (`keys.sound`) exponentiates mod p and mod q and
     recombines by the CRT (Garner's formula): the same s, as p and q are
     distinct primes with n = p*q.  Any other key signs mod n directly.
     """
@@ -40,7 +40,7 @@ def rsa_sign(rep: int, key: RsaKeyPair) -> int:
 
 @lru_cache(maxsize=64)  # so rsa_verify's comparison with a signature this process made is a lookup
 def _signature(rep: int, key: RsaKeyPair) -> int:
-    if not sound_rsa(key):
+    if not sound(key):
         return mod_exp(rep, key.d, key.n)
     p, q = key.p, key.q
     # d reduced into [1, r - 1], never to 0: 0^0 would be 1, where 0^d is 0 (p = 2 is sound too).
@@ -59,6 +59,6 @@ def rsa_verify(s: int, rep: int, key: RsaKeyPair) -> bool:
     n, e = key.n, key.e
     if n < 2 or e < 0 or s < 0 or s >= n or rep < 0 or rep >= n:
         return False
-    if sound_rsa(key):
+    if sound(key):
         return s == _signature(rep, key)
     return mod_exp(s, e, n) == rep

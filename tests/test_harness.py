@@ -163,7 +163,7 @@ class TestTransport:
 
     def test_corrupt_index_out_of_range(self):
         t = Transport(fault=FaultScript.parse("2 corrupt_field 3 zero"))
-        with pytest.raises(FaultScriptError, match="index 3 out of range for FINAL_SIGNATURE"):
+        with pytest.raises(FaultScriptError, match="^final-signature has no field 3$"):
             t.send(2, "A", "B", final_sig())
 
     def test_delay_holds_message_back(self):

@@ -204,12 +204,14 @@ class TestValidateParamsCache:
         for key in variants:
             assert validate_params(dataclasses.replace(toy_params, b_rsa=key)) == []
         assert len(keys._SOUND) == keys._MAX_SOUND
-        assert keys.sound_rsa(toy_params.a_rsa) and not keys.sound_rsa(variants[0])
-        assert all(map(keys.sound_rsa, variants[-5:]))
+        assert keys.sound(toy_params.a_rsa) and not keys.sound(variants[0])
+        assert all(map(keys.sound, variants[-5:]))
+        assert keys.sound(toy_params.a_elg) and keys.sound(toy_params.sttp_elg)
         wrong = dataclasses.replace(b, d=b.d + 1)
         problems = validate_params(dataclasses.replace(toy_params, b_rsa=wrong))
         assert problems == ["client B: rsa exponents not inverse"]
-        assert not keys.sound_rsa(wrong) and list(keys._SOUND)[-1] == toy_params.a_rsa
+        assert not keys.sound(wrong) and list(keys._SOUND)[-3] == toy_params.a_rsa
+        assert list(keys._SOUND)[-2:] == [toy_params.a_elg, toy_params.sttp_elg]
 
     def test_broken_set_rejected_after_a_valid_one(self, toy_params):
         cfg = SessionConfig(Protocol.COMMON_MESSAGE, toy_params, b"terms", seed=bytes(32))
@@ -310,8 +312,8 @@ class TestBatchedPrimality:
         assert validate_params(small_set) == []
         sp = small_set
         assert len(many_cpus) == 1
-        assert list(keys._SOUND) == [sp.a_rsa, sp.b_rsa]
-        assert not keys.sound_rsa(sp.a_rsa.public())
+        assert list(keys._SOUND) == [sp.a_rsa, sp.b_rsa, sp.a_elg, sp.sttp_elg]
+        assert not keys.sound(sp.a_rsa.public()) and not keys.sound(sp.a_elg.public())
 
     def test_toy_sets_never_fork(self, many_cpus, monkeypatch):
         def no_fork():

@@ -46,7 +46,7 @@ class TestCrtSign:
 
         def sound(key: RsaKeyPair) -> RsaKeyPair:
             """`key`, found sound as B's key, with no signature kept from before."""
-            assert validate_params(replace(toy_set, b_rsa=key)) == [] and keys.sound_rsa(key)
+            assert validate_params(replace(toy_set, b_rsa=key)) == [] and keys.sound(key)
             fairex.rsa._signature.cache_clear()
             return key
 
@@ -65,7 +65,7 @@ class TestCrtSign:
 
     def test_paper_key_matches_plain_exponentiation(self, paper_key_set):
         key = paper_key_set.b_rsa
-        assert validate_params(paper_key_set) == [] and keys.sound_rsa(key)
+        assert validate_params(paper_key_set) == [] and keys.sound(key)
         fairex.rsa._signature.cache_clear()
         draws = Rng.from_material(b"test_rsa paper reps")
         for rep in (0, 1, key.p, key.q, key.n - 1, *(draws.below(key.n) for _ in range(20))):
@@ -197,14 +197,14 @@ class TestReducedVerify:
     def test_every_signature_matches_mod_n(self, toy_set, proofs):
         key = toy_set.b_rsa
         assert validate_params(toy_set) == []
-        assert keys.sound_rsa(key)
+        assert keys.sound(key)
         for s in range(key.n):  # s = p and s = q among them, where one half is 0 == 0
             rep = pow(s, key.e, key.n)
             assert [rsa_verify(s, rep, key), rsa_verify(s, rep + 1, key)] == [True, False]
 
     def test_zero_exponent_keeps_the_full_e(self, toy_set, proofs):
         key = replace(toy_set.a_rsa, e=0)
-        assert validate_params(toy_set) == [] and not keys.sound_rsa(key)
+        assert validate_params(toy_set) == [] and not keys.sound(key)
         assert rsa_verify(key.p, 1, key)  # p^0 == 1, where p^(p - 1) == 0 mod p
 
     @pytest.mark.parametrize("p, q", [(15, 7), (7, 15)])
@@ -220,18 +220,18 @@ class TestReducedVerify:
         assert rsa_sign(2, hostile) == pow(2, 47, 105) == 53  # a CRT with p = 15 gives 32
         assert "client B: rsa factor not prime" in validate_params(replace(toy_set, b_rsa=hostile))
         fairex.rsa._signature.cache_clear()
-        assert not keys.sound_rsa(hostile) and rsa_sign(2, hostile) == 53
+        assert not keys.sound(hostile) and rsa_sign(2, hostile) == 53
 
     def test_factor_two_signs_and_checks_mod_n(self, toy_set, proofs, signatures):
         key = RsaKeyPair(n=22, e=3, d=7, p=2, q=11)
-        assert validate_params(replace(toy_set, b_rsa=key)) == [] and keys.sound_rsa(key)
+        assert validate_params(replace(toy_set, b_rsa=key)) == [] and keys.sound(key)
         assert [rsa_sign(m, key) for m in range(22)] == [pow(m, 7, 22) for m in range(22)]  # d % (2 - 1) == 0
         assert answers(key) == answers(key.public())
 
     def test_exponent_that_does_not_invert_e_keeps_the_full_e(self, toy_set, proofs, signatures, exponents):
         wrong = replace(TOY, d=TOY.d + 1)
         assert "client B: rsa exponents not inverse" in validate_params(replace(toy_set, b_rsa=wrong))
-        assert not keys.sound_rsa(wrong)
+        assert not keys.sound(wrong)
         assert rsa_verify(18, 2, wrong) and rsa_sign(2, wrong) != 18  # a comparison would say False
         assert exponents[:2] == [(3, 55), (wrong.d, 55)]
         assert answers(wrong) == answers(wrong.public())
@@ -245,7 +245,7 @@ class TestReducedVerify:
         before = [rsa_verify(s, rep, key), rsa_verify(s + 1, rep, key)]
         assert exponents[:2] == [(key.e, key.n)] * 2
         assert validate_params(certified_paper_key_set) == []
-        assert keys.sound_rsa(key) and not keys.sound_rsa(replace(key, p_cert=None))
+        assert keys.sound(key) and not keys.sound(replace(key, p_cert=None))
         exponents.clear()
         assert [rsa_verify(s, rep, key), rsa_verify(s + 1, rep, key)] == before == [True, False]
         assert exponents == [(key.d % (key.p - 1), key.p), (key.d % (key.q - 1), key.q)]  # one sign

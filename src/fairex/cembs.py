@@ -27,9 +27,9 @@ changes nothing that a verifier can see.
 Powers of the fixed bases G, PK (inside elg_encrypt) and g come from
 arith.fixed_base_exp's cached tables, A included: with P prime,
 a^PK = G^(u*PK mod P-1), so a certify needs no other power.  A
-verifier's W and a' vary per call and go through mod_exp, but a' = a
-of a certify in a `keys.sound` group (P proved prime, 1 < G < P) reads
-a'^PK back: by Fermat A == a^PK, so the verdict is mod_exp's.
+verifier's W and a' vary per call.  A certify in a `keys.sound` group
+(P proved prime, 1 < G < P) keeps A as a^PK, exact by Fermat, so a
+verify reads a'^PK back through `keys.known_power`: mod_exp's verdict.
 
 Every value is a plain int.  An offer is (W, V, c, r) in wire order, as
 encrypt_and_certify returns it; cembs_verify takes (W, C, c, r).
@@ -42,12 +42,11 @@ the STTP's group from certificates bound to Client A's group.
 from __future__ import annotations
 
 import hashlib
-from collections import OrderedDict
 from dataclasses import dataclass
 
 from .arith import Rng, fixed_base_exp, int_from_bytes, int_to_bytes, mod_exp, pair, sample_range
 from .errors import ParameterError
-from .keys import CommitBase, ElgKeyPair, SystemParams, remember
+from .keys import CommitBase, ElgKeyPair, SystemParams, known_power, remember
 from .elgamal import elg_encrypt
 
 CHALLENGE_BYTES = 32
@@ -55,8 +54,6 @@ NONCE_U_BITS = 400
 
 A_SIDE_TAG = 0x41  # certificate over the STTP's group (Client A's offer)
 B_SIDE_TAG = 0x42  # certificate over Client A's group (Client B's recovery)
-# (a, P, PK) -> a^PK mod P of the certificates this process made in a sound group, newest last.
-_POWERS: OrderedDict[tuple[int, int, int], int] = OrderedDict()
 
 
 @dataclass(frozen=True)
@@ -68,7 +65,7 @@ class CembsContext:
     """
 
     commit_base: CommitBase
-    group: ElgKeyPair  # P, G and PK are read, and whether it is `keys.sound`
+    group: ElgKeyPair  # P, G and PK are read; a certify keeps a^PK if it is `keys.sound`
     side_tag: int
 
     @classmethod
@@ -120,7 +117,7 @@ def encrypt_and_certify(value: int, ctx: CembsContext, w: int, u: int) -> tuple[
     W, V = elg_encrypt(value, ctx.group, w)
     commitment = blind_commit(V, ctx.commit_base)
     big_a, a = pair((fixed_base_exp, (G, u * PK % (P - 1), P)), (fixed_base_exp, (G, u, P)), P.bit_length())
-    remember(_POWERS, (a, P, PK), big_a, ctx.group)
+    remember(a, PK, P, big_a, ctx.group)
     c = hash_challenge(ctx.side_tag, [ctx.commit_base.g, W, commitment, a, big_a])
     return W, V, c, (u - c * w) % (P - 1)
 
@@ -134,5 +131,5 @@ def cembs_verify(W: int, C: int, c: int, r: int, ctx: CembsContext) -> bool:
         return False
     w_c, g_r = pair((mod_exp, (W, c, P)), (fixed_base_exp, (G, r, P)), P.bit_length())
     a = g_r * w_c % P
-    big_a = _POWERS.get((a, P, PK)) or mod_exp(a, PK, P)  # a kept power is never 0
+    big_a = known_power(a, PK, P)
     return c == hash_challenge(ctx.side_tag, [ctx.commit_base.g, W, C, a, big_a])

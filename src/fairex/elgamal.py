@@ -4,21 +4,16 @@ A ciphertext is two ints, (W, V) = (G^w, m * PK^w) mod P, in the order
 the wire carries them.  The key holder can be handed only W and return
 W^SK; whoever holds V then finishes the decryption with
 m = V * (W^SK)^-1 mod P.  The key holder never sees V, so it learns
-nothing about the plaintext.  Under a `keys.sound` key, a decryption of
-a W this process encrypted reads W^SK back as PK^w: validation checked
-PK == G^SK mod P, so they are equal.
+nothing about the plaintext.  An encryption under a `keys.sound` key
+keeps W^SK = PK^w (validation checked PK == G^SK mod P), so a decryption
+of a W this process encrypted reads it back with `keys.known_power`.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
-from .arith import fixed_base_exp, mod_exp, mod_inv, pair
+from .arith import fixed_base_exp, mod_inv, pair
 from .errors import EmbeddingError, NotInvertibleError, ParameterError
-from .keys import ElgKeyPair, remember, sound
-
-# (W, P, G, PK) -> PK^w mod P of the ciphertexts this process made under a sound key, newest last.
-_MASKS: OrderedDict[tuple[int, int, int, int], int] = OrderedDict()
+from .keys import ElgKeyPair, known_power, remember
 
 
 def elg_encrypt(m: int, key: ElgKeyPair, w: int) -> tuple[int, int]:
@@ -29,7 +24,7 @@ def elg_encrypt(m: int, key: ElgKeyPair, w: int) -> tuple[int, int]:
     if not 1 <= w <= P - 2:
         raise ParameterError(f"nonce must be in [1, {P - 2}]")
     W, mask = pair((fixed_base_exp, (G, w, P)), (fixed_base_exp, (PK, w, P)), P.bit_length())
-    remember(_MASKS, (W, P, G, PK), mask, key)
+    remember(W, key.SK, P, mask, key)
     return W, m * mask % P
 
 
@@ -44,8 +39,7 @@ def blind_half(W: int, key: ElgKeyPair) -> int:
         raise ParameterError("decryption requires the private exponent")
     if not 0 < W < key.P:
         raise ParameterError(f"W must be in (0, {key.P})")
-    # A kept PK^w is never 0.
-    return sound(key) and _MASKS.get((W, key.P, key.G, key.PK)) or mod_exp(W, key.SK, key.P)
+    return known_power(W, key.SK, key.P)
 
 
 def unblind(V: int, half: int, P: int) -> int:

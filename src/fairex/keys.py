@@ -51,8 +51,9 @@ Certificate = tuple[tuple[int, int], ...]
 # Key pairs that recent validations found sound, newest last (an ordered set); see `validate_params`.
 _MAX_SOUND = 4 * 16
 _SOUND: dict[RsaKeyPair | ElgKeyPair, None] = {}
-KNOWN_POWERS = 64  # entries in each store of powers made under sound keys (`cembs._POWERS`, `elgamal._MASKS`)
-_REMEMBERING = threading.Lock()  # held while a store of powers changes
+_KNOWN: OrderedDict[tuple[int, int, int], int] = OrderedDict()  # powers, newest last; see `remember`
+KNOWN_POWERS = 64  # entries `_KNOWN` keeps
+_REMEMBERING = threading.Lock()  # held while `_KNOWN` changes
 
 
 @dataclass(frozen=True)
@@ -357,8 +358,8 @@ def validate_params(sp: SystemParams) -> list[str]:
     reads the bit profile, so the result is cached per parameter set with
     the profile stripped: a set that was generated and then loaded back
     from a key file runs its primality checks once.  Each call keeps the
-    key pairs it found sound, newest last, for `sound` (which `rsa`,
-    `elgamal` and `remember` read), up to four for each cached set.
+    key pairs it found sound, newest last, for `sound` (which `rsa`
+    and `remember` read), up to four for each cached set.
     """
     global _SOUND
     violations, sound_keys = _violations(replace(sp, bit_profile=None))
@@ -373,14 +374,20 @@ def sound(key: RsaKeyPair | ElgKeyPair) -> bool:
     return key in _SOUND
 
 
-def remember(store: OrderedDict, index: tuple, power: int, made_under: ElgKeyPair) -> None:
-    """Keep index -> power last in `store`, at most KNOWN_POWERS, if `made_under` is sound.  A reader
-    takes no lock: its get is one call into C, so it may miss a power but never misreads one."""
+def remember(base: int, exponent: int, modulus: int, power: int, made_under: ElgKeyPair) -> None:
+    """Keep base^exponent mod modulus = power if `made_under` is sound, which makes it exact (see `cembs`,
+    `elgamal`).  An entry holds whoever asks, so a reader needs no key and no lock: its get is one call
+    into C, so it may miss a power but never misreads one."""
     if sound(made_under):
         with _REMEMBERING:
-            store[index] = power
-            if len(store) > KNOWN_POWERS:
-                store.popitem(last=False)
+            _KNOWN[base, exponent, modulus] = power
+            if len(_KNOWN) > KNOWN_POWERS:
+                _KNOWN.popitem(last=False)
+
+
+def known_power(base: int, exponent: int, modulus: int) -> int:
+    """base^exponent mod modulus: the kept power (never 0), else `mod_exp`'s."""
+    return _KNOWN.get((base, exponent, modulus)) or mod_exp(base, exponent, modulus)
 
 
 def _probable_primes(group: list[int]) -> list[bool]:

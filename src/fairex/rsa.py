@@ -20,7 +20,9 @@ from .keys import RsaKeyPair, sound
 
 
 def message_rep(raw: bytes, n: int) -> int:
-    """The representative in [0, n) that a byte string is signed as: SHA-256(raw) mod n."""
+    """The representative in [0, n) that a byte string is signed as: SHA-256(raw) mod n, for n >= 2."""
+    if n < 2:
+        raise ParameterError(f"RSA modulus must be at least 2, got {n}")
     return int_from_bytes(hashlib.sha256(raw).digest()) % n
 
 
@@ -33,8 +35,8 @@ def rsa_sign(rep: int, key: RsaKeyPair) -> int:
     """
     if key.d is None:
         raise ParameterError("signing requires the private exponent")
-    if rep >= key.n:
-        raise DomainError(f"representative {rep} >= modulus {key.n}")
+    if not 0 <= rep < key.n:
+        raise DomainError(f"representative {rep} not in [0, {key.n})")
     return _signature(rep, key)
 
 

@@ -320,6 +320,20 @@ class TestAudit:
         assert "B holds valid item:  no" in out
 
 
+@pytest.mark.parametrize("command", ["run", "audit"])
+@pytest.mark.parametrize("role", ["A", "B"])
+def test_rsa_modulus_zero_is_usage_error(keyfile, tmp_path, capsys, command, role):
+    transcript, keys = tmp_path / "t.txt", tmp_path / "keys.txt"
+    assert cli_main(["run", "--keys", str(keyfile), "--seed", "01", "--transcript", str(transcript)]) == 0
+    text = keyfile.read_text()
+    head, record = text.split(f"role={role}\n")
+    keys.write_text(head + f"role={role}\n" + re.sub(r"^n=\w+$", "n=00", record, count=1, flags=re.M))
+    capsys.readouterr()
+    argv = ["--keys", str(keys)] + (["--seed", "01"] if command == "run" else ["--transcript", str(transcript)])
+    assert cli_main([command, *argv]) == 2
+    assert capsys.readouterr().err == "error: RSA modulus must be at least 2, got 0\n"
+
+
 class TestVectors:
     def test_cli_writes_the_file(self, tmp_path):
         rc = cli_main(["vectors", "--out", str(tmp_path)])

@@ -7,16 +7,18 @@ from math import gcd
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from fairex import arith, keys
 from fairex.arith import TRIAL_BOUND, Rng, is_probable_prime, mod_exp
+from fairex.cli import cli_main
 from fairex.errors import ParameterError, SetupError
 from fairex.keys import (
     PROFILES,
     BitProfile,
     CommitBase,
     ElgKeyPair,
+    SystemParams,
     generate_system_params,
     load_params,
     save_params,
@@ -606,22 +608,52 @@ class TestKeyFileFuzz:
         CERT,
     )
 
-    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(data=st.data())
-    def test_validate_params_reports_and_never_raises(self, toy_params, certified_toy, tmp_path, data):
-        path = tmp_path / "keys.txt"
-        save_params(data.draw(st.sampled_from([toy_params, certified_toy])), path)
+    # Line index (taken modulo the file's length; role lines are left alone) -> hostile value.
+    EDITS = st.dictionaries(st.integers(0, 40), HOSTILE, min_size=1, max_size=4)
+
+    @staticmethod
+    def hostile_file(sp: SystemParams, edits: dict[int, str], path: Path) -> None:
+        save_params(sp, path)
         lines = path.read_text().splitlines()
-        for index in data.draw(st.sets(st.integers(0, len(lines) - 1), min_size=1, max_size=4)):
-            name = lines[index].partition("=")[0]
+        for index, value in edits.items():
+            name = lines[index % len(lines)].partition("=")[0]
             if name != "role":
-                lines[index] = f"{name}={data.draw(self.HOSTILE)}"
+                lines[index % len(lines)] = f"{name}={value}"
         path.write_text("".join(line + "\n" for line in lines))
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(certified=st.booleans(), edits=EDITS)
+    def test_validate_params_reports_and_never_raises(self, toy_params, certified_toy, tmp_path, certified, edits):
+        path = tmp_path / "keys.txt"
+        self.hostile_file(certified_toy if certified else toy_params, edits, path)
         try:
             loaded = load_params(path)
         except ParameterError:
             return
         assert isinstance(validate_params(loaded), list)
+
+    @pytest.fixture(scope="class")
+    def honest_transcripts(self, toy_params, certified_toy, tmp_path_factory) -> dict[bool, Path]:
+        """The transcript of a fault-free `fairex run` on each toy set's own key file, by `certified`."""
+        paths = {}
+        for certified, sp in ((False, toy_params), (True, certified_toy)):
+            keyfile, transcript = (tmp_path_factory.mktemp("honest") / name for name in ("keys.txt", "t.txt"))
+            save_params(sp, keyfile)
+            assert cli_main(["run", "--keys", str(keyfile), "--seed", "01", "--transcript", str(transcript)]) == 0
+            paths[certified] = transcript
+        return paths
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(certified=st.booleans(), edits=EDITS)
+    @example(certified=False, edits={1: "00"})  # A's RSA modulus 0
+    @example(certified=False, edits={12: "00"})  # B's
+    def test_cli_run_and_audit_exit_with_a_code(self, toy_params, certified_toy, honest_transcripts, tmp_path,
+                                                certified, edits):
+        # 0 fair, 1 unfair, 2 error: anything else, a traceback included, is a crash.
+        path = tmp_path / "keys.txt"
+        self.hostile_file(certified_toy if certified else toy_params, edits, path)
+        assert cli_main(["run", "--keys", str(path), "--seed", "01", "--fault", "drop-final"]) in (0, 1, 2)
+        assert cli_main(["audit", "--keys", str(path), "--transcript", str(honest_transcripts[certified])]) in (0, 1, 2)
 
     def test_non_utf8_key_file(self, tmp_path):
         path = tmp_path / "keys.txt"

@@ -1,9 +1,9 @@
 """Powers this process already made are read back, and the bytes stay the same.
 
-A certify in a sound group keeps (a, P, PK) -> a^PK (`cembs._POWERS`), and an
-encryption under a sound key keeps (W, P, G, PK) -> PK^w (`elgamal._MASKS`).
-A certificate check whose a' was kept, and a decryption of a kept W under a
-sound key, read the power instead of computing it.  "Lookups off" below
+`keys._KNOWN` maps (base, exponent, modulus) to the power.  A certify in a
+sound group keeps (a, PK, P) -> A, and an encryption under a sound key keeps
+(W, SK, P) -> PK^w.  A certificate check whose a' was kept, and a decryption
+of a kept W, read the power instead of computing it.  "Lookups off" below
 means what a process that never validated does: nothing is kept or read.
 """
 
@@ -40,25 +40,27 @@ def params(toy):
 @pytest.fixture
 def empty_stores(monkeypatch):
     """No power made before the test counts as made, and no signature either."""
-    monkeypatch.setattr(cembs, "_POWERS", OrderedDict())
-    monkeypatch.setattr(elgamal, "_MASKS", OrderedDict())
+    monkeypatch.setattr(keys, "_KNOWN", OrderedDict())
     rsa._signature.cache_clear()
 
 
 def lookups_off(monkeypatch):
-    """Keep and read nothing: `cembs` and `elgamal` keep no power, no key is sound to `elgamal`."""
-    for module in (cembs, elgamal):
-        monkeypatch.setattr(module, "remember", lambda *args: None)
-    monkeypatch.setattr(elgamal, "sound", lambda key: False)
-    monkeypatch.setattr(cembs, "_POWERS", OrderedDict())
-    monkeypatch.setattr(elgamal, "_MASKS", OrderedDict())
+    """Keep and read nothing: no key is sound to `remember`, and nothing kept before is left."""
+    monkeypatch.setattr(keys, "sound", lambda key: False)
+    monkeypatch.setattr(keys, "_KNOWN", OrderedDict())
+
+
+def kept(key) -> list:
+    """The exponent and modulus of each kept power, newest last: "PK" (a certify's A) or "SK" (a mask) under `key`."""
+    names = {(key.PK, key.P): "PK", (key.SK, key.P): "SK"}
+    return [names.get((e, m), (e, m)) for _, e, m in keys._KNOWN]
 
 
 @pytest.fixture
 def powers(monkeypatch):
-    """(exponent, modulus) of each `mod_exp` that `rsa`, `cembs` and `elgamal` make."""
+    """(exponent, modulus) of each `mod_exp` that `rsa`, `cembs` and `keys` make."""
     seen = []
-    for module in (rsa, cembs, elgamal):
+    for module in (rsa, cembs, keys):
         def counted(b, e, m, real=module.mod_exp):
             seen.append((e, m))
             return real(b, e, m)
@@ -90,10 +92,10 @@ def test_single_directive_scripts_match_with_lookups_off(params, empty_stores, m
     scripts = every_directive()
     assert len(scripts) == 148
     on = [outcome(cfg, script) for cfg in cfgs for script in scripts]
-    assert cembs._POWERS and elgamal._MASKS  # the lookups ran
+    assert {"PK", "SK"} <= {*kept(params.sttp_elg), *kept(params.a_elg)}  # the lookups ran
     lookups_off(monkeypatch)
     off = [outcome(cfg, script) for cfg in cfgs for script in scripts]
-    assert not cembs._POWERS and not elgamal._MASKS
+    assert not keys._KNOWN
     assert on == off
 
 
@@ -120,11 +122,41 @@ def test_modexps_per_session(params, empty_stores, powers, monkeypatch, script, 
     assert count() == per_protocol_off
 
 
+@pytest.mark.parametrize("script, per_protocol", [
+    # A's G_T^w, PK_T^w, g^V_A, G_T^u and A = G_T^(u*PK_T); B's G_T^r and its own C_A = g^V_A.
+    ("none", [7, 7, 7]),
+    # Also the STTP's G_T^r, B's recovery under A's key (the same five, in G_A), the STTP's G_A^r
+    # and its own C_B = g^V_B.
+    ("drop-final", [15, 15, 15]),
+])
+def test_fixed_base_powers_per_session(params, empty_stores, monkeypatch, script, per_protocol):
+    seen = []
+
+    def counted(b, e, m, real=cembs.fixed_base_exp):
+        seen.append(b)
+        return real(b, e, m)
+
+    def count() -> list[int]:
+        counts = []
+        for protocol in Protocol:
+            seen.clear()
+            run_session(SessionConfig(protocol, params, default_payload(protocol), seed=bytes(32)),
+                        shipped_script(script))
+            counts.append(len(seen))
+        return counts
+
+    for module in (cembs, elgamal):
+        monkeypatch.setattr(module, "fixed_base_exp", counted)
+    assert count() == per_protocol
+    lookups_off(monkeypatch)
+    assert count() == per_protocol
+
+
 class TestCertificateLookup:
     def test_kept_power_is_read_and_tampering_misses(self, params, empty_stores, powers):
         ctx, W, V, C, c, r = certify(params, 1234, b"tamper")
         P, PK = ctx.group.P, ctx.group.PK
-        assert len(cembs._POWERS) == 1 and powers == []
+        assert kept(ctx.group) == ["SK", "PK"] and powers == []
         assert cembs_verify(W, C, c, r, ctx) and powers == [(c, P)]  # only W^c
         tampered_c, tampered_r, tampered_w = (c + 1) % 2**256, (r + 1) % (P - 1), W % (P - 1) + 1
         for tampered in [(W, C, tampered_c, r), (W, C, c, tampered_r), (tampered_w, C, c, r)]:
@@ -139,7 +171,7 @@ class TestCertificateLookup:
         sp = dataclasses.replace(toy, sttp_elg=bad)
         assert validate_params(sp) == ["STTP: modulus not prime"] and not keys.sound(bad)
         ctx, W, V, C, c, r = certify(sp, 1234, b"composite")
-        assert not cembs._POWERS and not elgamal._MASKS
+        assert not keys._KNOWN
         cembs_verify(W, C, c, r, ctx)
         assert powers[-1] == (bad.PK, P)
         powers.clear()
@@ -150,7 +182,7 @@ class TestCertificateLookup:
         sp = dataclasses.replace(toy, sttp_elg=bad)
         assert validate_params(sp) == ["STTP: key consistency (PK != G^SK mod P)"] and not keys.sound(bad)
         ctx, W, V, C, c, r = certify(sp, 1234, b"inconsistent")
-        assert not cembs._POWERS and not elgamal._MASKS
+        assert not keys._KNOWN
         assert cembs_verify(W, C, c, r, ctx) and powers[-1] == (bad.PK, bad.P)
         powers.clear()
         assert blind_half(W, bad) == pow(W, bad.SK, bad.P) and powers == [(bad.SK, bad.P)]
@@ -171,22 +203,27 @@ class TestCertificateLookup:
 
 
 class TestDecryptionLookup:
-    def test_kept_mask_is_read_for_a_sound_key_only(self, params, empty_stores, powers):
+    def test_mask_is_kept_under_a_sound_key_and_read_under_any(self, params, empty_stores, powers):
         key = params.sttp_elg
         W, V = elg_encrypt(77, key, 5)
-        assert list(elgamal._MASKS) == [(W, key.P, key.G, key.PK)]
+        assert list(keys._KNOWN) == [(W, key.SK, key.P)]
         assert blind_half(W, key) == pow(W, key.SK, key.P) and elg_decrypt(W, V, key) == 77
         assert powers == []
         unvalidated = dataclasses.replace(key, P_cert=())  # the same numbers, a key no validation saw
-        assert elg_decrypt(W, V, unvalidated) == 77 and powers == [(key.SK, key.P)]
+        assert not keys.sound(unvalidated)
+        assert elg_decrypt(W, V, unvalidated) == 77 and powers == []  # W^SK mod P is read all the same
+        W2, V2 = elg_encrypt(78, unvalidated, 6)
+        assert list(keys._KNOWN) == [(W, key.SK, key.P)]  # made under it, nothing is kept
+        assert elg_decrypt(W2, V2, key) == 78 and powers == [(key.SK, key.P)]
 
     def test_bound_drops_the_oldest(self, params, empty_stores, powers):
-        made = [certify(params, 1000 + i, b"bound %d" % i) for i in range(keys.KNOWN_POWERS + 1)]
-        assert len(cembs._POWERS) == len(elgamal._MASKS) == keys.KNOWN_POWERS
+        # A certify keeps two powers, its mask and its A.
+        made = [certify(params, 1000 + i, b"bound %d" % i) for i in range(keys.KNOWN_POWERS // 2 + 1)]
+        assert len(keys._KNOWN) == keys.KNOWN_POWERS
         (ctx, W0, V0, C0, c0, r0), (_, W1, V1, C1, c1, r1) = made[0], made[1]
         key = ctx.group
-        assert (W0, key.P, key.G, key.PK) not in elgamal._MASKS
-        assert (W1, key.P, key.G, key.PK) in elgamal._MASKS
+        assert (W0, key.SK, key.P) not in keys._KNOWN
+        assert (W1, key.SK, key.P) in keys._KNOWN
         assert cembs_verify(W1, C1, c1, r1, ctx) and elg_decrypt(W1, V1, key) == 1001
         assert powers == [(c1, key.P)]
         assert cembs_verify(W0, C0, c0, r0, ctx) and elg_decrypt(W0, V0, key) == 1000
@@ -218,4 +255,4 @@ def test_threads_keep_and_read_only_right_powers(params, empty_stores):
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads) and errors == []
-    assert len(cembs._POWERS) == len(elgamal._MASKS) == keys.KNOWN_POWERS
+    assert len(keys._KNOWN) == keys.KNOWN_POWERS

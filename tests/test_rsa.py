@@ -25,9 +25,15 @@ class TestSign:
         assert rsa_sign(1, TOY) == 1
         assert rsa_sign(0, TOY) == 0
 
-    def test_rep_too_large(self):
-        with pytest.raises(DomainError):
-            rsa_sign(55, TOY)
+    def test_rep_outside_the_modulus(self):
+        toy_set = generate_system_params("toy", Rng(bytes(32)))
+        assert validate_params(toy_set) == [] and keys.sound(toy_set.a_rsa)
+        unsound = RsaKeyPair(n=TOY.n, e=TOY.e, d=TOY.d)
+        assert not keys.sound(unsound)
+        for key in (toy_set.a_rsa, unsound):
+            for rep in (key.n, -1):
+                with pytest.raises(DomainError):
+                    rsa_sign(rep, key)
 
     def test_needs_private_exponent(self):
         with pytest.raises(ParameterError):

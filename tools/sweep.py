@@ -9,7 +9,7 @@ sessions whose private audit disagrees with what the parties hold, and
 a SHA-256 over each session's script, transcript, every party's phase,
 verdict, held item and violations, its stall flag and its audit.  Two
 trees print the same line when they run every one of these sessions
-the same way.  It takes about 85 s on one core of a 2-CPU Xeon host.
+the same way.  It takes about 55 s on one core of a 2-CPU Xeon host.
 
     python3 tools/sweep.py
 """

@@ -133,3 +133,9 @@ def cembs_verify(W: int, C: int, c: int, r: int, ctx: CembsContext) -> bool:
     a = g_r * w_c % P
     big_a = known_power(a, PK, P)
     return c == hash_challenge(ctx.side_tag, [ctx.commit_base.g, W, C, a, big_a])
+
+
+def ciphertext_certified(W: int, V: int, c: int, r: int, ctx: CembsContext) -> bool:
+    """Whether (c, r) certifies the ciphertext (W, V): V lies in (0, P), as every encryption's does, and
+    `cembs_verify` accepts (W, g^V).  A V out of range fails before g^V, whose cost grows with V's size."""
+    return 0 < V < ctx.group.P and cembs_verify(W, blind_commit(V, ctx.commit_base), c, r, ctx)

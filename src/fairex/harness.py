@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .arith import int_from_bytes
-from .cembs import CembsContext, blind_commit, cembs_verify
+from .cembs import CembsContext, ciphertext_certified
 from .errors import FaultScriptError, WireError, read_text
 from .keys import SystemParams
 from .protocol import PartyState, Protocol, SessionConfig, Terms, Timeout, build_parties, carried_item
@@ -331,18 +331,13 @@ def audit(
 
 def _forward_certified(transcript: Transcript, params: SystemParams) -> bool:
     """Did A get a forward that reproduces a certified recovery request verbatim?"""
-    forwards = {
-        tuple(int_from_bytes(f) for f in m.fields)
-        for m in _delivered(transcript, "A", MsgType.FORWARD_CIPHERTEXT)
-    }
+    forwards = {tuple(map(int_from_bytes, m.fields)) for m in _delivered(transcript, "A", MsgType.FORWARD_CIPHERTEXT)}
+    requests = _delivered(transcript, "STTP", MsgType.RECOVERY_REQUEST)
     b_ctx = CembsContext.b_side(params)
-    for m in _delivered(transcript, "STTP", MsgType.RECOVERY_REQUEST):
-        w_b, v_b, c_b, r_b = (int_from_bytes(f) for f in m.fields[4:8])
-        if (w_b, v_b) in forwards and cembs_verify(
-            w_b, blind_commit(v_b, params.commit_base), c_b, r_b, b_ctx
-        ):
-            return True
-    return False
+    return any(
+        (w_b, v_b) in forwards and ciphertext_certified(w_b, v_b, c_b, r_b, b_ctx)
+        for w_b, v_b, c_b, r_b in (map(int_from_bytes, m.fields[4:8]) for m in requests)
+    )
 
 
 def live_flags(result: SessionResult) -> AuditReport:

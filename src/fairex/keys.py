@@ -18,6 +18,8 @@ are the same on one CPU and on two.
 Certified keygen (`fairex keygen`) builds each prime with a Pocklington
 certificate, a chain of (a, q) pairs that validation checks in about one
 modexp per level; a prime without one gets 40 Miller-Rabin rounds.
+Validation keeps its newest 64 key pairs found with nothing wrong, so a
+process proves such a pair once, whatever set it comes in (`validate_params`).
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from math import gcd, isqrt
 from pathlib import Path
 
@@ -48,9 +49,9 @@ _MAX_RETRIES = 100_000
 # (a, q) per level, largest q first; see `_certified`.
 Certificate = tuple[tuple[int, int], ...]
 
-# Key pairs that recent validations found sound, newest last (an ordered set); see `validate_params`.
-_MAX_SOUND = 4 * 16
-_SOUND: dict[RsaKeyPair | ElgKeyPair, None] = {}
+# Key pairs that recent validations found nothing wrong with, newest last (an ordered set); see `validate_params`.
+_MAX_CHECKED = 4 * 16
+_CHECKED: dict[RsaKeyPair | ElgKeyPair, None] = {}
 _KNOWN: OrderedDict[tuple[int, int, int], int] = OrderedDict()  # powers, newest last; see `remember`
 KNOWN_POWERS = 64  # entries `_KNOWN` keeps
 _REMEMBERING = threading.Lock()  # held while `_KNOWN` changes
@@ -312,7 +313,7 @@ def generate_system_params(profile: BitProfile | str, rng: Rng, *, certified: bo
 
 
 def _check_rsa(key: RsaKeyPair, who: str, prime: dict[tuple, bool], out: list[str]) -> bool:
-    """Append what is wrong with `key` to `out`; return whether it is sound: d, p, q given, nothing wrong."""
+    """Append what is wrong with `key` to `out`; return whether nothing is."""
     found = len(out)
     if key.p is not None and key.q is not None:
         if key.p == key.q:
@@ -328,11 +329,11 @@ def _check_rsa(key: RsaKeyPair, who: str, prime: dict[tuple, bool], out: list[st
             out.append(f"{who}: rsa exponents not inverse")
     elif key.n < 4 or key.e < 2:
         out.append(f"{who}: rsa public key out of range")
-    return len(out) == found and None not in (key.d, key.p, key.q)
+    return len(out) == found
 
 
 def _check_elg(key: ElgKeyPair, who: str, prime: dict[tuple, bool], out: list[str]) -> bool:
-    """Append what is wrong with `key` to `out`; return whether it is sound: SK given, nothing wrong."""
+    """Append what is wrong with `key` to `out`; return whether nothing is."""
     found = len(out)
     if not prime[key.P, key.P_cert]:
         out.append(f"{who}: modulus not prime")
@@ -345,7 +346,7 @@ def _check_elg(key: ElgKeyPair, who: str, prime: dict[tuple, bool], out: list[st
             out.append(f"{who}: key consistency (PK != G^SK mod P)")
     if not 0 < key.PK < key.P:
         out.append(f"{who}: public element out of range")
-    return len(out) == found and key.SK is not None
+    return len(out) == found
 
 
 def validate_params(sp: SystemParams) -> list[str]:
@@ -354,24 +355,45 @@ def validate_params(sp: SystemParams) -> list[str]:
     Checks that need private material are skipped when it is absent, so
     public exports validate too.  A prime with a certificate is proved by
     it (`_certified`), and a broken certificate reads "not prime"; one
-    without gets 40 Miller-Rabin rounds through `_primality`.  No check
-    reads the bit profile, so the result is cached per parameter set with
-    the profile stripped: a set that was generated and then loaded back
-    from a key file runs its primality checks once.  Each call keeps the
-    key pairs it found sound, newest last, for `sound` (which `rsa`
-    and `remember` read), up to four for each cached set.
+    without gets 40 Miller-Rabin rounds through `_primality`.  A pair's
+    checks read no other pair, so the pairs found with nothing wrong are
+    kept, newest last, four per set for the last 16 sets, and a call
+    checks only the pairs it does not hold (`sound` reads them); the
+    checks across pairs (commit base, embeddings) run on every call.
     """
-    global _SOUND
-    violations, sound_keys = _violations(replace(sp, bit_profile=None))
+    global _CHECKED
+    checked = _CHECKED  # one snapshot, so each pair it lacks is both proved and checked
+    checks = [(_check_rsa, "client A", sp.a_rsa), (_check_rsa, "client B", sp.b_rsa),
+              (_check_elg, "client A", sp.a_elg), (_check_elg, "STTP", sp.sttp_elg)]
+    claims = set()
+    for key in (key for _, _, key in checks if key not in checked):
+        if isinstance(key, ElgKeyPair):
+            claims.add((key.P, key.P_cert))
+        elif key.p is not None and key.q is not None:
+            claims |= {(key.p, key.p_cert), (key.q, key.q_cert)}
+    tested = _primality({n for n, cert in claims if cert is None})
+    prime = {(n, cert): tested[n] if cert is None else _certified(n, cert) for n, cert in claims}
+    out: list[str] = []
+    fine = [key for check, who, key in checks if key in checked or check(key, who, prime, out)]
+    base = sp.commit_base
+    if base.n_ref != sp.a_rsa.n:
+        out.append("commit base: wrong modulus")
+    if gcd(base.g, base.n_ref) != 1 or base.g in (1, base.n_ref - 1) or not 0 < base.g < base.n_ref:
+        out.append("commit base: invalid element")
+    if sp.a_rsa.n >= sp.sttp_elg.P:
+        out.append("plaintext embedding (n_A >= P_T)")
+    if sp.b_rsa.n >= sp.a_elg.P:
+        out.append("plaintext embedding (n_B >= P_A)")
     # Rebound, never changed in place, so a reader in another thread sees
     # an old store or a new one; a racing writer can only drop keys.
-    _SOUND = dict.fromkeys([*(key for key in _SOUND if key not in sound_keys), *sound_keys][-_MAX_SOUND:])
-    return list(violations)
+    _CHECKED = dict.fromkeys([*(key for key in _CHECKED if key not in fine), *fine][-_MAX_CHECKED:])
+    return out
 
 
 def sound(key: RsaKeyPair | ElgKeyPair) -> bool:
-    """Whether this process validated `key` and found it sound (see `_check_rsa`, `_check_elg`)."""
-    return key in _SOUND
+    """Whether `key` is among the pairs `validate_params` kept and holds its private parts: d, p and q, or SK."""
+    private = (key.d, key.p, key.q) if isinstance(key, RsaKeyPair) else (key.SK,)
+    return key in _CHECKED and None not in private
 
 
 def remember(base: int, exponent: int, modulus: int, power: int, made_under: ElgKeyPair) -> None:
@@ -402,30 +424,6 @@ def _primality(numbers: set[int]) -> dict[int, bool]:
     first, second, bits = ordered[::2], ordered[1::2], ordered[0].bit_length()
     verdicts = pair((_probable_primes, (first,)), (_probable_primes, (second,)), bits, wait=True)
     return dict(zip(first + second, verdicts[0] + verdicts[1]))
-
-
-@lru_cache(maxsize=16)
-def _violations(sp: SystemParams) -> tuple[tuple[str, ...], tuple[RsaKeyPair | ElgKeyPair, ...]]:
-    out: list[str] = []
-    claims = {(sp.a_elg.P, sp.a_elg.P_cert), (sp.sttp_elg.P, sp.sttp_elg.P_cert)}
-    for key in (sp.a_rsa, sp.b_rsa):
-        if key.p is not None and key.q is not None:
-            claims |= {(key.p, key.p_cert), (key.q, key.q_cert)}
-    tested = _primality({n for n, cert in claims if cert is None})
-    prime = {(n, cert): tested[n] if cert is None else _certified(n, cert) for n, cert in claims}
-    checks = [(_check_rsa, "client A", sp.a_rsa), (_check_rsa, "client B", sp.b_rsa),
-              (_check_elg, "client A", sp.a_elg), (_check_elg, "STTP", sp.sttp_elg)]
-    sound_keys = tuple(key for check, who, key in checks if check(key, who, prime, out))
-    base = sp.commit_base
-    if base.n_ref != sp.a_rsa.n:
-        out.append("commit base: wrong modulus")
-    if gcd(base.g, base.n_ref) != 1 or base.g in (1, base.n_ref - 1) or not 0 < base.g < base.n_ref:
-        out.append("commit base: invalid element")
-    if sp.a_rsa.n >= sp.sttp_elg.P:
-        out.append("plaintext embedding (n_A >= P_T)")
-    if sp.b_rsa.n >= sp.a_elg.P:
-        out.append("plaintext embedding (n_B >= P_A)")
-    return tuple(out), sound_keys
 
 
 # --- key files: one `field=hex` record per line, grouped by role ----------

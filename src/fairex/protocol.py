@@ -29,7 +29,7 @@ import hashlib
 from dataclasses import dataclass, field
 
 from .arith import Rng, int_from_bytes, int_to_bytes
-from .cembs import CembsContext, blind_commit, cembs_verify, encrypt_and_certify, sample_nonces
+from .cembs import CembsContext, blind_commit, cembs_verify, ciphertext_certified, encrypt_and_certify, sample_nonces
 from .elgamal import blind_half, elg_decrypt, unblind
 from .errors import EmbeddingError, ParameterError, SetupError
 from .keys import SystemParams, validate_params
@@ -360,7 +360,7 @@ class Sttp(_Party):
             return self._violation(incoming)
         w_a, c_blind, c_a, r_a, w_b, v_b, c_b, r_b = _int_fields(incoming)
         offer_ok = cembs_verify(w_a, c_blind, c_a, r_a, self.a_ctx)
-        reply_ok = cembs_verify(w_b, blind_commit(v_b, self.b_ctx.commit_base), c_b, r_b, self.b_ctx)
+        reply_ok = ciphertext_certified(w_b, v_b, c_b, r_b, self.b_ctx)
         if not (offer_ok and reply_ok):
             self.state.violations.append(
                 f"rejected recovery request (offer cert {'ok' if offer_ok else 'bad'}, "

@@ -2,7 +2,6 @@ import dataclasses
 import os
 import select
 import threading
-from functools import lru_cache
 from math import gcd
 from pathlib import Path
 
@@ -179,41 +178,47 @@ class TestValidateParamsCache:
         save_params(sp, path)
         loaded = load_params(path)
         assert loaded == dataclasses.replace(sp, bit_profile=None)
-        # Validate uncached, so the sets other tests validated stay in the cache.
-        monkeypatch.setattr(keys, "_violations", keys._violations.__wrapped__)
+        # A cold store, so each prime is proved again, by its certificate.
+        monkeypatch.setattr(keys, "_CHECKED", {})
         assert validate_params(loaded) == []
         assert primality_tests == []
 
-    def test_distinct_set_is_validated_again(self, toy_params, primality_tests):
+    def test_only_new_pairs_are_proved(self, toy_params, primality_tests):
         validate_params(toy_params)
         primality_tests.clear()
         n = toy_params.a_rsa.n
         g = next(g for g in range(2, n) if g != toy_params.commit_base.g and gcd(g, n) == 1)
         other = dataclasses.replace(toy_params, commit_base=CommitBase(g=g, n_ref=n))
-        assert validate_params(other) == []
-        a, b = toy_params.a_rsa, toy_params.b_rsa
-        assert sorted(primality_tests) == sorted(
-            [a.p, a.q, b.p, b.q, toy_params.a_elg.P, toy_params.sttp_elg.P]
-        )
+        assert validate_params(other) == [] and primality_tests == []
+        b = toy_params.b_rsa
+        new_b = dataclasses.replace(b, d=b.d + (b.p - 1) * (b.q - 1))
+        assert validate_params(dataclasses.replace(other, b_rsa=new_b)) == [] and keys.sound(new_b)
+        assert sorted(primality_tests) == sorted([b.p, b.q])
+
+    def test_public_pairs_are_kept_but_not_sound(self, toy_params, primality_tests, monkeypatch):
+        monkeypatch.setattr(keys, "_CHECKED", {})
+        public = toy_params.public()
+        assert validate_params(public) == [] and sorted(primality_tests) == sorted([public.a_elg.P, public.sttp_elg.P])
+        assert validate_params(public) == [] and len(primality_tests) == 2
+        assert {public.a_rsa, public.b_rsa, public.a_elg, public.sttp_elg} <= keys._CHECKED.keys()
+        assert not any(map(keys.sound, (public.a_rsa, public.b_rsa, public.a_elg, public.sttp_elg)))
 
     def test_proof_store_stays_bounded(self, toy_params, monkeypatch):
-        # Validate uncached, so the paper sets other tests validated stay in the cache.
-        monkeypatch.setattr(keys, "_violations", keys._violations.__wrapped__)
-        monkeypatch.setattr(keys, "_SOUND", {})
+        monkeypatch.setattr(keys, "_CHECKED", {})
         b = toy_params.b_rsa
         phi = (b.p - 1) * (b.q - 1)
-        variants = [dataclasses.replace(b, d=b.d + k * phi) for k in range(keys._MAX_SOUND)]  # all sound
+        variants = [dataclasses.replace(b, d=b.d + k * phi) for k in range(keys._MAX_CHECKED)]  # all sound
         for key in variants:
             assert validate_params(dataclasses.replace(toy_params, b_rsa=key)) == []
-        assert len(keys._SOUND) == keys._MAX_SOUND
+        assert len(keys._CHECKED) == keys._MAX_CHECKED
         assert keys.sound(toy_params.a_rsa) and not keys.sound(variants[0])
         assert all(map(keys.sound, variants[-5:]))
         assert keys.sound(toy_params.a_elg) and keys.sound(toy_params.sttp_elg)
         wrong = dataclasses.replace(b, d=b.d + 1)
         problems = validate_params(dataclasses.replace(toy_params, b_rsa=wrong))
         assert problems == ["client B: rsa exponents not inverse"]
-        assert not keys.sound(wrong) and list(keys._SOUND)[-3] == toy_params.a_rsa
-        assert list(keys._SOUND)[-2:] == [toy_params.a_elg, toy_params.sttp_elg]
+        assert not keys.sound(wrong) and list(keys._CHECKED)[-3] == toy_params.a_rsa
+        assert list(keys._CHECKED)[-2:] == [toy_params.a_elg, toy_params.sttp_elg]
 
     def test_broken_set_rejected_after_a_valid_one(self, toy_params):
         cfg = SessionConfig(Protocol.COMMON_MESSAGE, toy_params, b"terms", seed=bytes(32))
@@ -309,12 +314,11 @@ class TestBatchedPrimality:
         ]
 
     def test_forked_validation_keeps_its_proofs(self, small_set, many_cpus, monkeypatch):
-        monkeypatch.setattr(keys, "_SOUND", {})
-        monkeypatch.setattr(keys, "_violations", keys._violations.__wrapped__)
+        monkeypatch.setattr(keys, "_CHECKED", {})
         assert validate_params(small_set) == []
         sp = small_set
         assert len(many_cpus) == 1
-        assert list(keys._SOUND) == [sp.a_rsa, sp.b_rsa, sp.a_elg, sp.sttp_elg]
+        assert list(keys._CHECKED) == [sp.a_rsa, sp.b_rsa, sp.a_elg, sp.sttp_elg]
         assert not keys.sound(sp.a_rsa.public()) and not keys.sound(sp.a_elg.public())
 
     def test_toy_sets_never_fork(self, many_cpus, monkeypatch):
@@ -357,22 +361,22 @@ class TestForkedKeygen:
         return made
 
     @pytest.fixture
-    def own_cache(self, monkeypatch):
-        """A validation cache of the test's own, so the sets other tests validated stay in the shared one."""
-        monkeypatch.setattr(keys, "_violations", lru_cache(maxsize=16)(keys._violations.__wrapped__))
+    def own_store(self, monkeypatch):
+        """A cold store of checked pairs, the test's own, so the pairs other tests validated stay in the shared one."""
+        monkeypatch.setattr(keys, "_CHECKED", {})
 
     def generate(self, monkeypatch, cpus: int, tag: bytes = b"forked keygen", certified: bool = False):
         monkeypatch.setattr(arith, "_usable_cpus", lambda: cpus)
         return generate_system_params(SMALL, rng(tag), certified=certified)
 
     def test_same_set_and_file_on_one_and_three_cpus(
-        self, monkeypatch, tmp_path, made_here, forks, own_cache, certified=False
+        self, monkeypatch, tmp_path, made_here, forks, own_store, certified=False
     ):
         one = self.generate(monkeypatch, 1, certified=certified)
         assert forks == [] and sorted(made_here) == [128] * 4 + [256] * 2
         assert (one.sttp_elg.P_cert is not None) == (one.b_rsa.q_cert is not None) == certified
         made_here.clear()
-        # The 1-CPU run left this set's validation in the cache, so the
+        # The 1-CPU run left this set's pairs in the store, so the
         # 3-CPU run pairs only keygen's jobs: B's and the STTP's keys are made in the helper.
         three = self.generate(monkeypatch, 3, certified=certified)
         assert len(forks) == 1 and sorted(made_here) == [128, 128, 256]
@@ -382,12 +386,12 @@ class TestForkedKeygen:
         assert (tmp_path / "three.txt").read_bytes() == (tmp_path / "one.txt").read_bytes()
 
     def test_same_certified_set_and_file_on_one_and_three_cpus(
-        self, monkeypatch, tmp_path, made_here, forks, own_cache
+        self, monkeypatch, tmp_path, made_here, forks, own_store
     ):
-        self.test_same_set_and_file_on_one_and_three_cpus(monkeypatch, tmp_path, made_here, forks, own_cache, True)
+        self.test_same_set_and_file_on_one_and_three_cpus(monkeypatch, tmp_path, made_here, forks, own_store, True)
 
     def test_children_that_die_leave_the_work_to_the_parent(
-        self, monkeypatch, tmp_path, made_here, forks, own_cache, certified=False
+        self, monkeypatch, tmp_path, made_here, forks, own_store, certified=False
     ):
         one = self.generate(monkeypatch, 1, b"dying children", certified)
         made_here.clear()
@@ -404,10 +408,10 @@ class TestForkedKeygen:
         assert three == one and (tmp_path / "three.txt").read_bytes() == (tmp_path / "one.txt").read_bytes()
 
     def test_certified_children_that_die_leave_the_work_to_the_parent(
-        self, monkeypatch, tmp_path, made_here, forks, own_cache
+        self, monkeypatch, tmp_path, made_here, forks, own_store
     ):
         self.test_children_that_die_leave_the_work_to_the_parent(
-            monkeypatch, tmp_path, made_here, forks, own_cache, True
+            monkeypatch, tmp_path, made_here, forks, own_store, True
         )
 
     @pytest.mark.filterwarnings("error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning")
@@ -432,7 +436,7 @@ class TestForkedKeygen:
 
         monkeypatch.setattr(os, "pipe", recorded_pipe)
         monkeypatch.setattr(os, "fork", refused_fork)
-        monkeypatch.setattr(keys, "_violations", keys._violations.__wrapped__)
+        monkeypatch.setattr(keys, "_CHECKED", {})  # so the set-up validates again
         assert self.generate(monkeypatch, 3, b"refused forks") == one
         numbers = {one.a_elg.P, one.sttp_elg.P, one.a_rsa.n, one.a_rsa.p, one.b_rsa.q, 3 * one.a_elg.P}
         assert keys._primality(numbers) == {n: is_probable_prime(n) for n in numbers}
@@ -450,11 +454,10 @@ class TestForkedKeygen:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    def test_waiting_pairs_never_take_a_late_pair_s_reply(self, monkeypatch, made_here, forks, own_cache):
+    def test_waiting_pairs_never_take_a_late_pair_s_reply(self, monkeypatch, made_here, forks, own_store):
         one = self.generate(monkeypatch, 1, b"late reply")
         numbers = {one.a_elg.P, one.sttp_elg.P, one.a_rsa.n, one.a_rsa.p, one.b_rsa.q}
         verdicts = keys._primality(numbers)
-        monkeypatch.setattr(keys, "_violations", keys._violations.__wrapped__)  # so each set-up validates
         monkeypatch.setattr(arith, "_solo_pairs", 0)
         monkeypatch.setattr(arith, "_usable_cpus", lambda: 3)
         r, w = os.pipe()
@@ -462,12 +465,14 @@ class TestForkedKeygen:
             assert arith.pair((abs, (-1,)), (_late_in_helper, (r,)), arith.PAIR_MIN_BITS) == (1, b"")
             assert arith._busy == 2  # the helper owes a reply: keygen and validation run here
             made_here.clear()
+            monkeypatch.setattr(keys, "_CHECKED", {})  # so each set-up validates
             assert self.generate(monkeypatch, 3, b"late reply") == one
             assert keys._primality(numbers) == verdicts
             assert sorted(made_here) == [128] * 4 + [256] * 2
             os.write(w, b"x")  # the late reply comes, and is left unread
             assert select.select([arith._helper[2]], [], [], 10)[0] and arith._busy == 2
             made_here.clear()
+            monkeypatch.setattr(keys, "_CHECKED", {})  # so each set-up validates
             assert self.generate(monkeypatch, 3, b"late reply") == one
             assert keys._primality(numbers) == verdicts
             assert sorted(made_here) == [128, 128, 256] and arith._busy == 0 and len(forks) == 1

@@ -4,6 +4,7 @@ import hashlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fairex import cembs
 from fairex.arith import Rng, int_from_bytes, int_to_bytes
 from fairex.cembs import encrypt_and_certify, sample_nonces
 from fairex.errors import ParameterError, SetupError
@@ -259,6 +260,26 @@ class TestSttpSteps:
         second = sttp.step(request, now=25)
         assert first == second
 
+    @pytest.mark.parametrize("v_b", ["P_A", "4 KB"])
+    def test_reply_value_out_of_range_makes_no_power_of_g(self, params, monkeypatch, v_b):
+        """V_B outside (0, P_A), as B requires of V_A: rejected as before, before g^V_B is made."""
+        cfg = make_cfg(params)
+        a, b, sttp, request = self.drive_to_recovery(cfg, params)
+        value = params.a_elg.P if v_b == "P_A" else 1 << (8 * 4096 - 1)
+        hostile = dataclasses.replace(request, fields=request.fields[:5] + (int_to_bytes(value),) + request.fields[6:])
+        forward = WireMessage(MsgType.FORWARD_CIPHERTEXT, SID, hostile.fields[4:6])
+        transcript = Transcript()
+        transcript.add(0, "B", "STTP", hostile)
+        transcript.add(1, "STTP", "A", forward)
+        powers, fixed_base_exp = [], cembs.fixed_base_exp  # (base, modulus) of each fixed-base power
+        monkeypatch.setattr(cembs, "fixed_base_exp", lambda *args: powers.append(args[::2]) or fixed_base_exp(*args))
+        assert sttp.step(hostile, now=10) == []
+        assert sttp.state.violations == ["rejected recovery request (offer cert ok, reply cert bad)"]
+        report = audit(transcript, params.public(), cfg.protocol, cfg.payload)
+        assert (report.fair, report.a_acquired_valid, report.b_acquired_valid) == (True, False, False)
+        g = params.commit_base
+        assert powers and (g.g, g.n_ref) not in powers
+
 
 class TestCarriedItem:
     def test_items_by_message_type(self, params):
@@ -352,6 +373,38 @@ class TestReplayGap:
         # so session Y's blind half completes session X's recovery.
         b.step(out[0][1], now=11)
         assert b.state.verdict == "recovered"
+
+
+class TestDishonestA:
+    """Known gap (README, Limitations): A certifies garbage in place of s_A and never releases it.
+
+    The certificate does not bind the plaintext, so B's check passes and
+    B replies: A holds B's item.  The arbiter answers B's recovery, and
+    the blind half unblinds to the garbage, so B aborts.  Both audits,
+    with the private keys and with the public ones, call the run unfair.
+    """
+
+    @pytest.mark.parametrize("protocol", list(Protocol))
+    def test_both_audits_call_the_run_unfair(self, params, protocol):
+        cfg = make_cfg(params, protocol=protocol, payload=b"ok")
+        a, b, sttp = fresh_parties(cfg)
+        a.signature = 2  # what A certifies in its offer
+        out, offer = run_offer_through_b(cfg, a, b)
+        (_, reply), = out
+        assert [m.msg_type for _, m in a.step(reply, now=2)] == [MsgType.FINAL_SIGNATURE]  # never sent
+        (_, request), = b.step(Timeout(), now=9)
+        transcript = Transcript()
+        transcript.add(1, "A", "B", offer)
+        transcript.add(2, "B", "A", reply)
+        transcript.add(9, "B", "STTP", request)
+        for receiver, message in sttp.step(request, now=10):
+            transcript.add(11, "STTP", receiver, message)
+            {"A": a, "B": b}[receiver].step(message, now=11)
+        assert (a.state.verdict, b.state.verdict) == ("success", "aborted")
+        assert b.state.violations == ["recovered value is not a valid signature"]
+        for keys in (params, params.public()):
+            report = audit(transcript, keys, protocol, cfg.payload)
+            assert (report.fair, report.a_acquired_valid, report.b_acquired_valid) == (False, True, False)
 
 
 class TestDishonestB:

@@ -169,7 +169,7 @@ class TestReducedVerify:
     @pytest.fixture
     def proofs(self, monkeypatch):
         # An empty store: only what this test validates counts as sound.
-        monkeypatch.setattr(keys, "_SOUND", {})
+        monkeypatch.setattr(keys, "_CHECKED", {})
 
     @pytest.fixture
     def signatures(self):

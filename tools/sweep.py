@@ -7,11 +7,13 @@ sessions on toy keys from `Rng(bytes(32))`, session seed `bytes(32)`.
 It prints one line: the session count, the stalled sessions, the
 sessions whose private audit disagrees with what the parties hold, and
 a SHA-256 over each session's script, transcript, every party's phase,
-verdict, held item and violations, its stall flag and its audit.  Two
-trees print the same line when they run every one of these sessions
-the same way.  It takes about 55 s on one core of a 2-CPU Xeon host.
+verdict, held item and violations, its stall flag, its audit with the
+private keys and its audit with the public keys only.  Two trees print
+the same line when they run every one of these sessions the same way.
+It takes about 55 s on one core of a 2-CPU Xeon host.
 
-    python3 tools/sweep.py
+    python3 tools/sweep.py          # every session
+    python3 tools/sweep.py 32       # every 32nd: 4,505 sessions, the slice tier-1 pins
 """
 
 import hashlib
@@ -40,33 +42,39 @@ EXTRA_DIRECTIVES = [
 TIMEOUTS = (1, 8)
 
 
-def main() -> None:
-    params = generate_system_params("toy", Rng(bytes(32)))
+def sessions() -> list[tuple[Protocol, int, str]]:
+    """(protocol, timeout, script) of each session, in the order the sweep runs and hashes them."""
     directives = every_directive() + EXTRA_DIRECTIVES
+    scripts = [f"{first}\n{second}\n" for first in directives for second in directives]
+    return [(protocol, timeout, script) for protocol in Protocol for timeout in TIMEOUTS for script in scripts]
+
+
+def sweep(step: int = 1) -> str:
+    """The sweep's line over every `step`-th session of `sessions()`, from the first."""
+    params = generate_system_params("toy", Rng(bytes(32)))
+    public = params.public()
+    configs = {
+        (protocol, timeout): SessionConfig(protocol, params, default_payload(protocol), seed=bytes(32), timeout=timeout)
+        for protocol in Protocol
+        for timeout in TIMEOUTS
+    }
     digest = hashlib.sha256()
-    sessions = stalls = disagreements = 0
-    for protocol in Protocol:
-        payload = default_payload(protocol)
-        for timeout in TIMEOUTS:
-            cfg = SessionConfig(protocol, params, payload, seed=bytes(32), timeout=timeout)
-            for first in directives:
-                for second in directives:
-                    script = f"{first}\n{second}\n"
-                    result = run_session(cfg, FaultScript.parse(script))
-                    report = audit(result.transcript, params, protocol, payload)
-                    sessions += 1
-                    stalls += result.stalled
-                    disagreements += report != live_flags(result)
-                    digest.update(repr((protocol.value, timeout, script)).encode())
-                    digest.update(result.transcript.to_text().encode())
-                    for role in ROLES:
-                        state = result.states[role]
-                        digest.update(
-                            repr((role, state.phase, state.verdict, state.acquired, state.violations)).encode()
-                        )
-                    digest.update(repr((result.stalled, report)).encode())
-    print(f"sessions {sessions} stalls {stalls} disagreements {disagreements} digest {digest.hexdigest()}")
+    count = stalls = disagreements = 0
+    for protocol, timeout, script in sessions()[::step]:
+        cfg = configs[protocol, timeout]
+        result = run_session(cfg, FaultScript.parse(script))
+        report = audit(result.transcript, params, protocol, cfg.payload)
+        count += 1
+        stalls += result.stalled
+        disagreements += report != live_flags(result)
+        digest.update(repr((protocol.value, timeout, script)).encode())
+        digest.update(result.transcript.to_text().encode())
+        for role in ROLES:
+            state = result.states[role]
+            digest.update(repr((role, state.phase, state.verdict, state.acquired, state.violations)).encode())
+        digest.update(repr((result.stalled, report, audit(result.transcript, public, protocol, cfg.payload))).encode())
+    return f"sessions {count} stalls {stalls} disagreements {disagreements} digest {digest.hexdigest()}"
 
 
 if __name__ == "__main__":
-    main()
+    print(sweep(int(sys.argv[1]) if len(sys.argv) > 1 else 1))

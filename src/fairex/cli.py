@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import os
 import sys
 from pathlib import Path
 
@@ -57,16 +58,22 @@ def _parse_seed(text: str) -> bytes:
     return raw if len(raw) == 32 else hashlib.sha256(raw).digest()
 
 
-def _load_fault(spec: str) -> FaultScript:
-    if spec in SHIPPED_FAULT_SCRIPTS:
-        return shipped_script(spec)
-    path = Path(spec)
-    if not path.exists():
+def _load_fault_file(path: str) -> FaultScript:
+    if not Path(path).exists():
         raise FairexError(
-            f"fault script {spec!r} is neither a shipped script "
+            f"fault script {path!r} is neither a shipped script "
             f"({', '.join(sorted(SHIPPED_FAULT_SCRIPTS))}) nor a file"
         )
     return FaultScript.load(path)
+
+
+def _distinct(outputs: dict[str, str | None], inputs: dict[str, str | None]) -> None:
+    """Refuse an output that names the same file as an input or another output, however the paths are spelled."""
+    named = {os.path.realpath(path): flag for flag, path in inputs.items() if path}
+    for flag, path in outputs.items():
+        other = named.setdefault(os.path.realpath(path), flag) if path else flag
+        if other != flag:
+            raise FairexError(f"{flag} {path} names the same file as {other}")
 
 
 def _payload_from_args(args) -> bytes | tuple[bytes, bytes]:
@@ -92,6 +99,7 @@ def _payload_from_args(args) -> bytes | tuple[bytes, bytes]:
 
 
 def _cmd_keygen(args) -> int:
+    _distinct({"--out": args.out, "--public-out": args.public_out}, {})
     params = generate_system_params(args.profile, Rng(_parse_seed(args.seed)), certified=True)
     save_params(params, args.out)
     if args.public_out:
@@ -111,6 +119,9 @@ def _report_lines(report) -> list[str]:
 
 
 def _cmd_run(args) -> int:
+    fault_file = None if args.fault in SHIPPED_FAULT_SCRIPTS else args.fault
+    _distinct({"--transcript": args.transcript},
+              {"--keys": args.keys, "--fault": fault_file, "--file-a": args.file_a, "--file-b": args.file_b})
     protocol = _PROTOCOLS[args.protocol]
     payload = _payload_from_args(args)
     params = load_params(args.keys)
@@ -121,7 +132,7 @@ def _cmd_run(args) -> int:
         seed=_parse_seed(args.seed),
         timeout=args.timeout,
     )
-    fault = _load_fault(args.fault)
+    fault = shipped_script(args.fault) if fault_file is None else _load_fault_file(fault_file)
     result = run_session(cfg, fault)
     if args.transcript:
         result.transcript.save(args.transcript)

@@ -26,7 +26,9 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
+from itertools import zip_longest
 from math import gcd, isqrt
 from pathlib import Path
 
@@ -303,9 +305,7 @@ def generate_system_params(profile: BitProfile | str, rng: Rng, *, certified: bo
         (lambda: (_gen_elg(profile, rng_a, floor_a, certified), _gen_commit_base(a_rsa.n, rng_a)), ()),
         (_gen_elg, (profile, rng_t, a_rsa.n, certified)), bits, wait=True,
     )
-    params = SystemParams(
-        a_rsa=a_rsa, b_rsa=b_rsa, a_elg=a_elg, sttp_elg=sttp_elg, commit_base=base, bit_profile=profile
-    )
+    params = SystemParams(a_rsa=a_rsa, b_rsa=b_rsa, a_elg=a_elg, sttp_elg=sttp_elg, commit_base=base)
     violations = validate_params(params)
     if violations:
         raise SetupError(f"generated parameters invalid: {violations}")
@@ -455,20 +455,28 @@ def _line(name: str, value: int | Certificate) -> str:
 
 
 def _read(name: str, value: str) -> int | Certificate:
-    """The value of a `_line`, read without checks: `load_params` writes it back to compare."""
+    """The value of a `_line`, unchecked but of no more levels than its count byte: `load_params` writes it back."""
     data = bytes.fromhex(value)
     if name not in _CERT_FIELDS:
         return int.from_bytes(data, "big")
     ints, pos = [], 1
-    while pos < len(data):
+    while pos < len(data) and len(ints) < 2 * data[0]:
         size = int.from_bytes(data[pos : pos + 2], "big")
         ints.append(int.from_bytes(data[pos + 2 : pos + 2 + size], "big"))
         pos += 2 + size
     return tuple(zip(ints[::2], ints[1::2]))
 
 
+def _render(records: dict[str, dict]) -> Iterator[str]:
+    """The lines of a key file holding `records` (role -> field -> value), in `_ROLE_FIELDS` order, None left out."""
+    for role, names in _ROLE_FIELDS.items():
+        if role in records:
+            yield f"role={role}"
+            yield from (_line(name, records[role][name]) for name in names if records[role].get(name) is not None)
+
+
 def save_params(sp: SystemParams, path: str | Path) -> None:
-    """Write a key file: `role=A|B|STTP` opens a record, `field=hex` lines follow.
+    """Write a key file: each role's `role=` line, then its `field=hex` lines, in `_ROLE_FIELDS` order.
 
     Fields that are None are omitted, so `sp.public()` writes a private-free export.
     """
@@ -478,51 +486,34 @@ def save_params(sp: SystemParams, path: str | Path) -> None:
         "B": vars(sp.b_rsa),
         "STTP": vars(sp.sttp_elg),
     }
-    lines = []
-    for role, fields in _ROLE_FIELDS.items():
-        lines.append(f"role={role}")
-        for name in fields:
-            value = values[role][name]
-            if value is None:
-                continue
-            lines.append(_line(name, value))
-    write_whole(path, ("\n".join(lines) + "\n").encode())
+    write_whole(path, ("\n".join(_render(values)) + "\n").encode())
 
 
 def load_params(path: str | Path) -> SystemParams:
-    """Parse a key file that save_params wrote.  Missing private fields load as None.
+    """Parse a key file, exactly as save_params writes it.  Missing private fields load as None.
 
-    Lines split on "\n" only, and the last one must end in it.  A field loads
-    only if `_line` writes its value back unchanged, so upper case, leading
-    zeros, spaces, comments and blank lines are errors, as are a role or a
-    field given twice and a field its role does not have.  Each error names its line.
+    Lines split on "\n" only, and the last one must end in it.  A role line
+    opens a record, and a role or field given twice keeps its first copy.  The
+    file loads only if `_render` writes back the very lines read, so upper case,
+    leading zeros, spaces, comments, blank lines, repeats, stray or unreadable
+    fields and any other order are errors naming the first line that differs.
     """
     records: dict[str, dict] = {}
-    role: str | None = None
+    fields: dict = {}  # where lines before any role line go; never written back
     lines = read_text(path, ParameterError).split("\n")
     if lines.pop():
         raise ParameterError(f"{path}:{len(lines) + 1}: no line end")
-    for lineno, line in enumerate(lines, start=1):
-        name, _, value = line.partition("=")
+    for name, _, value in (line.partition("=") for line in lines):
         if name == "role":
-            if value not in _ROLE_FIELDS:
-                raise ParameterError(f"{path}:{lineno}: unknown role {value!r}")
-            if value in records:
-                raise ParameterError(f"{path}:{lineno}: role {value} repeated")
-            role, records[value] = value, {}
+            fields = records.setdefault(value, {})
             continue
-        if role is None:
-            raise ParameterError(f"{path}:{lineno}: field before any role line")
-        if name not in _ROLE_FIELDS[role]:
-            raise ParameterError(f"{path}:{lineno}: role {role} has no field {name!r}")
-        if name in records[role]:
-            raise ParameterError(f"{path}:{lineno}: field {name} repeated")
         try:
-            records[role][name] = _read(name, value)
-            if _line(name, records[role][name]) != line:
-                raise ValueError
+            fields.setdefault(name, _read(name, value))
         except ValueError:
-            raise ParameterError(f"{path}:{lineno}: not as save_params writes it") from None
+            pass  # an unreadable value is not written back
+    for lineno, (line, written) in enumerate(zip_longest(lines, _render(records)), start=1):
+        if line != written:
+            raise ParameterError(f"{path}:{lineno}: not as save_params writes it")
     missing = set(_ROLE_FIELDS) - set(records)
     if missing:
         raise ParameterError(f"{path}: missing roles {sorted(missing)}")

@@ -65,6 +65,14 @@ class TestKeygen:
         assert err.startswith("error: [Errno ") and err.endswith(f": '{target}'\n") and ".tmp" not in err
         assert [p.name for p in tmp_path.iterdir()] == ([target] if target == "keys.txt" else [])
 
+    @pytest.mark.parametrize("public_out", ["k.txt", "./k.txt", "sub/../k.txt"])
+    def test_one_file_for_both_outputs_is_usage_error(self, tmp_path, capsys, monkeypatch, public_out):
+        monkeypatch.chdir(tmp_path)
+        Path("k.txt").write_bytes(b"old bytes\n")
+        rc = cli_main(["keygen", "--profile", "toy", "--seed", "00", "--out", "k.txt", "--public-out", public_out])
+        assert rc == 2 and capsys.readouterr().err.startswith("error: ")
+        assert [p.name for p in tmp_path.iterdir()] == ["k.txt"] and Path("k.txt").read_bytes() == b"old bytes\n"
+
 
 class TestRun:
     def test_fault_free_is_fair(self, keyfile, tmp_path, capsys):
@@ -111,6 +119,19 @@ class TestRun:
         assert rc == 0
         assert "run finished (A=success, B=recovered)\n" in out
         assert "fair outcome:        yes" in out
+
+    @pytest.mark.parametrize("flag", ["--keys", "--fault", "--file-a", "--file-b"])
+    def test_transcript_over_an_input_is_usage_error(self, keyfile, tmp_path, capsys, monkeypatch, flag):
+        monkeypatch.chdir(tmp_path)
+        inputs = {"--keys": "keys.txt", "--fault": "fault.txt", "--file-a": "a.txt", "--file-b": "b.txt"}
+        for name in inputs.values():
+            Path(name).write_bytes(keyfile.read_bytes() if name == "keys.txt" else b"final-signature drop\n")
+        before = {name: Path(name).read_bytes() for name in inputs.values()}
+        args = ["run", "--protocol", "linked", "--seed", "01", *(x for pair in inputs.items() for x in pair)]
+        rc = cli_main(args + ["--transcript", f"./{inputs[flag]}"])
+        assert rc == 2 and capsys.readouterr().err.startswith("error: --transcript ")
+        assert {name: Path(name).read_bytes() for name in inputs.values()} == before
+        assert cli_main(args + ["--transcript", "t.txt"]) == 0
 
     def test_unknown_fault_is_usage_error(self, keyfile):
         rc = cli_main([

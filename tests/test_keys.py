@@ -162,7 +162,7 @@ class TestValidateParamsCache:
         path = tmp_path / "keys.txt"
         save_params(toy_params, path)
         loaded = load_params(path)
-        assert loaded.bit_profile is None and toy_params.bit_profile is not None
+        assert loaded == toy_params and loaded is not toy_params
         assert validate_params(loaded) == []
         assert primality_tests == []
 
@@ -177,7 +177,7 @@ class TestValidateParamsCache:
         path = tmp_path / "keys.txt"
         save_params(sp, path)
         loaded = load_params(path)
-        assert loaded == dataclasses.replace(sp, bit_profile=None)
+        assert loaded == sp
         # A cold store, so each prime is proved again, by its certificate.
         monkeypatch.setattr(keys, "_CHECKED", {})
         assert validate_params(loaded) == []
@@ -660,6 +660,37 @@ class TestKeyFileFuzz:
         assert cli_main(["run", "--keys", str(path), "--seed", "01", "--fault", "drop-final"]) in (0, 1, 2)
         assert cli_main(["audit", "--keys", str(path), "--transcript", str(honest_transcripts[certified])]) in (0, 1, 2)
 
+    # One to three line edits, each (what, line, other line), line indexes taken modulo the file's length.
+    LINE_EDITS = st.lists(
+        st.tuples(st.sampled_from(["swap", "duplicate", "delete"]), st.integers(0, 40), st.integers(0, 40)),
+        min_size=1, max_size=3,
+    )
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(certified=st.booleans(), public=st.booleans(), edits=LINE_EDITS)
+    @example(certified=False, public=False, edits=[("swap", 1, 2)])  # A's n and e
+    def test_a_file_loads_only_if_save_params_writes_it_back(self, toy_params, certified_toy, tmp_path, certified,
+                                                            public, edits):
+        sp = certified_toy if certified else toy_params
+        path = tmp_path / "keys.txt"
+        save_params(sp.public() if public else sp, path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        for what, i, j in edits:
+            i, j = i % len(lines), j % len(lines)
+            if what == "swap":
+                lines[i], lines[j] = lines[j], lines[i]
+            elif what == "duplicate":
+                lines.insert(j, lines[i])
+            else:
+                del lines[i]
+        path.write_bytes(b"".join(lines))
+        try:
+            loaded = load_params(path)
+        except ParameterError:
+            return
+        save_params(loaded, path)
+        assert path.read_bytes() == b"".join(lines)
+
     def test_non_utf8_key_file(self, tmp_path):
         path = tmp_path / "keys.txt"
         path.write_bytes(b"role=A\n\xff\xfe\n")
@@ -690,7 +721,7 @@ class TestKeyFiles:
                 save_params(toy_params, path)
         assert path.read_bytes() == b"old bytes\n" and list(tmp_path.iterdir()) == [path]
         save_params(toy_params, path)
-        assert load_params(path) == dataclasses.replace(toy_params, bit_profile=None)
+        assert load_params(path) == toy_params
         assert list(tmp_path.iterdir()) == [path]
 
     def test_round_trip(self, toy_params, tmp_path):
@@ -752,6 +783,8 @@ class TestKeyFiles:
         "certificate cut inside a length": ("role=STTP\nP_cert=0100\n", 2),
         "certificate longer than its count": ("role=STTP\nP_cert=00000001ff\n", 2),
         "certificate of odd length": ("role=STTP\nP_cert=000\n", 2),
+        "certificate of more levels than a count byte holds": ("role=STTP\nP_cert=00" + "00000000" * 256 + "\n", 2),
+        "B's record before A's": ("role=B\nn=0f\ne=03\nrole=A\nn=0f\ne=03\n", 1),
     }
 
     @pytest.mark.parametrize("case", sorted(STRICT))
@@ -780,6 +813,7 @@ class TestKeyFiles:
         "comment line": ("role=A\n", "role=A\n# a comment\n", 2),
         "blank line": ("role=A\n", "role=A\n\n", 2),
         "no final line end": ("PK=6093c6\n", "PK=6093c6", 22),
+        "A's n and e swapped": ("n=b9c9\ne=1e19\n", "e=1e19\nn=b9c9\n", 2),
     }
 
     @pytest.mark.parametrize("case", sorted(UNWRITTEN))
@@ -788,7 +822,7 @@ class TestKeyFiles:
         path = tmp_path / "keys.txt"
         save_params(toy_params, path)
         text = path.read_bytes().decode()
-        assert text.count(old) == 1 and load_params(path) == dataclasses.replace(toy_params, bit_profile=None)
+        assert text.count(old) == 1 and load_params(path) == toy_params
         path.write_bytes(text.replace(old, new).encode())
         with pytest.raises(ParameterError, match=f"keys.txt:{lineno}: "):
             load_params(path)

@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 _spec = importlib.util.spec_from_file_location("sweep", Path(__file__).resolve().parents[1] / "tools" / "sweep.py")
 sweep = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(sweep)
@@ -13,9 +15,33 @@ SLICE_LINE = (
 )
 
 
+# Its outcome table: sessions per class of `sweep.CLASSES`, by protocol and timeout.
+SLICE_TABLE = {
+    ("common", 1): (191, 364, 178, 18),
+    ("common", 8): (571, 161, 19, 0),
+    ("linked", 1): (191, 363, 181, 16),
+    ("linked", 8): (567, 171, 11, 2),
+    ("data-for-sig", 1): (186, 367, 184, 13),
+    ("data-for-sig", 8): (571, 157, 21, 2),
+}
+
+
+@pytest.fixture(scope="module")
+def every_32nd():
+    return sweep.sweep(32)
+
+
 def test_sweep_runs_every_ordered_pair():
     assert len(sweep.sessions()) == 3 * 2 * 155 * 155 == 144_150
 
 
-def test_every_32nd_session_runs_the_same():
-    assert sweep.sweep(32) == SLICE_LINE
+def test_every_32nd_session_runs_the_same(every_32nd):
+    assert every_32nd[0] == SLICE_LINE
+
+
+def test_every_32nd_session_falls_in_the_same_outcome_class(every_32nd):
+    assert every_32nd[1] == SLICE_TABLE
+
+
+def test_committed_table_counts_every_session():
+    assert sum(map(sum, sweep.TABLE.values())) == len(sweep.sessions())

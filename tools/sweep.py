@@ -10,7 +10,11 @@ a SHA-256 over each session's script, transcript, every party's phase,
 verdict, held item and violations, its stall flag, its audit with the
 private keys and its audit with the public keys only.  Two trees print
 the same line when they run every one of these sessions the same way.
-It takes about 55 s on one core of a 2-CPU Xeon host.
+
+After the line comes the outcome table: the sessions of each protocol and
+timeout in each class of `CLASSES`, by their private-key audit.  A run
+of every session then compares its table with `TABLE` and exits 1 if
+they differ.  It takes about 55 s on one core of a 2-CPU Xeon host.
 
     python3 tools/sweep.py          # every session
     python3 tools/sweep.py 32       # every 32nd: 4,505 sessions, the slice tier-1 pins
@@ -18,6 +22,7 @@ It takes about 55 s on one core of a 2-CPU Xeon host.
 
 import hashlib
 import sys
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -41,6 +46,23 @@ EXTRA_DIRECTIVES = [
 ]
 TIMEOUTS = (1, 8)
 
+# Outcome classes, keyed by (fair, arbiter involved) of a session's audit, in the table's column order.
+CLASSES = {
+    (True, False): "fair, idle",
+    (True, True): "fair, arbiter",
+    (False, True): "unfair, arbiter",
+    (False, False): "unfair, no arbiter message",
+}
+# The outcome table of every session, by protocol and timeout.
+TABLE = {
+    ("common", 1): (6081, 11800, 5628, 516),
+    ("common", 8): (18277, 5056, 634, 58),
+    ("linked", 1): (6081, 11800, 5628, 516),
+    ("linked", 8): (18277, 5056, 634, 58),
+    ("data-for-sig", 1): (6081, 11800, 5628, 516),
+    ("data-for-sig", 8): (18277, 5056, 634, 58),
+}
+
 
 def sessions() -> list[tuple[Protocol, int, str]]:
     """(protocol, timeout, script) of each session, in the order the sweep runs and hashes them."""
@@ -49,8 +71,8 @@ def sessions() -> list[tuple[Protocol, int, str]]:
     return [(protocol, timeout, script) for protocol in Protocol for timeout in TIMEOUTS for script in scripts]
 
 
-def sweep(step: int = 1) -> str:
-    """The sweep's line over every `step`-th session of `sessions()`, from the first."""
+def sweep(step: int = 1) -> tuple[str, dict[tuple[str, int], tuple[int, ...]]]:
+    """The sweep's line and outcome table over every `step`-th session of `sessions()`, from the first."""
     params = generate_system_params("toy", Rng(bytes(32)))
     public = params.public()
     configs = {
@@ -60,6 +82,7 @@ def sweep(step: int = 1) -> str:
     }
     digest = hashlib.sha256()
     count = stalls = disagreements = 0
+    classes = {(protocol.value, timeout): Counter() for protocol, timeout in configs}
     for protocol, timeout, script in sessions()[::step]:
         cfg = configs[protocol, timeout]
         result = run_session(cfg, FaultScript.parse(script))
@@ -67,14 +90,30 @@ def sweep(step: int = 1) -> str:
         count += 1
         stalls += result.stalled
         disagreements += report != live_flags(result)
+        classes[protocol.value, timeout][report.fair, report.sttp_involved] += 1
         digest.update(repr((protocol.value, timeout, script)).encode())
         digest.update(result.transcript.to_text().encode())
         for role in ROLES:
             state = result.states[role]
             digest.update(repr((role, state.phase, state.verdict, state.acquired, state.violations)).encode())
         digest.update(repr((result.stalled, report, audit(result.transcript, public, protocol, cfg.payload))).encode())
-    return f"sessions {count} stalls {stalls} disagreements {disagreements} digest {digest.hexdigest()}"
+    line = f"sessions {count} stalls {stalls} disagreements {disagreements} digest {digest.hexdigest()}"
+    return line, {row: tuple(tally[key] for key in CLASSES) for row, tally in classes.items()}
+
+
+def table_text(table: dict[tuple[str, int], tuple[int, ...]]) -> str:
+    """The outcome table, one row per protocol and timeout."""
+    rows = [("protocol", "timeout", *CLASSES.values())]
+    rows += [(protocol, str(timeout), *map(str, counts)) for (protocol, timeout), counts in table.items()]
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return "\n".join("  ".join(cell.rjust(width) for cell, width in zip(row, widths)) for row in rows)
 
 
 if __name__ == "__main__":
-    print(sweep(int(sys.argv[1]) if len(sys.argv) > 1 else 1))
+    step = int(sys.argv[1]) if len(sys.argv) > 1 else 1
+    line, table = sweep(step)
+    print(line)
+    print(table_text(table))
+    if step == 1:
+        print("outcome table:", "as committed" if table == TABLE else "DIFFERS from the committed one")
+        sys.exit(table != TABLE)

@@ -22,7 +22,7 @@ rep = message_rep(b"the agreed contract", params.a_rsa.n)
 signature = rsa_sign(rep, params.a_rsa)
 w, u = sample_nonces(params.sttp_elg.P, rng)
 W, V, c, r = encrypt_and_certify(signature, ctx, w, u)
-commitment = blind_commit(V, params.commit_base)
+commitment = blind_commit(V, ctx)
 
 print(f"ciphertext  W={W:#x}  V={V:#x}")
 print(f"commitment  C={commitment:#x}")
@@ -37,7 +37,7 @@ bad_r = (r + 1) % (params.sttp_elg.P - 1)
 print(f"tampered r             = {cembs_verify(W, commitment, c, bad_r, ctx)}")
 
 # ... and a commitment to the wrong V does too.
-wrong_c = blind_commit(V + 1, params.commit_base)
+wrong_c = blind_commit(V + 1, ctx)
 print(f"commitment to wrong V  = {cembs_verify(W, wrong_c, c, r, ctx)}")
 
 # Caveat (see README, Limitations): the certificate binds (W, C) but not
@@ -46,5 +46,5 @@ print(f"commitment to wrong V  = {cembs_verify(W, wrong_c, c, r, ctx)}")
 garbage = 31337 % params.sttp_elg.P
 assert not rsa_verify(garbage, rep, params.a_rsa)
 g_W, g_V, g_c, g_r = encrypt_and_certify(garbage, ctx, *sample_nonces(params.sttp_elg.P, rng))
-g_commit = blind_commit(g_V, params.commit_base)
+g_commit = blind_commit(g_V, ctx)
 print(f"garbage plaintext      = {cembs_verify(g_W, g_commit, g_c, g_r, ctx)}  (known limitation)")

@@ -1,7 +1,7 @@
 """Certificates that a ciphertext encrypts a claimed signature.
 
 The sender encrypts a signature s under an ElGamal key (P, G, PK) as
-(W, V) and publishes a commitment C = g^V mod n together with a
+(W, V) and publishes a commitment C = g^V mod n_A together with a
 challenge-response pair (c, r):
 
     a = G^u,  A = a^PK              for a fresh 400-bit nonce u
@@ -32,7 +32,9 @@ verifier's W and a' vary per call.  A certify in a `keys.sound` group
 verify reads a'^PK back through `keys.known_power`: mod_exp's verdict.
 
 Every value is a plain int.  An offer is (W, V, c, r) in wire order, as
-encrypt_and_certify returns it; cembs_verify takes (W, C, c, r).
+encrypt_and_certify returns it; cembs_verify takes (W, C, c, r), and
+ciphertext_certified takes (W, V, c, r), as B, the STTP and the audit
+hold a ciphertext, and returns the C it checked.
 
 The challenge hash is SHA-256 over a canonical length-prefixed encoding
 (see hash_challenge); the one-byte tag separates certificates bound to
@@ -46,7 +48,7 @@ from dataclasses import dataclass
 
 from .arith import Rng, fixed_base_exp, int_from_bytes, int_to_bytes, mod_exp, pair, sample_range
 from .errors import ParameterError
-from .keys import CommitBase, ElgKeyPair, SystemParams, known_power, remember
+from .keys import ElgKeyPair, SystemParams, known_power, remember
 from .elgamal import elg_encrypt
 
 CHALLENGE_BYTES = 32
@@ -64,17 +66,18 @@ class CembsContext:
     recovery ciphertexts in Client A's group.
     """
 
-    commit_base: CommitBase
+    g: int  # commitment base, a unit mod n
+    n: int  # Client A's RSA modulus n_A
     group: ElgKeyPair  # P, G and PK are read; a certify keeps a^PK if it is `keys.sound`
     side_tag: int
 
     @classmethod
     def a_side(cls, params: SystemParams) -> "CembsContext":
-        return cls(commit_base=params.commit_base, group=params.sttp_elg, side_tag=A_SIDE_TAG)
+        return cls(params.g, params.a_rsa.n, params.sttp_elg, A_SIDE_TAG)
 
     @classmethod
     def b_side(cls, params: SystemParams) -> "CembsContext":
-        return cls(commit_base=params.commit_base, group=params.a_elg, side_tag=B_SIDE_TAG)
+        return cls(params.g, params.a_rsa.n, params.a_elg, B_SIDE_TAG)
 
 
 def sample_nonces(P: int, rng: Rng) -> tuple[int, int]:
@@ -98,9 +101,9 @@ def hash_challenge(side_tag: int, elems: list[int]) -> int:
     return int_from_bytes(h.digest())
 
 
-def blind_commit(V: int, base: CommitBase) -> int:
-    """C = g^V mod n_ref: stands in for V inside the challenge hash."""
-    return fixed_base_exp(base.g, V, base.n_ref)
+def blind_commit(V: int, ctx: CembsContext) -> int:
+    """C = g^V mod n_A: stands in for V inside the challenge hash."""
+    return fixed_base_exp(ctx.g, V, ctx.n)
 
 
 def encrypt_and_certify(value: int, ctx: CembsContext, w: int, u: int) -> tuple[int, int, int, int]:
@@ -115,27 +118,28 @@ def encrypt_and_certify(value: int, ctx: CembsContext, w: int, u: int) -> tuple[
     if u.bit_length() != NONCE_U_BITS:
         raise ParameterError(f"nonce u must be exactly {NONCE_U_BITS} bits")
     W, V = elg_encrypt(value, ctx.group, w)
-    commitment = blind_commit(V, ctx.commit_base)
+    commitment = blind_commit(V, ctx)
     big_a, a = pair((fixed_base_exp, (G, u * PK % (P - 1), P)), (fixed_base_exp, (G, u, P)), P.bit_length())
     remember(a, PK, P, big_a, ctx.group)
-    c = hash_challenge(ctx.side_tag, [ctx.commit_base.g, W, commitment, a, big_a])
+    c = hash_challenge(ctx.side_tag, [ctx.g, W, commitment, a, big_a])
     return W, V, c, (u - c * w) % (P - 1)
 
 
 def cembs_verify(W: int, C: int, c: int, r: int, ctx: CembsContext) -> bool:
     """Check a certificate (c, r) against (W, C) alone.  Malformed inputs fail, never raise."""
     P, G, PK = ctx.group.P, ctx.group.G, ctx.group.PK
-    if not 0 < W < P or not 0 < C < ctx.commit_base.n_ref:
+    if not 0 < W < P or not 0 < C < ctx.n:
         return False
     if not 0 <= r < P - 1 or not 0 <= c < 1 << (8 * CHALLENGE_BYTES):
         return False
     w_c, g_r = pair((mod_exp, (W, c, P)), (fixed_base_exp, (G, r, P)), P.bit_length())
     a = g_r * w_c % P
     big_a = known_power(a, PK, P)
-    return c == hash_challenge(ctx.side_tag, [ctx.commit_base.g, W, C, a, big_a])
+    return c == hash_challenge(ctx.side_tag, [ctx.g, W, C, a, big_a])
 
 
-def ciphertext_certified(W: int, V: int, c: int, r: int, ctx: CembsContext) -> bool:
-    """Whether (c, r) certifies the ciphertext (W, V): V lies in (0, P), as every encryption's does, and
-    `cembs_verify` accepts (W, g^V).  A V out of range fails before g^V, whose cost grows with V's size."""
-    return 0 < V < ctx.group.P and cembs_verify(W, blind_commit(V, ctx.commit_base), c, r, ctx)
+def ciphertext_certified(W: int, V: int, c: int, r: int, ctx: CembsContext) -> int | None:
+    """The commitment g^V if (c, r) certifies the ciphertext (W, V), else None: V lies in (0, P), as every
+    encryption's does, and `cembs_verify` accepts (W, g^V).  A V out of range fails before g^V, whose cost
+    grows with V's size."""
+    return C if 0 < V < ctx.group.P and cembs_verify(W, C := blind_commit(V, ctx), c, r, ctx) else None

@@ -335,7 +335,7 @@ def _forward_certified(transcript: Transcript, params: SystemParams) -> bool:
     requests = _delivered(transcript, "STTP", MsgType.RECOVERY_REQUEST)
     b_ctx = CembsContext.b_side(params)
     return any(
-        (w_b, v_b) in forwards and ciphertext_certified(w_b, v_b, c_b, r_b, b_ctx)
+        (w_b, v_b) in forwards and ciphertext_certified(w_b, v_b, c_b, r_b, b_ctx) is not None
         for w_b, v_b, c_b, r_b in (map(int_from_bytes, m.fields[4:8]) for m in requests)
     )
 

@@ -93,19 +93,6 @@ class ElgKeyPair:
 
 
 @dataclass(frozen=True)
-class CommitBase:
-    """Base g of the blinded commitment g^V, living in Z_{n_ref}^*.
-
-    n_ref = p*q is composite, so the unit group is not cyclic and g has
-    some unknown (large, with overwhelming probability) order; g is
-    sampled uniformly from the units with {1, n_ref - 1} excluded.
-    """
-
-    g: int
-    n_ref: int
-
-
-@dataclass(frozen=True)
 class BitProfile:
     rsa_prime_bits: int
     elg_bits: int
@@ -129,7 +116,9 @@ class SystemParams:
     b_rsa: RsaKeyPair
     a_elg: ElgKeyPair
     sttp_elg: ElgKeyPair
-    commit_base: CommitBase
+    # Base of the blinded commitment g^V mod n_A: a unit other than 1 and n_A - 1.  n_A = p*q is
+    # composite, so the unit group is not cyclic and g has an unknown (large, whp) order.
+    g: int
     bit_profile: BitProfile | None = None
 
     def public(self) -> "SystemParams":
@@ -268,11 +257,11 @@ def _gen_rsa(profile: BitProfile, rng: Rng, certified: bool = False) -> RsaKeyPa
     return RsaKeyPair(n=n, e=e, d=d, p=p, q=q, p_cert=p_cert, q_cert=q_cert)
 
 
-def _gen_commit_base(n: int, rng: Rng) -> CommitBase:
+def _gen_commit_base(n: int, rng: Rng) -> int:
     for _ in range(_MAX_RETRIES):
         g = sample_range(2, n - 1, rng)  # excludes 1 and n-1
         if gcd(g, n) == 1:
-            return CommitBase(g=g, n_ref=n)
+            return g
     raise SetupError("no commitment base found after bounded retries")
 
 
@@ -301,11 +290,11 @@ def generate_system_params(profile: BitProfile | str, rng: Rng, *, certified: bo
         (_gen_rsa, (profile, rng_a, certified)), (_gen_rsa, (profile, rng_b, certified)), bits, wait=True
     )
     floor_a = max(a_rsa.n, b_rsa.n)
-    (a_elg, base), sttp_elg = pair(
+    (a_elg, g), sttp_elg = pair(
         (lambda: (_gen_elg(profile, rng_a, floor_a, certified), _gen_commit_base(a_rsa.n, rng_a)), ()),
         (_gen_elg, (profile, rng_t, a_rsa.n, certified)), bits, wait=True,
     )
-    params = SystemParams(a_rsa=a_rsa, b_rsa=b_rsa, a_elg=a_elg, sttp_elg=sttp_elg, commit_base=base)
+    params = SystemParams(a_rsa=a_rsa, b_rsa=b_rsa, a_elg=a_elg, sttp_elg=sttp_elg, g=g)
     violations = validate_params(params)
     if violations:
         raise SetupError(f"generated parameters invalid: {violations}")
@@ -359,7 +348,7 @@ def validate_params(sp: SystemParams) -> list[str]:
     checks read no other pair, so the pairs found with nothing wrong are
     kept, newest last, four per set for the last 16 sets, and a call
     checks only the pairs it does not hold (`sound` reads them); the
-    checks across pairs (commit base, embeddings) run on every call.
+    checks across pairs (g a unit mod n_A, embeddings) run on every call.
     """
     global _CHECKED
     checked = _CHECKED  # one snapshot, so each pair it lacks is both proved and checked
@@ -375,10 +364,7 @@ def validate_params(sp: SystemParams) -> list[str]:
     prime = {(n, cert): tested[n] if cert is None else _certified(n, cert) for n, cert in claims}
     out: list[str] = []
     fine = [key for check, who, key in checks if key in checked or check(key, who, prime, out)]
-    base = sp.commit_base
-    if base.n_ref != sp.a_rsa.n:
-        out.append("commit base: wrong modulus")
-    if gcd(base.g, base.n_ref) != 1 or base.g in (1, base.n_ref - 1) or not 0 < base.g < base.n_ref:
+    if not 1 < sp.g < sp.a_rsa.n - 1 or gcd(sp.g, sp.a_rsa.n) != 1:
         out.append("commit base: invalid element")
     if sp.a_rsa.n >= sp.sttp_elg.P:
         out.append("plaintext embedding (n_A >= P_T)")
@@ -482,7 +468,7 @@ def save_params(sp: SystemParams, path: str | Path) -> None:
     """
     # Key-file field names are the key pairs' field names.
     values = {
-        "A": {**vars(sp.a_rsa), **vars(sp.a_elg), "g": sp.commit_base.g},
+        "A": {**vars(sp.a_rsa), **vars(sp.a_elg), "g": sp.g},
         "B": vars(sp.b_rsa),
         "STTP": vars(sp.sttp_elg),
     }
@@ -524,7 +510,7 @@ def load_params(path: str | Path) -> SystemParams:
             b_rsa=RsaKeyPair(b["n"], b["e"], *map(b.get, ("d", "p", "q", "p_cert", "q_cert"))),
             a_elg=ElgKeyPair(a["P"], a["G"], a["PK"], a.get("SK"), a.get("P_cert")),
             sttp_elg=ElgKeyPair(t["P"], t["G"], t["PK"], t.get("SK"), t.get("P_cert")),
-            commit_base=CommitBase(g=a["g"], n_ref=a["n"]),
+            g=a["g"],
         )
     except KeyError as exc:
         raise ParameterError(f"{path}: missing field {exc}") from None

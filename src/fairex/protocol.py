@@ -29,7 +29,7 @@ import hashlib
 from dataclasses import dataclass, field
 
 from .arith import Rng, int_from_bytes, int_to_bytes
-from .cembs import CembsContext, blind_commit, cembs_verify, ciphertext_certified, encrypt_and_certify, sample_nonces
+from .cembs import CembsContext, cembs_verify, ciphertext_certified, encrypt_and_certify, sample_nonces
 from .elgamal import blind_half, elg_decrypt, unblind
 from .errors import EmbeddingError, ParameterError, SetupError
 from .keys import SystemParams, validate_params
@@ -311,12 +311,9 @@ class ClientB(_Party):
 
     def _on_offer(self, incoming: WireMessage, now: int) -> list:
         w_a, v_a, c_a, r_a = _int_fields(incoming)
-        if not 0 < v_a < self.cfg.params.sttp_elg.P:
+        commitment = ciphertext_certified(w_a, v_a, c_a, r_a, self.a_ctx)
+        if commitment is None:
             self._finish("aborted")  # stop the protocol
-            return []
-        commitment = blind_commit(v_a, self.cfg.params.commit_base)
-        if not cembs_verify(w_a, commitment, c_a, r_a, self.a_ctx):
-            self._finish("aborted")
             return []
         self.v_a, self.offer = v_a, (w_a, commitment, c_a, r_a)
         self.state.phase = "wait_final"
@@ -360,7 +357,7 @@ class Sttp(_Party):
             return self._violation(incoming)
         w_a, c_blind, c_a, r_a, w_b, v_b, c_b, r_b = _int_fields(incoming)
         offer_ok = cembs_verify(w_a, c_blind, c_a, r_a, self.a_ctx)
-        reply_ok = ciphertext_certified(w_b, v_b, c_b, r_b, self.b_ctx)
+        reply_ok = ciphertext_certified(w_b, v_b, c_b, r_b, self.b_ctx) is not None
         if not (offer_ok and reply_ok):
             self.state.violations.append(
                 f"rejected recovery request (offer cert {'ok' if offer_ok else 'bad'}, "

@@ -14,7 +14,7 @@ import hashlib
 from pathlib import Path
 
 from .arith import Rng
-from .cembs import CembsContext, blind_commit, cembs_verify, encrypt_and_certify, sample_nonces
+from .cembs import CembsContext, ciphertext_certified, encrypt_and_certify, sample_nonces
 from .errors import write_whole
 from .keys import _hex, generate_system_params
 from .rsa import message_rep, rsa_sign
@@ -39,15 +39,15 @@ def generate_vectors_text() -> str:
         signature = rsa_sign(rep, params.a_rsa)
         w, u = sample_nonces(params.sttp_elg.P, rng.child(b"nonces-%d" % index))
         W, V, c, r = encrypt_and_certify(signature, ctx, w, u)
-        commitment = blind_commit(V, params.commit_base)
-        assert cembs_verify(W, commitment, c, r, ctx)
+        commitment = ciphertext_certified(W, V, c, r, ctx)
+        assert commitment is not None
         lines += [
             f"vector={index}",
             f"message={raw.hex()}",
             f"n_A={_hex(params.a_rsa.n)}",
             f"e_A={_hex(params.a_rsa.e)}",
             f"d_A={_hex(params.a_rsa.d)}",
-            f"g={_hex(params.commit_base.g)}",
+            f"g={_hex(params.g)}",
             f"P_T={_hex(params.sttp_elg.P)}",
             f"G_T={_hex(params.sttp_elg.G)}",
             f"SK_T={_hex(params.sttp_elg.SK)}",

@@ -107,7 +107,7 @@ def test_03_certificate_completeness(correctness_identity_check):
             signature = rsa_sign(message, params.a_rsa)
             w, u = sample_nonces(params.sttp_elg.P, source.child(b"nonce%d" % i))
             W, V, c, r = encrypt_and_certify(signature, ctx, w, u)
-            assert cembs_verify(W, blind_commit(V, params.commit_base), c, r, ctx)
+            assert cembs_verify(W, blind_commit(V, ctx), c, r, ctx)
         P, G, PK = 23, 5, 8
         for w in range(22):
             W = pow(G, w, P)
@@ -127,7 +127,7 @@ def test_04_certificate_tamper_sensitivity(toy_params):
             signature = rsa_sign(message, params.a_rsa)
             w, u = sample_nonces(params.sttp_elg.P, source.child(b"n%d" % i))
             W, V, c, r = encrypt_and_certify(signature, ctx, w, u)
-            commitment = blind_commit(V, params.commit_base)
+            commitment = blind_commit(V, ctx)
             values = [W, commitment, r, c]
             encodings = [bytearray(int_to_bytes(v)) or bytearray(b"\x00") for v in values]
             lengths = [len(e) for e in encodings]
@@ -249,4 +249,4 @@ def test_10_certificate_binding_gap(toy_params):
         assert not rsa_verify(not_a_signature, message, params.a_rsa)
         w, u = sample_nonces(params.sttp_elg.P, rng(b"gap"))
         W, V, c, r = encrypt_and_certify(not_a_signature, ctx, w, u)
-        assert cembs_verify(W, blind_commit(V, params.commit_base), c, r, ctx)
+        assert cembs_verify(W, blind_commit(V, ctx), c, r, ctx)

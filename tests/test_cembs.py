@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from fairex.arith import Rng, fixed_base_exp, mod_exp, sample_range
 from fairex.cembs import (
+    A_SIDE_TAG,
     CembsContext,
     NONCE_U_BITS,
     blind_commit,
@@ -14,7 +15,7 @@ from fairex.cembs import (
     sample_nonces,
 )
 from fairex.errors import ParameterError
-from fairex.keys import CommitBase, generate_system_params
+from fairex.keys import generate_system_params
 from fairex.rsa import message_rep, rsa_sign
 
 
@@ -31,19 +32,24 @@ def make_certified(params, raw: bytes, nonce_rng: Rng):
     ctx = CembsContext.a_side(params)
     sig = rsa_sign(message_rep(raw, params.a_rsa.n), params.a_rsa)
     W, V, c, r = encrypt_and_certify(sig, ctx, *sample_nonces(params.sttp_elg.P, nonce_rng))
-    return ctx, (W, V), blind_commit(V, params.commit_base), (c, r)
+    return ctx, (W, V), blind_commit(V, ctx), (c, r)
+
+
+def commit_ctx(g: int, n: int) -> CembsContext:
+    """A context for `blind_commit` alone, which reads only g and n."""
+    return CembsContext(g=g, n=n, group=None, side_tag=A_SIDE_TAG)
 
 
 class TestBlindCommit:
     def test_vector(self):
-        base = CommitBase(g=2, n_ref=55)
+        base = commit_ctx(g=2, n=55)
         assert blind_commit(14, base) == 49  # 2^14 = 16384 = 297*55 + 49
 
     def test_zero_exponent(self):
-        assert blind_commit(0, CommitBase(g=2, n_ref=55)) == 1
+        assert blind_commit(0, commit_ctx(g=2, n=55)) == 1
 
     def test_deterministic(self):
-        base = CommitBase(g=7, n_ref=143)
+        base = commit_ctx(g=7, n=143)
         assert blind_commit(99, base) == blind_commit(99, base)
 
 
@@ -65,6 +71,11 @@ class TestHashChallenge:
         assert 0 <= hash_challenge(0x41, []) < 1 << 256
         with pytest.raises(ParameterError):
             hash_challenge(300, [1])
+
+    def test_element_count_fits_its_byte(self):
+        assert 0 <= hash_challenge(0x41, [1] * 255) < 1 << 256
+        with pytest.raises(ParameterError, match="too many elements"):
+            hash_challenge(0x41, [1] * 256)
 
 
 class TestGenerateVerify:
@@ -88,8 +99,8 @@ class TestGenerateVerify:
 
     def test_commitment_from_wrong_v_rejected(self, toy_params):
         ctx, (W, V), _, (c, r) = make_certified(toy_params, b"hello", rng(b"n5"))
-        wrong = blind_commit(V + 1, toy_params.commit_base)
-        assert wrong != blind_commit(V, toy_params.commit_base)
+        wrong = blind_commit(V + 1, ctx)
+        assert wrong != blind_commit(V, ctx)
         assert not cembs_verify(W, wrong, c, r, ctx)
 
     def test_out_of_range_inputs_fail_quietly(self, toy_params):
@@ -106,7 +117,7 @@ class TestGenerateVerify:
         ctx_b = CembsContext.b_side(toy_params)
         sig = rsa_sign(message_rep(b"x", toy_params.b_rsa.n), toy_params.b_rsa)
         W, V, c, r = encrypt_and_certify(sig, ctx_b, *sample_nonces(ctx_b.group.P, rng(b"n7")))
-        commitment = blind_commit(V, toy_params.commit_base)
+        commitment = blind_commit(V, ctx_b)
         assert cembs_verify(W, commitment, c, r, ctx_b)
         assert not cembs_verify(W, commitment, c, r, ctx_a)
 
@@ -140,7 +151,7 @@ class TestGenerateVerify:
         not_a_signature = 12345 % toy_params.sttp_elg.P
         w, u = sample_nonces(toy_params.sttp_elg.P, rng(b"gap"))
         W, V, c, r = encrypt_and_certify(not_a_signature, ctx, w, u)
-        commitment = blind_commit(V, toy_params.commit_base)
+        commitment = blind_commit(V, ctx)
         assert cembs_verify(W, commitment, c, r, ctx)
 
 
@@ -162,8 +173,8 @@ class TestCertifyPower:
         assert fixed_base_exp(G, u * PK % (P - 1), P) == big_a
         w = sample_range(1, P - 1, Rng.from_material(w_seed))
         W, V, c, _ = encrypt_and_certify(5, ctx, w, u)
-        commitment = blind_commit(V, ctx.commit_base)
-        assert c == hash_challenge(ctx.side_tag, [ctx.commit_base.g, W, commitment, a, big_a])
+        commitment = blind_commit(V, ctx)
+        assert c == hash_challenge(ctx.side_tag, [ctx.g, W, commitment, a, big_a])
 
 
 class TestCorrectnessIdentities:

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import hashlib
 import os
 import re
@@ -132,6 +133,26 @@ class TestRun:
         assert rc == 2 and capsys.readouterr().err.startswith("error: --transcript ")
         assert {name: Path(name).read_bytes() for name in inputs.values()} == before
         assert cli_main(args + ["--transcript", "t.txt"]) == 0
+
+    def test_zero_timeout_is_usage_error(self, keyfile, capsys):
+        rc = cli_main(["run", "--keys", str(keyfile), "--seed", "01", "--timeout", "0"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: timeout must be at least one tick\n"
+
+    def test_public_b_record_is_usage_error_for_common(self, keyfile, tmp_path, capsys):
+        keys = tmp_path / "keys.txt"
+        params = load_params(keyfile)
+        save_params(dataclasses.replace(params, b_rsa=params.b_rsa.public()), keys)
+        rc = cli_main(["run", "--protocol", "common", "--keys", str(keys), "--seed", "01"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: session needs B's signing key; load the private key file\n"
+
+    def test_linked_file_a_alone_is_usage_error(self, keyfile, tmp_path, capsys):
+        file_a = tmp_path / "a.txt"
+        file_a.write_bytes(b"contract counterpart held by A")
+        rc = cli_main(["run", "--protocol", "linked", "--keys", str(keyfile), "--seed", "01", "--file-a", str(file_a)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: linked protocol needs both --file-a and --file-b\n"
 
     def test_unknown_fault_is_usage_error(self, keyfile):
         rc = cli_main([

@@ -127,6 +127,10 @@ class TestFaultScriptParsing:
         for name in SHIPPED_FAULT_SCRIPTS:
             shipped_script(name)
 
+    def test_unknown_shipped_script_is_named(self):
+        with pytest.raises(FaultScriptError, match="^unknown shipped script 'nope'$"):
+            shipped_script("nope")
+
     @given(st.text())
     def test_arbitrary_text_raises_only_fault_script_error(self, text):
         try:
@@ -418,7 +422,7 @@ class TestArbiterView:
     @staticmethod
     def passes(s, view, params) -> bool:
         (_, c, *_), h = view
-        return pow(params.commit_base.g, s * h % params.sttp_elg.P, params.a_rsa.n) == c
+        return pow(params.g, s * h % params.sttp_elg.P, params.a_rsa.n) == c
 
     @pytest.mark.parametrize("protocol", list(Protocol))
     def test_toy_view_narrows_s_a_to_21_candidates(self, zero_seed_toy, protocol):
@@ -526,6 +530,27 @@ class TestPossessionSweep:
             assert audit(result.transcript, params, cfg.protocol, cfg.payload) == live, script
             for role, holds in (("A", live.a_acquired_valid), ("B", live.b_acquired_valid)):
                 assert holds == (result.states[role].verdict in ("success", "recovered", "late")), script
+
+
+def small_scope_outcome(params, protocol: Protocol, script: str) -> tuple:
+    """What a session shows but its bytes: the stall flag, both audits, and each role's phase, verdict,
+    whether it holds an item, and its violations."""
+    payload = default_payload(protocol)
+    result = run_session(SessionConfig(protocol, params, payload, bytes(32)), FaultScript.parse(script))
+    roles = [(s.phase, s.verdict, s.acquired is not None, s.violations) for s in map(result.states.get, ROLES)]
+    return (
+        result.stalled, roles,
+        audit(result.transcript, params, protocol, payload),
+        audit(result.transcript, params.public(), protocol, payload),
+    )
+
+
+def test_single_directives_end_alike_at_paper_and_toy_size(paper_key_set, zero_seed_toy):
+    """Every 8th single directive under each protocol: the paper-size outcome is the toy one."""
+    for protocol in Protocol:
+        for script in every_directive()[::8]:
+            paper = small_scope_outcome(paper_key_set, protocol, script)
+            assert paper == small_scope_outcome(zero_seed_toy, protocol, script), (protocol, script)
 
 
 class TestStall:

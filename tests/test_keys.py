@@ -1,6 +1,8 @@
 import dataclasses
 import os
+import random
 import select
+import sys
 import threading
 from math import gcd
 from pathlib import Path
@@ -15,7 +17,6 @@ from fairex.errors import ParameterError, SetupError
 from fairex.keys import (
     PROFILES,
     BitProfile,
-    CommitBase,
     ElgKeyPair,
     SystemParams,
     generate_system_params,
@@ -51,7 +52,7 @@ class TestInitClients:
         assert rsa.e * rsa.d % phi == 1
         assert mod_exp(elg.G, elg.SK, elg.P) == elg.PK
         assert elg.P > rsa.n
-        assert base.n_ref == rsa.n and base.g not in (1, rsa.n - 1)
+        assert base not in (1, rsa.n - 1) and gcd(base, rsa.n) == 1
 
     def test_client_a_respects_external_floor(self):
         elg = keys._gen_elg(PROFILES["toy"], rng(b"floor"), floor=(1 << 24) - 9000)
@@ -116,10 +117,19 @@ class TestValidateParams:
         assert any("key consistency" in v for v in validate_params(broken))
 
     def test_commit_base_violation(self, toy_params):
-        broken = dataclasses.replace(
-            toy_params, commit_base=CommitBase(g=1, n_ref=toy_params.a_rsa.n)
-        )
+        broken = dataclasses.replace(toy_params, g=1)
         assert any("commit base" in v for v in validate_params(broken))
+
+    def test_equal_rsa_primes_reported(self, toy_params):
+        a = toy_params.a_rsa
+        broken = dataclasses.replace(toy_params, a_rsa=dataclasses.replace(a, q=a.p, q_cert=a.p_cert))
+        assert "client A: rsa primes equal" in validate_params(broken)
+
+    @pytest.mark.parametrize("n, e", [(3, 3), (None, 1)], ids=["n<4", "e<2"])
+    def test_public_rsa_key_out_of_range(self, toy_params, n, e):
+        b = toy_params.b_rsa.public()
+        broken = dataclasses.replace(toy_params, b_rsa=dataclasses.replace(b, n=n or b.n, e=e))
+        assert validate_params(broken) == ["client B: rsa public key out of range"]
 
     def test_public_export_still_validates(self, toy_params):
         assert validate_params(toy_params.public()) == []
@@ -152,7 +162,7 @@ class TestValidateParamsCache:
     def test_returned_list_does_not_poison_the_cache(self, toy_params):
         validate_params(toy_params).append("poisoned")
         assert validate_params(toy_params) == []
-        broken = dataclasses.replace(toy_params, commit_base=CommitBase(g=1, n_ref=toy_params.a_rsa.n))
+        broken = dataclasses.replace(toy_params, g=1)
         validate_params(broken).clear()
         assert validate_params(broken) == ["commit base: invalid element"]
 
@@ -187,8 +197,8 @@ class TestValidateParamsCache:
         validate_params(toy_params)
         primality_tests.clear()
         n = toy_params.a_rsa.n
-        g = next(g for g in range(2, n) if g != toy_params.commit_base.g and gcd(g, n) == 1)
-        other = dataclasses.replace(toy_params, commit_base=CommitBase(g=g, n_ref=n))
+        g = next(g for g in range(2, n) if g != toy_params.g and gcd(g, n) == 1)
+        other = dataclasses.replace(toy_params, g=g)
         assert validate_params(other) == [] and primality_tests == []
         b = toy_params.b_rsa
         new_b = dataclasses.replace(b, d=b.d + (b.p - 1) * (b.q - 1))
@@ -227,6 +237,37 @@ class TestValidateParamsCache:
         broken = dataclasses.replace(toy_params, a_elg=bad_elg)
         with pytest.raises(SetupError):
             build_parties(dataclasses.replace(cfg, params=broken))
+
+    def test_threads_keep_and_read_only_right_verdicts(self, monkeypatch):
+        # More threads than CPUs, switching often: a lost or torn update of the store must not give a wrong verdict.
+        monkeypatch.setattr(keys, "_CHECKED", {})
+        sets = [generate_system_params("toy", rng(b"thread set %d" % i)) for i in range(24)]
+        errors = []
+
+        def work(worker: int) -> None:
+            try:
+                draw = random.Random(worker)
+                for _ in range(40):
+                    sp = draw.choice(sets)
+                    bad = dataclasses.replace(sp.a_elg, PK=sp.a_elg.PK % (sp.a_elg.P - 1) + 1)  # in range, wrong
+                    assert validate_params(sp) == []
+                    problems = validate_params(dataclasses.replace(sp, a_elg=bad))
+                    assert problems == ["client A: key consistency (PK != G^SK mod P)"]
+                    assert not keys.sound(bad)
+            except Exception as exc:  # reported below, with the worker that raised
+                errors.append((worker, exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(n,)) for n in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads) and errors == []
 
 
 SMALL = BitProfile(128, 256)  # the smallest keys whose keygen and checks reach `arith.pair`'s helper
@@ -732,7 +773,7 @@ class TestKeyFiles:
         assert loaded.b_rsa == toy_params.b_rsa
         assert loaded.a_elg == toy_params.a_elg
         assert loaded.sttp_elg == toy_params.sttp_elg
-        assert loaded.commit_base == toy_params.commit_base
+        assert loaded.g == toy_params.g
 
     def test_public_export_omits_private_fields(self, toy_params, certified_toy, tmp_path):
         for params, certificates in ((toy_params, 0), (certified_toy, 2)):

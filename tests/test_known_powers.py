@@ -72,7 +72,7 @@ def powers(monkeypatch):
 def certify(params, value: int, tag: bytes):
     ctx = CembsContext.a_side(params)
     W, V, c, r = encrypt_and_certify(value, ctx, *sample_nonces(ctx.group.P, Rng.from_material(tag)))
-    return ctx, W, V, blind_commit(V, params.commit_base), c, r
+    return ctx, W, V, blind_commit(V, ctx), c, r
 
 
 def outcome(cfg: SessionConfig, script: str) -> tuple:

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import hashlib
 
@@ -123,6 +124,13 @@ class TestClientASteps:
         assert a.state.verdict == "late" and a.state.acquired == s_b
         assert a.state.violations == ["out-of-phase message: COUNTER_SIGNATURE in phase done"]
 
+    def test_second_kickoff_is_a_violation(self, params):
+        a, _, _ = fresh_parties(make_cfg(params))
+        a.step(None, now=0)
+        assert a.step(None, now=1) == []
+        assert a.state.phase == "wait_step2"
+        assert a.state.violations == ["spurious kickoff: NoneType in phase wait_step2"]
+
     def test_out_of_phase_message_is_logged_and_ignored(self, params):
         a, _, _ = fresh_parties(make_cfg(params))
         a.step(None, now=0)
@@ -198,6 +206,12 @@ class TestClientBSteps:
         _, b, _ = fresh_parties(make_cfg(params))
         assert b.step(Timeout(), now=9) == []
         assert b.state.verdict == "aborted"
+
+    def test_kickoff_changes_nothing(self, params):
+        _, b, _ = fresh_parties(make_cfg(params))
+        before = copy.deepcopy((b.state, b.deadline, b.v_a, b.offer))
+        assert b.step(None, now=3) == []
+        assert (b.state, b.deadline, b.v_a, b.offer) == before
 
 
 class TestSttpSteps:
@@ -277,8 +291,20 @@ class TestSttpSteps:
         assert sttp.state.violations == ["rejected recovery request (offer cert ok, reply cert bad)"]
         report = audit(transcript, params.public(), cfg.protocol, cfg.payload)
         assert (report.fair, report.a_acquired_valid, report.b_acquired_valid) == (True, False, False)
-        g = params.commit_base
-        assert powers and (g.g, g.n_ref) not in powers
+        assert powers and (params.g, params.a_rsa.n) not in powers
+
+    @pytest.mark.parametrize("v_a", ["P_T", "4 KB"])
+    def test_offer_value_out_of_range_makes_no_power_of_g(self, params, monkeypatch, v_a):
+        """V_A outside (0, P_T): B stops the protocol, as the STTP rejects such a V_B, before g^V_A is made."""
+        a, b, _ = fresh_parties(make_cfg(params))
+        (_, offer), = a.step(None, now=0)
+        value = params.sttp_elg.P if v_a == "P_T" else 1 << (8 * 4096 - 1)
+        hostile = dataclasses.replace(offer, fields=offer.fields[:1] + (int_to_bytes(value),) + offer.fields[2:])
+        powers, fixed_base_exp = [], cembs.fixed_base_exp  # (base, modulus) of each fixed-base power
+        monkeypatch.setattr(cembs, "fixed_base_exp", lambda *args: powers.append(args[::2]) or fixed_base_exp(*args))
+        assert b.step(hostile, now=1) == []
+        assert (b.state.verdict, b.state.violations) == ("aborted", [])
+        assert (params.g, params.a_rsa.n) not in powers
 
 
 class TestCarriedItem:
@@ -345,6 +371,10 @@ class TestSessionConfigShape:
             SessionConfig(Protocol.LINKED_FILES, params, b"single", bytes(32))
         with pytest.raises(ParameterError):
             SessionConfig(Protocol.COMMON_MESSAGE, params, (b"a", b"b"), bytes(32))
+
+    def test_seed_must_be_32_bytes(self, params):
+        with pytest.raises(ParameterError, match="session seed must be 32 bytes"):
+            SessionConfig(Protocol.COMMON_MESSAGE, params, b"the deal", bytes(31))
 
     def test_private_keys_required(self, params):
         cfg = make_cfg(dataclasses.replace(params, a_rsa=params.a_rsa.public()))

@@ -4,7 +4,9 @@ Scalars are plain Python ints, always non-negative.  The byte encoding
 used everywhere in this package is the minimal big-endian magnitude:
 no leading zero bytes, and the empty string encodes zero.  Hash inputs
 and wire fields carry it behind a length prefix, so no fixed width or
-padding is needed.  `pair` runs two independent jobs at once, one of them
+padding is needed.  `fixed_base_exp` keeps Lim-Lee comb tables for the
+newest 32 (base, modulus) pairs, the one store here that is filled in place,
+on first need.  `pair` runs two independent jobs at once, one of them
 in a helper process that is forked once and kept; it is the package's one
 way to use a second CPU, for modexps, keygen and primality checks alike.
 """
@@ -111,54 +113,59 @@ def mod_exp(base: int, exponent: int, modulus: int) -> int:
     return pow(base, exponent, modulus)
 
 
-FIXED_BASE_WINDOW = 5  # digits of fixed-base exponents are base 2^5 = 32
-
-
 @lru_cache(maxsize=32)
-def _fixed_base_powers(base: int, modulus: int) -> tuple[int, ...]:
-    """base^(32^i) mod modulus for every 5-bit digit of a modulus-sized exponent."""
+def _fixed_base_powers(base: int, modulus: int) -> tuple[list[int | None], ...]:
+    """The comb's 4 tables of 256 entries; bit i of entry k of table j stands for base^(2^((8j+i)*span)).
+
+    Only entry 0 (1) and the 32 one-bit entries are computed here.  `_comb_entry` fills the others
+    on first need, in place: an entry is written once, always with the same value, so a racing
+    thread can only compute it twice.
+    """
+    span = -(-modulus.bit_length() // 32)
+    tables = tuple([1] + [None] * 255 for _ in range(4))
     power = base % modulus
-    powers = [power]
-    for _ in range((modulus.bit_length() - 1) // FIXED_BASE_WINDOW):
-        power = pow(power, 1 << FIXED_BASE_WINDOW, modulus)
-        powers.append(power)
-    return tuple(powers)
+    for row in range(32):
+        tables[row // 8][1 << row % 8] = power
+        if row < 31:
+            power = pow(power, 1 << span, modulus)
+    return tables
+
+
+def _comb_entry(table: list[int | None], index: int, modulus: int) -> int:
+    """Entry `index` of a comb table: the entry with its lowest bit cleared, times that bit's entry."""
+    if table[index] is None:
+        low = index & -index
+        table[index] = _comb_entry(table, index - low, modulus) * table[low] % modulus
+    return table[index]
 
 
 def fixed_base_exp(base: int, exponent: int, modulus: int) -> int:
     """base^exponent mod modulus, for a base that recurs with the same modulus.
 
-    The powers base^(32^i) are computed once per (base, modulus) and kept
-    in a bounded cache (about 34 KB for a 1024-bit modulus).  With the
-    exponent written in base-32 digits d_i, the result is
-    prod_{d=1}^{31} (prod_{i: d_i = d} base^(32^i))^d, which the bucket
-    method of Brickell, Gordon, McCurley and Wilson (EUROCRYPT '92)
-    evaluates in about 240 multiplications at 1024 bits, against about
-    1,230 inside pow.  Exponents longer than the table go to pow.
+    The Lim-Lee comb (CRYPTO '94) writes an exponent of up to 32*span bits, span =
+    ceil(bits(modulus) / 32), as 32 rows of span bits, row m standing for base^(2^(m*span)).
+    One column of it is one byte per block of 8 rows, which indexes that block's table of
+    subset products (`_fixed_base_powers`), so a power takes at most span - 1 squarings and
+    4*span multiplications: 159 at 1024 bits, against about 1,230 inside pow.  A fully
+    filled 1024-bit table holds about 175 KB.  Exponents longer than the table go to pow.
     """
     if modulus < 2:
         raise ParameterError("modulus must be at least 2")
     if exponent < 0:
         raise ParameterError("exponent must be non-negative")
-    powers = _fixed_base_powers(base, modulus)
-    if exponent.bit_length() > FIXED_BASE_WINDOW * len(powers):
+    span = -(-modulus.bit_length() // 32)
+    if exponent.bit_length() > 32 * span:
         return pow(base, exponent, modulus)
-    mask = (1 << FIXED_BASE_WINDOW) - 1
-    buckets: list[int | None] = [None] * (mask + 1)
-    for power in powers:
-        digit = exponent & mask
-        if digit:
-            held = buckets[digit]
-            buckets[digit] = power if held is None else held * power % modulus
-        exponent >>= FIXED_BASE_WINDOW
-    # prod_d bucket_d^d as a running product of suffix products, largest digit first.
-    result = suffix = None
-    for held in reversed(buckets[1:]):
-        if held is not None:
-            suffix = held if suffix is None else suffix * held % modulus
-        if suffix is not None:
-            result = suffix if result is None else result * suffix % modulus
-    return 1 if result is None else result
+    tables = _fixed_base_powers(base, modulus)
+    digits = format(exponent, "b").zfill(32 * span)
+    result = 1
+    for start in range(span):  # digits[start::span] holds one bit of each row, row 31 first
+        if result != 1:
+            result = result * result % modulus
+        for table, index in zip(tables, int(digits[start::span], 2).to_bytes(4, "little")):
+            if index:
+                result = result * _comb_entry(table, index, modulus) % modulus
+    return result
 
 
 def mod_inv(x: int, modulus: int) -> int:

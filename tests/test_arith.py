@@ -1,11 +1,12 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from fairex.arith import (
-    FIXED_BASE_WINDOW,
     Rng,
+    _comb_entry,
     _fixed_base_powers,
     fixed_base_exp,
     int_from_bytes,
@@ -69,13 +70,47 @@ class TestModExp:
         assert mod_exp(a * b % m, e, m) == mod_exp(a, e, m) * mod_exp(b, e, m) % m
 
 
-class TestFixedBaseExp:
-    @given(
-        st.integers(min_value=0, max_value=1 << 200),
-        st.integers(min_value=0, max_value=1 << 220),
-        st.integers(min_value=2, max_value=1 << 200),
+def comb_span(modulus: int) -> int:
+    return -(-modulus.bit_length() // 32)
+
+
+def comb_tables_up_front(base: int, modulus: int) -> tuple[list[int], ...]:
+    """Every entry of the comb's tables by pow: bit i of entry k of table j stands for base^(2^((8j+i)*span))."""
+    span = comb_span(modulus)
+    return tuple(
+        [pow(base, sum(1 << (8 * j + i) * span for i in range(8) if k >> i & 1), modulus) for k in range(256)]
+        for j in range(4)
     )
-    def test_matches_pow(self, b, e, m):
+
+
+@st.composite
+def comb_cases(draw):
+    """(base, exponent, modulus) for a modulus of 2 to 1,100 bits, with exponents at the table's edge and past it."""
+    bits = draw(st.integers(min_value=2, max_value=1100))
+    m = draw(st.integers(min_value=1 << bits - 1, max_value=(1 << bits) - 1))
+    covered = 32 * comb_span(m)
+    e = draw(st.one_of(
+        st.integers(min_value=0, max_value=(1 << covered) - 1),
+        st.sampled_from([(1 << covered) - 1, 1 << covered, (1 << covered) + 1]),
+        st.integers(min_value=1 << covered, max_value=1 << covered + 64),
+    ))
+    return draw(st.integers(min_value=0, max_value=3 * m)), e, m
+
+
+class CountingModulus(int):
+    """A modulus that counts the reductions made with it: `x % m` calls a subclass's __rmod__ first; pow does not."""
+
+    reductions = 0
+
+    def __rmod__(self, other):
+        CountingModulus.reductions += 1
+        return int.__rmod__(self, other)
+
+
+class TestFixedBaseExp:
+    @given(comb_cases())
+    def test_matches_pow(self, case):
+        b, e, m = case
         assert fixed_base_exp(b, e, m) == pow(b, e, m)
 
     def test_edge_cases(self):
@@ -92,11 +127,12 @@ class TestFixedBaseExp:
             assert fixed_base_exp(b, e, m) == pow(b, e, m), (b, e, m)
 
     def test_table_boundary(self):
-        m = (1 << 1023) + 1155  # a 1024-bit modulus: 205 powers cover 1025 bits
-        powers = _fixed_base_powers(3, m)
-        assert len(powers) == 205
-        covered = FIXED_BASE_WINDOW * len(powers)
-        for e in (m - 1, (1 << covered) - 1, 1 << covered, (1 << (covered + 40)) + 12345):
+        m = (1 << 1023) + 1155  # a 1024-bit modulus: span 32, so 32 rows cover 1024 bits
+        tables = _fixed_base_powers(3, m)
+        assert [len(table) for table in tables] == [256] * 4
+        steps = [tables[row // 8][1 << row % 8] for row in range(32)]
+        assert steps == [pow(3, 1 << 32 * row, m) for row in range(32)]
+        for e in (m - 1, (1 << 1024) - 1, 1 << 1024, (1 << 1064) + 12345):
             assert fixed_base_exp(3, e, m) == pow(3, e, m)
 
     def test_same_errors_as_mod_exp(self):
@@ -111,17 +147,54 @@ class TestFixedBaseExp:
         base, m1, m2 = 12345, 1000003, 999983
         assert _fixed_base_powers(base, m1) is not _fixed_base_powers(base, m2)
         assert _fixed_base_powers(2, m1) is not _fixed_base_powers(3, m1)
-        for b, m in [(base, m1), (base, m2), (2, m1), (3, m1)]:
-            assert _fixed_base_powers(b, m) == tuple(pow(b, 32**i, m) for i in range(4))
-        for e in (1, 12345, m1 - 1):
+        for e in (1, 12345, m1 - 1, (1 << 32) - 1):
             # interleave, so a table cached for one key never serves another
             assert fixed_base_exp(base, e, m1) == pow(base, e, m1)
             assert fixed_base_exp(base, e, m2) == pow(base, e, m2)
             assert fixed_base_exp(2, e, m1) == pow(2, e, m1)
             assert fixed_base_exp(3, e, m1) == pow(3, e, m1)
+        for b, m in [(base, m1), (base, m2), (2, m1), (3, m1)]:
+            expected = comb_tables_up_front(b, m)
+            for table, full in zip(_fixed_base_powers(b, m), expected):
+                assert all(entry in (None, value) for entry, value in zip(table, full))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_entries_filled_in_any_order_equal_products_built_up_front(self, seed):
+        keys = [(3, 1000003), (12345, 1000003), (3, 999983), (7, (1 << 255) + 95), (2, 2)]
+        fresh = {key: _fixed_base_powers.__wrapped__(*key) for key in keys}  # uncached, so filled here alone
+        for tables in fresh.values():
+            assert [sum(entry is not None for entry in table) for table in tables] == [9] * 4
+        order = [(key, j, k) for key in keys for j in range(4) for k in range(256)]
+        random.Random(seed).shuffle(order)  # interleaves bases, moduli, tables and entries
+        for key, j, k in order:
+            _comb_entry(fresh[key][j], k, key[1])
+        for key, tables in fresh.items():
+            assert tables == comb_tables_up_front(*key)
+
+    def test_reductions_per_paper_size_power(self):
+        """A warm 1024-bit power makes at most span - 1 = 31 squarings and 4 * span = 128 multiplications."""
+        m = (1 << 1023) + 1155
+        for table in _fixed_base_powers(5, m):
+            for k in range(256):
+                _comb_entry(table, k, m)
+        counting, rng = CountingModulus(m), random.Random(29)
+        exponents = [0, 1, m - 1, (1 << 1024) - 1, 1 << 1023, *(rng.getrandbits(1024) for _ in range(8))]
+        counts = []
+        for e in exponents:
+            CountingModulus.reductions = 0
+            assert fixed_base_exp(5, e, counting) == pow(5, e, m)
+            counts.append(CountingModulus.reductions)
+        assert max(counts) == counts[3] == 159  # every column of 2^1024 - 1 indexes every table
+        assert counts[:2] == [0, 1]
 
     def test_cache_is_bounded(self):
-        assert _fixed_base_powers.cache_info().maxsize is not None
+        assert _fixed_base_powers.cache_info().maxsize == 32
+        m = 1000003
+        for base in range(2, 42):
+            for e in (base, m - base, (1 << 32) - base):
+                assert fixed_base_exp(base, e, m) == pow(base, e, m)
+        assert _fixed_base_powers.cache_info().currsize <= 32
+        assert [len(table) for table in _fixed_base_powers(41, m)] == [256] * 4
 
 
 class TestModInv:

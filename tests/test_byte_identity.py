@@ -8,9 +8,9 @@ expected digests were recorded before the certificate algebra, the
 CRT signing path and the parameter-validation cache went in, so any of
 those that changes an output byte fails here.
 
-Toy keys have 24-bit moduli, so a fixed-base table for them holds only
-five powers.  One paper-profile key set (1024-bit moduli, 205 powers per
-table), conftest's shared `paper_key_set`, is therefore pinned too, on the
+Toy keys have 24-bit moduli, so a fixed-base comb for them has columns
+of one bit.  One paper-profile key set (1024-bit moduli, 32 columns per
+power), conftest's shared `paper_key_set`, is therefore pinned too, on the
 fault-free and the dispute path of each protocol; its digests were
 recorded before fixed-base exponentiation went in.
 """

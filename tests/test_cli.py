@@ -51,6 +51,19 @@ class TestKeygen:
         assert first.read_bytes() == library.read_bytes()
         assert load_params(first).sttp_elg.P != generate_system_params("toy", Rng(seed)).sttp_elg.P
 
+    def test_python_m_writes_the_key_file(self, tmp_path):
+        """`python -m fairex.cli` runs the command, as the `fairex` script does."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        child, library = tmp_path / "child.txt", tmp_path / "library.txt"
+        proc = subprocess.run(
+            [sys.executable, "-m", "fairex.cli", "keygen", "--profile", "toy", "--seed", "00", "--out", str(child)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert cli_main(["keygen", "--profile", "toy", "--seed", "00", "--out", str(library)]) == 0
+        assert child.read_bytes() == library.read_bytes()
+
     def test_bad_seed_is_usage_error(self, tmp_path):
         rc = cli_main(["keygen", "--profile", "toy", "--seed", "xyz", "--out", str(tmp_path / "k")])
         assert rc == 2

@@ -310,7 +310,9 @@ def pair(first: tuple, second: tuple, bits: int, *, wait: bool = False) -> tuple
     pairs, in the importing process, with two CPUs and no other thread; else here after f, as it does
     if the helper fails (it is retired) or is late (so the helper's CPU is busy: 8 more pairs run here).
     A pair that may `wait` (keygen, validation) skips the `_solo_pairs` gate and does not count toward
-    it, and is never late: it blocks until g's reply comes, so neither of its jobs runs twice.
+    it, and is never late: it blocks until g's reply comes, so neither of its jobs runs twice.  Any other
+    g is late once it outlasts f, so a caller passes its longer job first: a late g is made twice, the
+    second time here, and the next 8 pairs get no helper.
     """
     global _busy, _solo_pairs
     (f, f_args), (g, g_args) = first, second

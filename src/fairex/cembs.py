@@ -31,6 +31,10 @@ verifier's W and a' vary per call.  A certify in a `keys.sound` group
 (P proved prime, 1 < G < P) keeps A as a^PK, exact by Fermat, so a
 verify reads a'^PK back through `keys.known_power`: mod_exp's verdict.
 
+Each `arith.pair` keeps its longer job here: a certify pairs (A, a) with
+C = g^V after elg_encrypt's pair, a check of (W, V) pairs (g^V, G^r) with
+W^c, and a check of (W, C) pairs W^c with G^r.
+
 Every value is a plain int.  An offer is (W, V, c, r) in wire order, as
 encrypt_and_certify returns it; cembs_verify takes (W, C, c, r), and
 ciphertext_certified takes (W, V, c, r), as B, the STTP and the audit
@@ -118,8 +122,9 @@ def encrypt_and_certify(value: int, ctx: CembsContext, w: int, u: int) -> tuple[
     if u.bit_length() != NONCE_U_BITS:
         raise ParameterError(f"nonce u must be exactly {NONCE_U_BITS} bits")
     W, V = elg_encrypt(value, ctx.group, w)
-    commitment = blind_commit(V, ctx)
-    big_a, a = pair((fixed_base_exp, (G, u * PK % (P - 1), P)), (fixed_base_exp, (G, u, P)), P.bit_length())
+    (big_a, a), commitment = pair(
+        (lambda: (fixed_base_exp(G, u * PK % (P - 1), P), fixed_base_exp(G, u, P)), ()),
+        (fixed_base_exp, (ctx.g, V, ctx.n)), P.bit_length())
     remember(a, PK, P, big_a, ctx.group)
     c = hash_challenge(ctx.side_tag, [ctx.g, W, commitment, a, big_a])
     return W, V, c, (u - c * w) % (P - 1)
@@ -127,19 +132,28 @@ def encrypt_and_certify(value: int, ctx: CembsContext, w: int, u: int) -> tuple[
 
 def cembs_verify(W: int, C: int, c: int, r: int, ctx: CembsContext) -> bool:
     """Check a certificate (c, r) against (W, C) alone.  Malformed inputs fail, never raise."""
-    P, G, PK = ctx.group.P, ctx.group.G, ctx.group.PK
-    if not 0 < W < P or not 0 < C < ctx.n:
-        return False
-    if not 0 <= r < P - 1 or not 0 <= c < 1 << (8 * CHALLENGE_BYTES):
-        return False
-    w_c, g_r = pair((mod_exp, (W, c, P)), (fixed_base_exp, (G, r, P)), P.bit_length())
-    a = g_r * w_c % P
-    big_a = known_power(a, PK, P)
-    return c == hash_challenge(ctx.side_tag, [ctx.g, W, C, a, big_a])
+    return _certified(W, C, None, c, r, ctx) is not None
 
 
 def ciphertext_certified(W: int, V: int, c: int, r: int, ctx: CembsContext) -> int | None:
     """The commitment g^V if (c, r) certifies the ciphertext (W, V), else None: V lies in (0, P), as every
-    encryption's does, and `cembs_verify` accepts (W, g^V).  A V out of range fails before g^V, whose cost
-    grows with V's size."""
-    return C if 0 < V < ctx.group.P and cembs_verify(W, C := blind_commit(V, ctx), c, r, ctx) else None
+    encryption's does, and `cembs_verify` accepts (W, g^V).  A V out of range fails before any power, g^V
+    included, whose cost grows with V's size."""
+    return _certified(W, None, V, c, r, ctx)
+
+
+def _certified(W: int, C: int | None, V: int | None, c: int, r: int, ctx: CembsContext) -> int | None:
+    """C, or g^V if C is None, when (c, r) certifies (W, C), else None.  Every range check runs before any
+    power.  W^c outlasts G^r's comb but not g^V's and G^r's together, so each pair keeps the longer job here."""
+    P, G, PK = ctx.group.P, ctx.group.G, ctx.group.PK
+    if not (0 < W < P and 0 <= r < P - 1 and 0 <= c < 1 << (8 * CHALLENGE_BYTES)
+            and (0 < V < P if C is None else 0 < C < ctx.n)):
+        return None
+    if C is None:
+        (C, g_r), w_c = pair((lambda: (blind_commit(V, ctx), fixed_base_exp(G, r, P)), ()),
+                             (mod_exp, (W, c, P)), P.bit_length())
+    else:
+        w_c, g_r = pair((mod_exp, (W, c, P)), (fixed_base_exp, (G, r, P)), P.bit_length())
+    a = g_r * w_c % P
+    certified = 0 < C < ctx.n and c == hash_challenge(ctx.side_tag, [ctx.g, W, C, a, known_power(a, PK, P)])
+    return C if certified else None  # g^V leaves (0, n) only if g is no unit mod n

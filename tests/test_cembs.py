@@ -1,8 +1,9 @@
 import inspect
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from fairex import arith, cembs, elgamal
 from fairex.arith import Rng, fixed_base_exp, mod_exp, sample_range
 from fairex.cembs import (
     A_SIDE_TAG,
@@ -10,6 +11,7 @@ from fairex.cembs import (
     NONCE_U_BITS,
     blind_commit,
     cembs_verify,
+    ciphertext_certified,
     encrypt_and_certify,
     hash_challenge,
     sample_nonces,
@@ -175,6 +177,97 @@ class TestCertifyPower:
         W, V, c, _ = encrypt_and_certify(5, ctx, w, u)
         commitment = blind_commit(V, ctx)
         assert c == hash_challenge(ctx.side_tag, [ctx.g, W, commitment, a, big_a])
+
+
+class TestPairSplit:
+    """Each `pair` keeps its longer job in the caller and hands the shorter one to the helper."""
+
+    @pytest.fixture
+    def pairs(self, monkeypatch):
+        """(caller job, helper job) of each pair that `cembs` and `elgamal` make."""
+        seen = []
+
+        def recorded(first, second, bits):
+            seen.append((first, second))
+            return arith.pair(first, second, bits)
+
+        for module in (cembs, elgamal):
+            monkeypatch.setattr(module, "pair", recorded)
+        return seen
+
+    @pytest.fixture
+    def offer(self, paper_key_set):
+        ctx = CembsContext.a_side(paper_key_set)
+        return ctx, encrypt_and_certify(1234, ctx, *sample_nonces(ctx.group.P, rng(b"split")))
+
+    def test_certify_makes_two_pairs_and_hands_over_g_to_the_v(self, paper_key_set, pairs):
+        ctx = CembsContext.a_side(paper_key_set)
+        P, G, PK = ctx.group.P, ctx.group.G, ctx.group.PK
+        w, u = sample_nonces(P, rng(b"split"))
+        _, V, _, _ = encrypt_and_certify(1234, ctx, w, u)
+        assert [second for _, second in pairs] == [(fixed_base_exp, (PK, w, P)), (fixed_base_exp, (ctx.g, V, ctx.n))]
+        (job, args), _ = pairs[1]
+        assert job(*args) == (pow(G, u * PK % (P - 1), P), pow(G, u, P))
+
+    def test_ciphertext_check_makes_one_pair_and_hands_over_w_to_the_c(self, offer, pairs):
+        ctx, (W, V, c, r) = offer
+        P, G = ctx.group.P, ctx.group.G
+        assert ciphertext_certified(W, V, c, r, ctx) == blind_commit(V, ctx)
+        [((job, args), second)] = pairs
+        assert second == (mod_exp, (W, c, P))
+        assert job(*args) == (blind_commit(V, ctx), pow(G, r, P))
+
+    def test_commitment_check_keeps_w_to_the_c_and_hands_over_g_to_the_r(self, offer, pairs):
+        ctx, (W, V, c, r) = offer
+        P, G = ctx.group.P, ctx.group.G
+        assert cembs_verify(W, blind_commit(V, ctx), c, r, ctx)
+        assert pairs == [((mod_exp, (W, c, P)), (fixed_base_exp, (G, r, P)))]
+
+
+def _tamper(name: str, W: int, V: int, c: int, r: int, P: int) -> tuple[int, int, int, int]:
+    """The offer (W, V, c, r) with one field off by one or set to an edge."""
+    if name == "honest":
+        return W, V, c, r
+    field, change = name[0], name[1:]
+    value = {"W": W, "V": V, "c": c, "r": r}[field]
+    value = {"+1": value + 1, "-1": value - 1, "=0": 0, "=P": P, "=P-1": P - 1, "=2^256": 1 << 256}[change]
+    return tuple(value if f == field else old for f, old in zip("WVcr", (W, V, c, r)))
+
+
+class TestCheckParity:
+    """`ciphertext_certified` is `cembs_verify` on g^V, and an input out of range makes no power."""
+
+    @pytest.mark.parametrize("case", [
+        "honest", "W+1", "W-1", "V+1", "V-1", "c+1", "c-1", "r+1", "r-1",
+        "V=0", "V=P", "W=0", "W=P", "r=P-1", "c=2^256",
+    ])
+    @settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        seed=st.binary(max_size=8),
+        paper=st.booleans(),
+        side=st.sampled_from([CembsContext.a_side, CembsContext.b_side]),
+    )
+    def test_parity_and_early_exit(self, toy_params, paper_key_set, monkeypatch, case, seed, paper, side):
+        ctx = side(paper_key_set if paper else toy_params)
+        P = ctx.group.P
+        W, V, c, r = _tamper(case, *encrypt_and_certify(5, ctx, *sample_nonces(P, rng(seed))), P)
+        powers = []
+
+        def counted(real):
+            def power(*args):
+                powers.append(args)
+                return real(*args)
+            return power
+
+        with monkeypatch.context() as patch:
+            for name in ("fixed_base_exp", "mod_exp"):
+                patch.setattr(cembs, name, counted(getattr(cembs, name)))
+            commitment = ciphertext_certified(W, V, c, r, ctx)
+        if not (0 < W < P and 0 < V < P and 0 <= r < P - 1 and 0 <= c < 1 << 256):
+            assert powers == []
+        C = blind_commit(V, ctx)
+        assert commitment == (C if cembs_verify(W, C, c, r, ctx) else None)
+        assert (commitment is not None) == (case == "honest")
 
 
 class TestCorrectnessIdentities:

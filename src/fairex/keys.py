@@ -132,7 +132,7 @@ class SystemParams:
 
 
 def _prime_range(bits: int, floor: int) -> tuple[int, int]:
-    """[lo, hi): the `bits`-bit integers strictly above `floor`."""
+    """[lo, hi): the `bits`-bit integers strictly above `floor`; hi is even, so x | 1 < hi for any x < hi."""
     lo = max(1 << (bits - 1), floor + 1)
     hi = 1 << bits
     if lo >= hi:
@@ -145,8 +145,6 @@ def _gen_prime_exact(bits: int, rng: Rng, floor: int = 0) -> int:
     lo, hi = _prime_range(bits, floor)
     for _ in range(_MAX_RETRIES):
         candidate = sample_range(lo, hi, rng) | 1
-        if candidate >= hi:
-            continue
         if is_probable_prime(candidate, rng):
             return candidate
     raise SetupError(f"no {bits}-bit prime above {floor} found after bounded retries")
@@ -165,7 +163,7 @@ def _gen_provable(bits: int, rng: Rng, floor: int = 0) -> tuple[int, Certificate
     if hi <= TRIAL_BOUND:
         for _ in range(_MAX_RETRIES):
             candidate = sample_range(lo, hi, rng) | 1
-            if candidate < hi and _certified(candidate, ()):
+            if _certified(candidate, ()):
                 return candidate, ()
     else:
         q, cert = _gen_provable((bits + 1) // 2 + 1, rng)

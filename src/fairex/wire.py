@@ -9,6 +9,9 @@ Integer fields use the minimal big-endian magnitude.  A transcript file
 holds one delivered message per line, tab-separated:
 
     tick <TAB> sender <TAB> receiver <TAB> hex(message)
+
+A message and a transcript line load only as they are written: each reader
+reads leniently, then keeps what it read only if it writes back the same.
 """
 
 from __future__ import annotations
@@ -86,28 +89,19 @@ class WireMessage:
 
     @classmethod
     def decode(cls, data: bytes) -> "WireMessage":
-        if len(data) < 1 + SESSION_ID_BYTES + 1:
-            raise WireError("message too short")
-        try:
-            msg_type = MsgType(data[0])
-        except ValueError:
-            raise WireError(f"unknown message type byte {data[0]}") from None
-        session_id = data[1 : 1 + SESSION_ID_BYTES]
-        count = data[1 + SESSION_ID_BYTES]
-        pos = 2 + SESSION_ID_BYTES
-        fields = []
-        for _ in range(count):
-            if pos + 4 > len(data):
-                raise WireError("truncated field length")
+        """The message whose `encode` is `data`: read leniently, then kept only if it writes back the same."""
+        pos, fields = 2 + SESSION_ID_BYTES, []
+        for _ in range(int.from_bytes(data[pos - 1 : pos], "big")):
             length = int.from_bytes(data[pos : pos + 4], "big")
-            pos += 4
-            if pos + length > len(data):
-                raise WireError("truncated field")
-            fields.append(data[pos : pos + length])
-            pos += length
-        if pos != len(data):
-            raise WireError("trailing bytes after last field")
-        return cls(msg_type=msg_type, session_id=session_id, fields=tuple(fields))
+            fields.append(data[pos + 4 : pos + 4 + length])
+            pos += 4 + length
+        try:
+            message = cls(MsgType(data[0]), data[1 : 1 + SESSION_ID_BYTES], tuple(fields))
+        except (IndexError, ValueError):  # no type byte, or none of MsgType's
+            message = None
+        if message is None or message.encode() != data:
+            raise WireError("not a message as encode writes it")
+        return message
 
 
 @dataclass(frozen=True)
@@ -145,19 +139,13 @@ class Transcript:
         if lines.pop():
             raise TranscriptError(f"line {len(lines) + 1}: no line end")
         for lineno, line in enumerate(lines, start=1):
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise TranscriptError(f"line {lineno}: expected 4 tab-separated columns")
-            tick_str, sender, receiver, hex_msg = parts
             try:
-                tick = read_count(tick_str)
+                tick, sender, receiver, hex_msg = line.split("\t", 3)
                 message = WireMessage.decode(bytes.fromhex(hex_msg))
             except (ValueError, WireError) as exc:
                 raise TranscriptError(f"line {lineno}: {exc}") from None
-            if sender not in ROLES or receiver not in ROLES:
-                raise TranscriptError(f"line {lineno}: unknown party")
-            record = TranscriptRecord(tick, sender, receiver, message)
-            if tick is None or record.line != line:
+            record = TranscriptRecord(read_count(tick), sender, receiver, message)
+            if record.tick is None or not {sender, receiver} <= set(ROLES) or record.line != line:
                 raise TranscriptError(f"line {lineno}: not as a run writes it")
             transcript.records.append(record)
         return transcript

@@ -286,3 +286,18 @@ class TestRng:
         for bits in (1, 8, 9, 255):
             for _ in range(20):
                 assert rng.rand_bits(bits) < 1 << bits
+
+    def test_zero_bits_is_zero_and_draws_nothing(self):
+        rng = fresh_rng(b"zero")
+        assert rng.rand_bits(0) == 0
+        assert rng.random_bytes(8) == fresh_rng(b"zero").random_bytes(8)
+
+    @pytest.mark.parametrize("call", [
+        lambda rng: rng.random_bytes(-1),
+        lambda rng: rng.rand_bits(-1),
+        lambda rng: rng.below(0),
+        lambda rng: mod_inv(3, 1),
+    ], ids=["random_bytes(-1)", "rand_bits(-1)", "below(0)", "mod_inv(x, 1)"])
+    def test_out_of_range_arguments_raise_parameter_error(self, call):
+        with pytest.raises(ParameterError):
+            call(fresh_rng())

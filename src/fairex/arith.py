@@ -147,15 +147,11 @@ def fixed_base_exp(base: int, exponent: int, modulus: int) -> int:
     One column of it is one byte per block of 8 rows, which indexes that block's table of
     subset products (`_fixed_base_powers`), so a power takes at most span - 1 squarings and
     4*span multiplications: 159 at 1024 bits, against about 1,230 inside pow.  A fully
-    filled 1024-bit table holds about 175 KB.  Exponents longer than the table go to pow.
+    filled 1024-bit table holds about 175 KB.  Exponents longer than the table go to `mod_exp`.
     """
-    if modulus < 2:
-        raise ParameterError("modulus must be at least 2")
-    if exponent < 0:
-        raise ParameterError("exponent must be non-negative")
     span = -(-modulus.bit_length() // 32)
-    if exponent.bit_length() > 32 * span:
-        return pow(base, exponent, modulus)
+    if modulus < 2 or not 0 <= exponent < 1 << 32 * span:
+        return mod_exp(base, exponent, modulus)
     tables = _fixed_base_powers(base, modulus)
     digits = format(exponent, "b").zfill(32 * span)
     result = 1

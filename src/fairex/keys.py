@@ -15,6 +15,9 @@ Above toy size, keygen and validation hand one job of each pair to
 in the caller.  Each party's keys come from its own stream, so the bytes
 are the same on one CPU and on two.
 
+Every keygen search draws through `_draw`, which gives up with `SetupError`
+after a bounded number of samples.
+
 Certified keygen (`fairex keygen`) builds each prime with a Pocklington
 certificate, a chain of (a, q) pairs that validation checks in about one
 modexp per level; a prime without one gets 40 Miller-Rabin rounds.
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, replace
 from itertools import zip_longest
 from math import gcd, isqrt
@@ -140,14 +143,13 @@ def _prime_range(bits: int, floor: int) -> tuple[int, int]:
     return lo, hi
 
 
-def _gen_prime_exact(bits: int, rng: Rng, floor: int = 0) -> int:
-    """Probable prime of exactly `bits` bits, strictly above `floor`."""
-    lo, hi = _prime_range(bits, floor)
-    for _ in range(_MAX_RETRIES):
-        candidate = sample_range(lo, hi, rng) | 1
-        if is_probable_prime(candidate, rng):
+def _draw(sample: Callable | None, accept: Callable, what: str) -> int | tuple:
+    """The first of up to `_MAX_RETRIES` samples that `accept` takes; a `sample` of None has nothing to draw."""
+    for _ in range(_MAX_RETRIES if sample else 0):
+        candidate = sample()
+        if accept(candidate):
             return candidate
-    raise SetupError(f"no {bits}-bit prime above {floor} found after bounded retries")
+    raise SetupError(f"no {what} found after bounded retries")
 
 
 def _gen_provable(bits: int, rng: Rng, floor: int = 0) -> tuple[int, Certificate]:
@@ -160,26 +162,22 @@ def _gen_provable(bits: int, rng: Rng, floor: int = 0) -> tuple[int, Certificate
     1995; FIPS 186-4 C.6).
     """
     lo, hi = _prime_range(bits, floor)
+    what = f"provable {bits}-bit prime above {floor}"
     if hi <= TRIAL_BOUND:
-        for _ in range(_MAX_RETRIES):
-            candidate = sample_range(lo, hi, rng) | 1
-            if _certified(candidate, ()):
-                return candidate, ()
-    else:
-        q, cert = _gen_provable((bits + 1) // 2 + 1, rng)
-        t_lo, t_hi = -((1 - lo) // (2 * q)), (hi - 2) // (2 * q) + 1
-        for _ in range(_MAX_RETRIES if t_lo < t_hi else 0):
-            p = 2 * q * sample_range(t_lo, t_hi, rng) + 1
-            if _trial_division(p) is None and _pocklington(p, 2, q):
-                return p, ((2, q), *cert)
-    raise SetupError(f"no provable {bits}-bit prime above {floor} found after bounded retries")
+        return _draw(lambda: sample_range(lo, hi, rng) | 1, lambda p: _certified(p, ()), what), ()
+    q, cert = _gen_provable((bits + 1) // 2 + 1, rng)
+    t_lo, t_hi = -((1 - lo) // (2 * q)), (hi - 2) // (2 * q) + 1
+    sample = (lambda: 2 * q * sample_range(t_lo, t_hi, rng) + 1) if t_lo < t_hi else None
+    return _draw(sample, lambda p: _trial_division(p) is None and _pocklington(p, 2, q), what), ((2, q), *cert)
 
 
 def _gen_prime(bits: int, rng: Rng, floor: int, certified: bool) -> tuple[int, Certificate | None]:
-    """A provable prime and its certificate, or a probable prime and None."""
+    """A prime of exactly `bits` bits, strictly above `floor`: provable with its certificate, or probable and None."""
     if certified:
         return _gen_provable(bits, rng, floor)
-    return _gen_prime_exact(bits, rng, floor), None
+    lo, hi = _prime_range(bits, floor)
+    what = f"{bits}-bit prime above {floor}"
+    return _draw(lambda: sample_range(lo, hi, rng) | 1, lambda p: is_probable_prime(p, rng), what), None
 
 
 def _pocklington(n: int, a: int, q: int) -> bool:
@@ -220,13 +218,12 @@ def _small_prime_factors(n: int) -> list[int]:
 def _gen_elg(profile: BitProfile, rng: Rng, floor: int = 0, certified: bool = False) -> ElgKeyPair:
     P, P_cert = _gen_prime(profile.elg_bits, rng, floor, certified)
     small_factors = _small_prime_factors(P - 1)
-    for _ in range(_MAX_RETRIES):
-        G = sample_range(2, P - 1, rng)  # excludes 1 and P-1
+    G = _draw(
+        lambda: sample_range(2, P - 1, rng),  # excludes 1 and P-1
         # G^((P-1)/f) != 1 for every small prime factor f of P-1.
-        if all(mod_exp(G, (P - 1) // f, P) != 1 for f in small_factors):
-            break
-    else:
-        raise SetupError("no base of large order found after bounded retries")
+        lambda G: all(mod_exp(G, (P - 1) // f, P) != 1 for f in small_factors),
+        "base of large order",
+    )
     SK = sample_range(1, P - 1, rng)  # [1, P-2]
     return ElgKeyPair(P=P, G=G, PK=mod_exp(G, SK, P), SK=SK, P_cert=P_cert)
 
@@ -237,30 +234,17 @@ def _gen_rsa(profile: BitProfile, rng: Rng, certified: bool = False) -> RsaKeyPa
     # twice as many bits as each prime; 2^(2*bits - 1) is never a square.
     floor = isqrt(1 << (2 * bits - 1))
     p, p_cert = _gen_prime(bits, rng, floor, certified)
-    for _ in range(_MAX_RETRIES):
-        q, q_cert = _gen_prime(bits, rng, floor, certified)
-        if q != p:
-            break
-    else:
-        raise SetupError("could not find a second distinct prime")
+    q, q_cert = _draw(lambda: _gen_prime(bits, rng, floor, certified), lambda c: c[0] != p, "second distinct prime")
     n = p * q
     phi = (p - 1) * (q - 1)
-    for _ in range(_MAX_RETRIES):
-        e = sample_range(2, phi, rng)
-        if gcd(e, phi) == 1:
-            break
-    else:
-        raise SetupError("no public exponent coprime to phi(n) found")
+    e = _draw(lambda: sample_range(2, phi, rng), lambda e: gcd(e, phi) == 1, "public exponent coprime to phi(n)")
     d = pow(e, -1, phi)
     return RsaKeyPair(n=n, e=e, d=d, p=p, q=q, p_cert=p_cert, q_cert=q_cert)
 
 
 def _gen_commit_base(n: int, rng: Rng) -> int:
-    for _ in range(_MAX_RETRIES):
-        g = sample_range(2, n - 1, rng)  # excludes 1 and n-1
-        if gcd(g, n) == 1:
-            return g
-    raise SetupError("no commitment base found after bounded retries")
+    """A unit mod n other than 1 and n - 1."""
+    return _draw(lambda: sample_range(2, n - 1, rng), lambda g: gcd(g, n) == 1, "commitment base")
 
 
 def generate_system_params(profile: BitProfile | str, rng: Rng, *, certified: bool = False) -> SystemParams:

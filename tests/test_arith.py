@@ -17,7 +17,7 @@ from fairex.arith import (
     sample_range,
 )
 from fairex.errors import NotInvertibleError, ParameterError, SetupError
-from fairex.keys import _gen_prime_exact
+from fairex.keys import _gen_prime
 
 
 def brute_force_is_prime(n: int) -> bool:
@@ -221,21 +221,21 @@ class TestGenPrime:
     def test_eight_bit_range_and_primality(self):
         rng = fresh_rng(b"p8")
         for _ in range(20):
-            p = _gen_prime_exact(8, rng)
+            p = _gen_prime(8, rng, 0, False)[0]
             assert 128 <= p <= 255
             assert brute_force_is_prime(p)
 
     def test_512_bit(self):
-        p = _gen_prime_exact(512, fresh_rng(b"p512"))
+        p = _gen_prime(512, fresh_rng(b"p512"), 0, False)[0]
         assert p.bit_length() == 512
         assert is_probable_prime(p)
 
     def test_deterministic(self):
-        assert _gen_prime_exact(32, fresh_rng(b"same")) == _gen_prime_exact(32, fresh_rng(b"same"))
+        assert _gen_prime(32, fresh_rng(b"same"), 0, False) == _gen_prime(32, fresh_rng(b"same"), 0, False)
 
     def test_too_small(self):
         with pytest.raises(SetupError):  # no 8-bit integer lies above 255
-            _gen_prime_exact(8, fresh_rng(), floor=255)
+            _gen_prime(8, fresh_rng(), 255, False)
 
     def test_probable_prime_agrees_with_brute_force(self):
         rng = fresh_rng(b"agree")

@@ -13,6 +13,11 @@ of one bit.  One paper-profile key set (1024-bit moduli, 32 columns per
 power), conftest's shared `paper_key_set`, is therefore pinned too, on the
 fault-free and the dispute path of each protocol; its digests were
 recorded before fixed-base exponentiation went in.
+
+Certified keygen draws other samples than the default one, so the key
+files of two certified sets, conftest's `certified_paper_key_set` and a
+toy one, are pinned with their public exports; their digests were
+recorded before keygen's searches went through `keys._draw`.
 """
 
 import hashlib
@@ -22,7 +27,7 @@ import pytest
 from fairex import arith
 from fairex.arith import Rng
 from fairex.harness import SHIPPED_FAULT_SCRIPTS, audit, default_payload, run_session, shipped_script
-from fairex.keys import generate_system_params
+from fairex.keys import generate_system_params, save_params
 from fairex.protocol import Protocol, SessionConfig
 from fairex.vectors import generate_vectors_text
 from fairex.wire import ROLES
@@ -67,10 +72,27 @@ PAPER_EXPECTED = {
 
 VECTORS_SHA256 = "6d95c5df3db71bc2019f877dc886f71da3b6b4189d9b50ab450320c0f5a3da4d"
 
+# The key file, then its public export.
+CERTIFIED_KEYS_SHA256 = {
+    "certified_paper_key_set": (
+        "7f54c1e04054188a5fada5a9499ed065422119f25f6516f1e19dea88b0b52d74",
+        "cb14725fd69446ec59be9d1388ffabe1d63cb1ff03ffb1c31f3e263e7a23dff2",
+    ),
+    "certified_toy_params": (
+        "d7a904338bc2aeb865dc0530b22a96a6228c5ad53f4e0a1d05731aa5fd4da7c5",
+        "815f27589180ce0100e01755ef94354ca92ab882bedfcb44066aaf8949600a46",
+    ),
+}
+
 
 @pytest.fixture(scope="module")
 def params():
     return generate_system_params("toy", Rng.from_material(b"test_byte_identity params"))
+
+
+@pytest.fixture(scope="module")
+def certified_toy_params():
+    return generate_system_params("toy", Rng.from_material(b"test_byte_identity certified toy params"), certified=True)
 
 
 def session_digest(params, protocol: Protocol, script: str) -> str:
@@ -113,3 +135,13 @@ def test_paper_session_bytes_unchanged_with_and_without_pair_helper(paper_key_se
 
 def test_vector_bytes_unchanged():
     assert hashlib.sha256(generate_vectors_text().encode()).hexdigest() == VECTORS_SHA256
+
+
+@pytest.mark.parametrize("key_set", sorted(CERTIFIED_KEYS_SHA256))
+def test_certified_key_file_bytes_unchanged(request, tmp_path, key_set):
+    sp = request.getfixturevalue(key_set)
+    digests = []
+    for keys in (sp, sp.public()):
+        save_params(keys, tmp_path / "keys.txt")
+        digests.append(hashlib.sha256((tmp_path / "keys.txt").read_bytes()).hexdigest())
+    assert tuple(digests) == CERTIFIED_KEYS_SHA256[key_set]

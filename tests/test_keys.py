@@ -1,6 +1,7 @@
 import dataclasses
 import os
 import random
+import re
 import select
 import sys
 import threading
@@ -308,7 +309,7 @@ class TestBatchedPrimality:
     def paper_numbers(self, paper_key_set):
         sp = paper_key_set
         source = rng(b"256-bit primes")
-        r, s = keys._gen_prime_exact(256, source), keys._gen_prime_exact(256, source)
+        (r, _), (s, _) = keys._gen_prime(256, source, 0, False), keys._gen_prime(256, source, 0, False)
         # n_A and r*s are composites with no factor below 10^5, so
         # Miller-Rabin has to reject them; 3*P_A is caught by trial division.
         return {
@@ -881,3 +882,50 @@ class TestProfileGuards:
     def test_impossible_floor_errors_out(self):
         with pytest.raises(SetupError):
             keys._gen_elg(PROFILES["toy"], rng(b"x"), floor=1 << 24)
+
+
+class TestSearchesGiveUp:
+    """Each keygen search stops after `_MAX_RETRIES` samples with a `SetupError` that names it."""
+
+    @pytest.mark.parametrize(
+        "search, never, what",
+        [
+            (lambda: keys._gen_prime(8, rng(), 0, False), "is_probable_prime", "8-bit prime above 0"),
+            (lambda: keys._gen_prime(8, rng(), 0, True), "_certified", "provable 8-bit prime above 0"),
+            (lambda: keys._gen_prime(40, rng(), 0, True), "_pocklington", "provable 40-bit prime above 0"),
+            (lambda: keys._gen_elg(PROFILES["toy"], rng()), "mod_exp", "base of large order"),
+            (lambda: keys._gen_rsa(PROFILES["toy"], rng()), "_gen_prime", "second distinct prime"),
+            (lambda: keys._gen_rsa(PROFILES["toy"], rng()), "gcd", "public exponent coprime to phi(n)"),
+            (lambda: keys._gen_commit_base(35, rng()), "gcd", "commitment base"),
+        ],
+        ids=["prime", "provable-by-trial", "provable-2qt+1", "elg-base", "rsa-q", "rsa-e", "commit-base"],
+    )
+    def test_search_gives_up_naming_itself(self, monkeypatch, search, never, what):
+        # Each patch makes every sample of that search fail and lets the searches before it pass.
+        fails = {
+            "is_probable_prime": lambda *_: False,
+            "_certified": lambda *_: False,
+            "_pocklington": lambda *_: False,
+            "mod_exp": lambda *_: 1,  # every base has order dividing (P-1)/f
+            "_gen_prime": lambda *_: (191, None),  # the same prime every time
+            "gcd": lambda *_: 2,
+        }
+        monkeypatch.setattr(keys, "_MAX_RETRIES", 100)
+        monkeypatch.setattr(keys, never, fails[never])
+        with pytest.raises(SetupError, match=rf"^no {re.escape(what)} found after bounded retries$"):
+            search()
+
+    def test_empty_t_range_draws_nothing(self):
+        # A 40-bit p = 2qt + 1 above 2^40 - 3 is 2^40 - 1, so q divides 2^39 - 1 = 7 * 79 * 8191 * 121369,
+        # and no 21-bit q does: the search gives up after drawing only q.
+        source, twin = rng(b"empty t"), rng(b"empty t")
+        floor = (1 << 40) - 3
+        with pytest.raises(SetupError, match=f"^no provable 40-bit prime above {floor} found after bounded retries$"):
+            keys._gen_provable(40, source, floor)
+        keys._gen_provable(21, twin)
+        assert source.random_bytes(16) == twin.random_bytes(16)
+
+    def test_invalid_set_is_refused(self, monkeypatch):
+        monkeypatch.setattr(keys, "validate_params", lambda sp: ["commit base: invalid element"])
+        with pytest.raises(SetupError, match=r"^generated parameters invalid: \['commit base: invalid element'\]$"):
+            generate_system_params("toy", rng(b"refused"))

@@ -117,8 +117,6 @@ def encrypt_and_certify(value: int, ctx: CembsContext, w: int, u: int) -> tuple[
     to a particular signature equation (see README, Limitations).
     """
     P, G, PK = ctx.group.P, ctx.group.G, ctx.group.PK
-    if not 1 <= w <= P - 2:
-        raise ParameterError(f"nonce w must be in [1, {P - 2}]")
     if u.bit_length() != NONCE_U_BITS:
         raise ParameterError(f"nonce u must be exactly {NONCE_U_BITS} bits")
     W, V = elg_encrypt(value, ctx.group, w)

@@ -7,7 +7,9 @@ Protocol variants:
   with the hash of the other (m_A = M_A || H(M_B), m_B = M_B || H(M_A)),
   so neither signature is meaningful without both files.
 * data-for-sig: B trades a confidential payload M for A's signature on
-  H(M); A starts out knowing only the hash.
+  H(M); A starts out knowing only the hash.  B's item is M read as a
+  big-endian integer: the reply carries M's own bytes, the escrow the
+  integer.
 
 The wire sequence is the same everywhere: A opens with an encrypted,
 certified signature; B answers with a counter-signature (or the data);
@@ -104,10 +106,11 @@ class Terms:
     a_rep: int = field(init=False)
     b_rep: int | None = field(init=False)  # None in the data protocol
     expected_hash: int | None = field(init=False)  # data protocol only
+    reply_type: MsgType = field(init=False)  # what B answers a valid offer with
 
     def __post_init__(self):
         a_n, b_n = self.params.a_rsa.n, self.params.b_rsa.n
-        b_rep = expected_hash = None
+        b_rep, expected_hash, reply_type = None, None, MsgType.COUNTER_SIGNATURE
         if self.protocol is Protocol.LINKED_FILES:
             if not (isinstance(self.payload, tuple) and len(self.payload) == 2):
                 raise ParameterError("linked-files protocol needs a (file_a, file_b) payload")
@@ -120,9 +123,8 @@ class Terms:
         else:
             a_rep = message_rep(self.payload, a_n)
             expected_hash = int_from_bytes(hashlib.sha256(self.payload).digest())
-        object.__setattr__(self, "a_rep", a_rep)
-        object.__setattr__(self, "b_rep", b_rep)
-        object.__setattr__(self, "expected_hash", expected_hash)
+            reply_type = MsgType.DATA_PAYLOAD
+        vars(self).update(a_rep=a_rep, b_rep=b_rep, expected_hash=expected_hash, reply_type=reply_type)  # frozen
 
     def valid_for_A(self, item: int | bytes | None) -> bool:
         """Is item B's signature on b_rep, or the data that hashes to expected_hash?"""
@@ -166,13 +168,6 @@ def carried_item(msg: WireMessage, terms: Terms, v_a: int | None = None) -> int 
     return None
 
 
-def _reply_type(cfg: SessionConfig) -> MsgType:
-    """What B answers a valid offer with: the data itself, or a counter-signature."""
-    if cfg.protocol is Protocol.DATA_FOR_SIGNATURE:
-        return MsgType.DATA_PAYLOAD
-    return MsgType.COUNTER_SIGNATURE
-
-
 class _Party:
     """Shared plumbing: state, deadline bookkeeping, message construction.
 
@@ -186,6 +181,7 @@ class _Party:
         self.session_id = session_id
         self.state = PartyState(phase="start")
         self.deadline: int | None = None
+        self.v_a: int | None = None  # V_A of B's accepted offer, to unblind the arbiter's half; A's stays None
 
     def _msg(self, msg_type: MsgType, *values: int | bytes) -> WireMessage:
         fields = tuple(v if isinstance(v, bytes) else int_to_bytes(v) for v in values)
@@ -196,10 +192,15 @@ class _Party:
         self.state.violations.append(f"{note}: {kind} in phase {self.state.phase}")
         return []
 
-    def _hold(self, item: int | bytes) -> None:
-        self.state.acquired = item
-        if self.state.verdict == "aborted":
-            self.state.verdict = "late"
+    def _receive(self, incoming: WireMessage, valid) -> tuple[int | bytes | None, bool]:
+        """The item incoming carries, and whether it is owed; an owed item is kept."""
+        item = carried_item(incoming, self.cfg.terms, self.v_a)
+        owed = valid(item)
+        if owed:
+            self.state.acquired = item
+            if self.state.verdict == "aborted":
+                self.state.verdict = "late"
+        return item, owed
 
     def _finish(self, verdict: str) -> None:
         if verdict == "aborted" and self.state.acquired is not None:
@@ -236,13 +237,10 @@ class ClientA(_Party):
                 self._finish("aborted")
             return []
 
-        item = carried_item(incoming, self.cfg.terms)
-        valid = self.cfg.terms.valid_for_A(item)
-        if valid:
-            self._hold(item)
+        item, valid = self._receive(incoming, self.cfg.terms.valid_for_A)
         if incoming.msg_type is MsgType.FORWARD_CIPHERTEXT:
             return self._on_forward(incoming, item, valid)
-        if incoming.msg_type is _reply_type(self.cfg) and self.state.phase == "wait_step2":
+        if incoming.msg_type is self.cfg.terms.reply_type and self.state.phase == "wait_step2":
             if not valid:
                 self._finish("aborted")  # refuse to release s_A
                 return []
@@ -273,11 +271,10 @@ class ClientB(_Party):
         self.b_ctx = CembsContext.b_side(cfg.params)
         self.state.phase = "wait_offer"
         self.deadline = cfg.timeout  # give up if the opening offer never comes
-        if cfg.protocol is Protocol.DATA_FOR_SIGNATURE:
-            self.item = cfg.payload
-        else:
-            self.item = rsa_sign(cfg.terms.b_rep, cfg.params.b_rsa)
-        self.v_a: int | None = None  # V_A of the accepted offer, to unblind the arbiter's half
+        signs = cfg.terms.reply_type is MsgType.COUNTER_SIGNATURE
+        self.item = rsa_sign(cfg.terms.b_rep, cfg.params.b_rsa) if signs else data_as_int(cfg.payload)
+        if self.item >= cfg.params.a_elg.P:  # a signature is below n_B < P_A
+            raise SetupError("data payload too large to embed under A's key")
         self.offer: tuple[int, int, int, int] | None = None  # (W_A, g^V_A, c_A, r_A) for the STTP
 
     def step(self, incoming: WireMessage | Timeout | None, now: int = 0) -> list[tuple[str, WireMessage]]:
@@ -285,10 +282,7 @@ class ClientB(_Party):
             return []
         if isinstance(incoming, Timeout):
             return self._on_timeout(now)
-        item = carried_item(incoming, self.cfg.terms, self.v_a)
-        valid = self.cfg.terms.valid_for_B(item)
-        if valid:
-            self._hold(item)
+        item, valid = self._receive(incoming, self.cfg.terms.valid_for_B)
         phase = self.state.phase
         if incoming.msg_type is MsgType.CEMBS_OFFER and phase == "wait_offer":
             return self._on_offer(incoming, now)
@@ -318,7 +312,7 @@ class ClientB(_Party):
         self.v_a, self.offer = v_a, (w_a, commitment, c_a, r_a)
         self.state.phase = "wait_final"
         self.deadline = now + self.cfg.timeout
-        return [("A", self._msg(_reply_type(self.cfg), self.item))]
+        return [("A", self._msg(self.cfg.terms.reply_type, self.item))]
 
     def _on_timeout(self, now: int) -> list:
         if self.state.phase == "wait_final":
@@ -332,9 +326,8 @@ class ClientB(_Party):
 
     def _recover(self, now: int) -> list:
         """Escalate: certify own ciphertext under A's key and ask the STTP."""
-        value = data_as_int(self.item) if isinstance(self.item, bytes) else self.item
         w, u = sample_nonces(self.b_ctx.group.P, self.rng)
-        reply = encrypt_and_certify(value, self.b_ctx, w, u)
+        reply = encrypt_and_certify(self.item, self.b_ctx, w, u)
         self.state.phase = "wait_sttp"
         self.deadline = now + self.cfg.timeout
         return [("STTP", self._msg(MsgType.RECOVERY_REQUEST, *self.offer, *reply))]
@@ -382,12 +375,8 @@ def build_parties(cfg: SessionConfig) -> dict[str, _Party]:
     ):
         if value is None:
             raise SetupError(f"session needs {name}; load the private key file")
-    if cfg.protocol is not Protocol.DATA_FOR_SIGNATURE and cfg.params.b_rsa.d is None:
+    if cfg.terms.reply_type is MsgType.COUNTER_SIGNATURE and cfg.params.b_rsa.d is None:
         raise SetupError("session needs B's signing key; load the private key file")
-    if cfg.protocol is Protocol.DATA_FOR_SIGNATURE:
-        value = data_as_int(cfg.payload)
-        if value >= cfg.params.a_elg.P:
-            raise SetupError("data payload too large to embed under A's key")
     root = Rng(cfg.seed)
     session_id = root.child(b"session-id").random_bytes(16)
     return {

@@ -40,6 +40,10 @@ class TestEncoding:
         assert int_to_bytes(256) == b"\x01\x00"
         assert int_to_bytes(0xDEADBEEF) == b"\xde\xad\xbe\xef"
 
+    def test_negative_cannot_be_encoded(self):
+        with pytest.raises(ParameterError, match="^negative integers cannot be encoded$"):
+            int_to_bytes(-1)
+
     @given(st.integers(min_value=0, max_value=1 << 512))
     def test_round_trip(self, x):
         assert int_from_bytes(int_to_bytes(x)) == x

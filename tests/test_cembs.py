@@ -125,9 +125,9 @@ class TestGenerateVerify:
 
     def test_nonce_constraints_enforced(self, toy_params):
         ctx = CembsContext.a_side(toy_params)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match=r"^nonce must be in \[1, "):
             encrypt_and_certify(2, ctx, 0, 1 << (NONCE_U_BITS - 1))
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match=f"nonce u must be exactly {NONCE_U_BITS} bits"):
             encrypt_and_certify(2, ctx, 3, 1 << NONCE_U_BITS)
 
     def test_sampled_nonces_shape(self, toy_params):

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from fairex import cembs
 from fairex.arith import Rng, int_from_bytes, int_to_bytes
 from fairex.cembs import encrypt_and_certify, sample_nonces
-from fairex.errors import ParameterError, SetupError
-from fairex.harness import audit
+from fairex.errors import EmbeddingError, ParameterError, SetupError
+from fairex.harness import audit, run_session
 from fairex.keys import generate_system_params
 from fairex.protocol import (
     ClientA,
@@ -357,11 +357,11 @@ class TestDataProtocolSteps:
     def test_oversize_payload_rejected_at_session_start(self, params):
         too_big = int_to_bytes(params.a_elg.P + 1)
         cfg = make_cfg(params, protocol=Protocol.DATA_FOR_SIGNATURE, payload=too_big)
-        with pytest.raises(SetupError):
+        with pytest.raises(SetupError, match="^data payload too large to embed under A's key$"):
             build_parties(cfg)
 
     def test_leading_zero_payload_rejected(self):
-        with pytest.raises(Exception):
+        with pytest.raises(EmbeddingError, match="^data payload must be non-empty with no leading zero byte$"):
             data_as_int(b"\x00ok")
 
 
@@ -376,10 +376,24 @@ class TestSessionConfigShape:
         with pytest.raises(ParameterError, match="session seed must be 32 bytes"):
             SessionConfig(Protocol.COMMON_MESSAGE, params, b"the deal", bytes(31))
 
-    def test_private_keys_required(self, params):
-        cfg = make_cfg(dataclasses.replace(params, a_rsa=params.a_rsa.public()))
-        with pytest.raises(SetupError):
-            build_parties(cfg)
+    @pytest.mark.parametrize("key, name, protocol", [
+        ("a_rsa", "A's signing key", Protocol.COMMON_MESSAGE),
+        ("a_elg", "A's decryption key", Protocol.COMMON_MESSAGE),
+        ("sttp_elg", "STTP's decryption key", Protocol.COMMON_MESSAGE),
+        ("b_rsa", "B's signing key", Protocol.COMMON_MESSAGE),
+        ("b_rsa", "B's signing key", Protocol.LINKED_FILES),
+    ], ids=["a-rsa", "a-elg", "sttp-elg", "b-rsa-common", "b-rsa-linked"])
+    def test_private_keys_required(self, params, key, name, protocol):
+        public = dataclasses.replace(params, **{key: getattr(params, key).public()})
+        with pytest.raises(SetupError, match=f"^session needs {name}; load the private key file$"):
+            build_parties(make_cfg(public, protocol=protocol))
+
+    def test_data_protocol_needs_no_signing_key_of_b(self, params):
+        cfg = make_cfg(dataclasses.replace(params, b_rsa=params.b_rsa.public()),
+                       protocol=Protocol.DATA_FOR_SIGNATURE, payload=b"ok")
+        states = run_session(cfg).states
+        assert (states["A"].verdict, states["A"].acquired) == ("success", b"ok")
+        assert states["B"].verdict == "success" and cfg.terms.valid_for_B(states["B"].acquired)
 
 
 class TestReplayGap:
